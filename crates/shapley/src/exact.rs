@@ -10,7 +10,6 @@
 use std::fmt;
 
 use crate::cascade::{combine_lanes, CANONICAL_LANES};
-use crate::coalition::Coalition;
 use crate::game::Game;
 use crate::maxtree::MaxTree;
 use crate::parallel::run_parallel;
@@ -33,6 +32,16 @@ pub const MAX_EXACT_PLAYERS: usize = 24;
 /// per-block partials are merged in ascending block order, which is what
 /// keeps [`parallel_exact_shapley`] bit-identical to the serial solver.
 const TABLE_BLOCK_MASKS: u64 = 1 << 16;
+
+/// Masks per [`Game::fill_values`] call when filling the value table.
+/// Blocks are aligned and fixed, so their boundaries never depend on the
+/// thread count: serial and parallel fills make the same calls, and a
+/// game whose fill chains work within a block (the LP game warm-starts
+/// each coalition from its parent) gives both solvers the same table.
+/// Small enough that an 11-player table splits into 8 blocks for the
+/// workers; large enough that the LP game's one cold solve per block is a
+/// small share of the block's warm solves.
+pub const FILL_BLOCK_MASKS: u64 = 1 << 8;
 
 /// Error from the exact solver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,7 +87,8 @@ pub trait DeltaGame: Game {
 }
 
 /// Computes exact Shapley values by evaluating the characteristic
-/// function on all `2ⁿ` coalitions.
+/// function on all `2ⁿ` coalitions, filling the value table through
+/// [`Game::fill_values`] one [`FILL_BLOCK_MASKS`] block at a time.
 ///
 /// # Example
 ///
@@ -101,28 +111,25 @@ pub trait DeltaGame: Game {
 /// players and [`ExactError::NoPlayers`] for an empty game.
 pub fn exact_shapley<G: Game>(game: &G) -> Result<Vec<f64>, ExactError> {
     let n = check_size(game)?;
-    // One coalition reused across the sweep: `set_mask` rewrites the
-    // membership in place, so the fill performs no per-mask allocation.
-    let mut coalition = Coalition::empty(n);
-    let table: Vec<f64> = (0u64..1 << n)
-        .map(|mask| {
-            coalition.set_mask(mask);
-            game.value(&coalition)
-        })
-        .collect();
+    let mut table = vec![0.0f64; 1 << n];
+    fill_blocks(game, 0, &mut table);
     Ok(shapley_from_table(n, &table))
 }
 
 /// [`exact_shapley`] with both phases fanned out across worker threads:
-/// the `2ⁿ` table fill writes disjoint `chunks_mut` ranges of the final
-/// table in place (each value is a pure function of its mask, so the
-/// partition cannot affect any entry) and the `Θ(n·2ⁿ)` accumulation is
-/// chunked per player through [`run_parallel`]. Every per-mask /
-/// per-player computation is performed exactly as in the serial solver —
-/// so the result is **bit-identical** to [`exact_shapley`] at any thread
-/// count. Filling in place also means the table is allocated exactly
-/// once; assembling per-chunk buffers would transiently double peak
-/// memory at the [`MAX_EXACT_PLAYERS`] cap.
+/// each worker fills a disjoint run of whole [`FILL_BLOCK_MASKS`] blocks
+/// of the final table in place, and the `Θ(n·2ⁿ)` accumulation is
+/// chunked per block through [`run_parallel`].
+///
+/// Each table entry is a pure function of its mask and its fixed fill
+/// block — never of the thread count or of which worker filled it — so
+/// the result is **bit-identical** to [`exact_shapley`] at any thread
+/// count, for every game. For the default [`Game::fill_values`] the entry
+/// is `value()` of its mask; for the LP game's warm-chained fill it equals
+/// `value()` bitwise on exact-dyadic instances. Filling in place also
+/// means the table is allocated exactly once; assembling per-chunk
+/// buffers would transiently double peak memory at the
+/// [`MAX_EXACT_PLAYERS`] cap.
 ///
 /// `threads = 0` is clamped to one worker.
 ///
@@ -135,22 +142,26 @@ where
 {
     let n = check_size(game)?;
     let size = 1usize << n;
-    let threads = threads.clamp(1, size);
+    let threads = threads.max(1);
     let mut table = vec![0.0f64; size];
-    let chunk_len = size.div_ceil(threads);
+    let block = FILL_BLOCK_MASKS as usize;
+    let chunk_len = size.div_ceil(block).div_ceil(threads) * block;
     std::thread::scope(|scope| {
         for (worker, chunk) in table.chunks_mut(chunk_len).enumerate() {
-            let base = (worker * chunk_len) as u64;
-            scope.spawn(move || {
-                let mut coalition = Coalition::empty(n);
-                for (offset, slot) in chunk.iter_mut().enumerate() {
-                    coalition.set_mask(base + offset as u64);
-                    *slot = game.value(&coalition);
-                }
-            });
+            scope.spawn(move || fill_blocks(game, (worker * chunk_len) as u64, chunk));
         }
     });
     Ok(parallel_shapley_from_table(n, &table, threads))
+}
+
+/// Fills `table[i]` with the value of mask `first_mask + i` through one
+/// [`Game::fill_values`] call per [`FILL_BLOCK_MASKS`] block;
+/// `first_mask` must be block-aligned.
+fn fill_blocks<G: Game>(game: &G, first_mask: u64, table: &mut [f64]) {
+    debug_assert!(first_mask.is_multiple_of(FILL_BLOCK_MASKS));
+    for (b, block) in table.chunks_mut(FILL_BLOCK_MASKS as usize).enumerate() {
+        game.fill_values(first_mask + b as u64 * FILL_BLOCK_MASKS, block);
+    }
 }
 
 /// Computes exact Shapley values using Gray-code toggling, avoiding a full
@@ -716,6 +727,7 @@ pub(crate) fn scatter_block_lanes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coalition::Coalition;
     use crate::game::{PeakDemandGame, TableGame};
 
     #[test]

@@ -18,6 +18,28 @@ pub trait Game {
 
     /// Characteristic function: the cost borne by `coalition` on its own.
     fn value(&self, coalition: &Coalition) -> f64;
+
+    /// Fills `out[i]` with the value of the coalition whose membership
+    /// bitmask is `first_mask + i` — the table-fill hook of the exact
+    /// solvers, which call it once per fixed, aligned fill block.
+    ///
+    /// The default evaluates [`value`](Game::value) mask by mask through
+    /// one reused [`Coalition`]. Games that can share work between
+    /// neighbouring coalitions override it; an override's output must be
+    /// a pure function of `(first_mask, out.len())`, so that the exact
+    /// solvers' results stay independent of how blocks are scheduled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a mask in the range has bits at or above
+    /// [`player_count`](Game::player_count).
+    fn fill_values(&self, first_mask: u64, out: &mut [f64]) {
+        let mut coalition = Coalition::empty(self.player_count());
+        for (mask, slot) in (first_mask..).zip(out) {
+            coalition.set_mask(mask);
+            *slot = self.value(&coalition);
+        }
+    }
 }
 
 /// A game that can evaluate coalitions *incrementally* as players are

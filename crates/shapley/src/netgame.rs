@@ -38,12 +38,17 @@
 //! # Warm starts along the lattice
 //!
 //! Between coalitions only the right-hand side `b` changes (the matrix
-//! and costs are fixed), so a relative's optimal basis stays *dual*
-//! feasible and the dual simplex reuses it. [`NetworkCarbonGame`]'s
+//! and costs are fixed and shared), so a relative's optimal basis stays
+//! *dual* feasible and the dual simplex reuses it. [`NetworkCarbonGame`]'s
 //! [`IncrementalGame`] state threads the previous basis through
-//! permutation replay, and [`NetworkCarbonGame::fill_lattice_warm`]
-//! chains each coalition off `mask & (mask − 1)` while counting saved
-//! iterations — the statistic `perf_report --section network` reports.
+//! permutation replay. Its [`Game::fill_values`] override — the hook the
+//! exact solvers fill their value table through, one fixed aligned block
+//! at a time — chains each coalition off its parent `mask & (mask − 1)`
+//! when the parent lies in the block and was routed, and solves the rest
+//! cold: one cold solve per block plus one per unroutable parent.
+//! [`NetworkCarbonGame::fill_lattice_warm`] runs the same routine over the
+//! whole lattice as a single range while counting saved iterations — the
+//! statistic `perf_report --section network` reports.
 
 use fairco2_solver::{
     certify, solve, solve_warm, Basis, Csc, LinearProgram, LpOutcome, Solution, SolveStats,
@@ -158,9 +163,9 @@ impl CoalitionValue {
 
     /// The optimal basis, if the coalition was routed — the warm-start
     /// seed for relatives.
-    pub fn basis(&self) -> Option<&Basis> {
+    pub fn into_basis(self) -> Option<Basis> {
         match self {
-            CoalitionValue::Routed(sol) => Some(&sol.basis),
+            CoalitionValue::Routed(sol) => Some(sol.basis),
             CoalitionValue::Unroutable { .. } => None,
         }
     }
@@ -194,8 +199,9 @@ pub struct LatticeStats {
 /// (matrix and costs) and the per-tenant demand vectors; coalitions only
 /// swap the right-hand side.
 ///
-/// `value()` performs a pure cold solve with no interior mutability, so
-/// the game is `Sync` and drops unchanged into
+/// `value()` performs a pure cold solve and `fill_values()` a warm chain
+/// local to its range, both with no interior mutability, so the game is
+/// `Sync` and drops unchanged into
 /// [`crate::exact::parallel_exact_shapley`] and the sampling engines.
 #[derive(Debug, Clone)]
 pub struct NetworkCarbonGame {
@@ -203,15 +209,15 @@ pub struct NetworkCarbonGame {
     /// `demands[tenant][node]` — traffic injected by `tenant` at `node`.
     demands: Vec<Vec<f64>>,
     penalty_rate: f64,
-    /// Fixed constraint matrix: conservation rows (egress dropped) then
-    /// one capacity row per link; flow columns then slack columns.
-    a: Csc,
-    /// Fixed costs: link prices then zeros for slacks.
-    costs: Vec<f64>,
+    /// The empty coalition's program, whose matrix and costs every
+    /// coalition shares: conservation rows (egress dropped) then one
+    /// capacity row per link; flow columns then slack columns; costs are
+    /// link prices then zeros for slacks. Its rhs — zero conservation,
+    /// link capacities — is the base each coalition adds its demand to.
+    skeleton: LinearProgram<'static>,
     /// Conservation row of each non-egress node (`usize::MAX` for the
     /// egress).
     node_row: Vec<usize>,
-    rows: usize,
 }
 
 impl NetworkCarbonGame {
@@ -275,15 +281,21 @@ impl NetworkCarbonGame {
             triplets.push((next + l, nlinks + l, 1.0)); // slack column
             costs.push(0.0);
         }
-        let a = Csc::from_triplets(rows, 2 * nlinks, &triplets);
+        let mut base_rhs = vec![0.0f64; rows];
+        for (slot, link) in base_rhs[next..].iter_mut().zip(network.links()) {
+            *slot = link.capacity;
+        }
+        let skeleton = LinearProgram::new(
+            Csc::from_triplets(rows, 2 * nlinks, &triplets),
+            base_rhs,
+            costs,
+        );
         Self {
             network,
             demands,
             penalty_rate,
-            a,
-            costs,
+            skeleton,
             node_row,
-            rows,
         }
     }
 
@@ -312,7 +324,7 @@ impl NetworkCarbonGame {
     }
 
     fn rhs_for(&self, coalition: &Coalition) -> Vec<f64> {
-        let mut b = vec![0.0f64; self.rows];
+        let mut b = self.skeleton.rhs().to_vec();
         // Ascending tenant index: the canonical accumulation order, so a
         // coalition's rhs — and therefore its solve — is independent of
         // the order players arrived in.
@@ -323,18 +335,14 @@ impl NetworkCarbonGame {
                 }
             }
         }
-        let ncons = self.rows - self.network.links().len();
-        for (l, link) in self.network.links().iter().enumerate() {
-            b[ncons + l] = link.capacity;
-        }
         b
     }
 
     /// The coalition's routing LP (shared matrix and costs, coalition
     /// right-hand side) — exposed so tests and benches can run
     /// independent certificates against the raw instance.
-    pub fn coalition_program(&self, coalition: &Coalition) -> LinearProgram {
-        LinearProgram::new(self.a.clone(), self.rhs_for(coalition), self.costs.clone())
+    pub fn coalition_program(&self, coalition: &Coalition) -> LinearProgram<'_> {
+        self.skeleton.with_rhs(self.rhs_for(coalition))
     }
 
     fn outcome_to_value(&self, coalition: &Coalition, outcome: LpOutcome) -> CoalitionValue {
@@ -415,15 +423,33 @@ impl NetworkCarbonGame {
     fn fill_lattice(&self, warm: bool) -> (Vec<f64>, LatticeStats) {
         let n = self.demands.len();
         assert!(n <= 24, "lattice fill supports at most 24 players");
-        let size = 1usize << n;
-        let mut values = vec![0.0f64; size];
-        let mut bases: Vec<Option<Basis>> = vec![None; if warm { size } else { 0 }];
+        let mut values = vec![0.0f64; 1 << n];
         let mut stats = LatticeStats::default();
+        self.fill_range(0, &mut values, warm, &mut stats);
+        (values, stats)
+    }
+
+    /// Fills `out[i]` with `v(first_mask + i)`, accumulating the work into
+    /// `stats`. With `warm`, a coalition whose parent `mask & (mask − 1)`
+    /// lies in the range and was routed warm-starts from the parent's
+    /// optimal basis; every other coalition is solved cold.
+    ///
+    /// Ascending masks visit the parent tree in preorder (a mask's
+    /// descendants are exactly the masks between it and
+    /// `mask + lowbit(mask)`), so no coalition one player smaller than
+    /// `mask` is visited between its parent and `mask`: the parent's basis
+    /// is the latest one stored at depth `popcount(mask) − 1`, and one
+    /// slot per coalition size stands in for a basis per mask.
+    fn fill_range(&self, first_mask: u64, out: &mut [f64], warm: bool, stats: &mut LatticeStats) {
+        let n = self.demands.len();
+        let mut bases: Vec<Option<Basis>> = vec![None; n + 1];
         let mut coalition = Coalition::empty(n);
-        for mask in 0..size {
-            coalition.set_mask(mask as u64);
-            let parent_basis = if warm && mask != 0 {
-                bases[mask & (mask - 1)].as_ref()
+        for (mask, slot) in (first_mask..).zip(out) {
+            coalition.set_mask(mask);
+            let depth = mask.count_ones() as usize;
+            let parent_in_range = mask != 0 && mask & (mask - 1) >= first_mask;
+            let parent_basis = if warm && parent_in_range {
+                bases[depth - 1].as_ref()
             } else {
                 None
             };
@@ -443,13 +469,10 @@ impl NetworkCarbonGame {
             if let CoalitionValue::Unroutable { .. } = value {
                 stats.unroutable += 1;
             }
-            if warm {
-                bases[mask] = value.basis().cloned();
-            }
-            values[mask] = value.carbon();
             stats.coalitions += 1;
+            *slot = value.carbon();
+            bases[depth] = value.into_basis();
         }
-        (values, stats)
     }
 }
 
@@ -460,6 +483,16 @@ impl Game for NetworkCarbonGame {
 
     fn value(&self, coalition: &Coalition) -> f64 {
         self.evaluate(coalition).carbon()
+    }
+
+    /// Warm-chains the range: each coalition starts the dual simplex from
+    /// its parent's basis when the parent lies in the range and was
+    /// routed, and is solved cold otherwise. On exact-dyadic instances
+    /// every value is bit-identical to [`Game::value`]; elsewhere it can
+    /// differ from it by rounding, but stays a pure function of the
+    /// range.
+    fn fill_values(&self, first_mask: u64, out: &mut [f64]) {
+        self.fill_range(first_mask, out, true, &mut LatticeStats::default());
     }
 }
 
@@ -497,8 +530,9 @@ impl IncrementalGame for NetworkCarbonGame {
             Some(basis) => self.evaluate_warm(&state.members, basis),
             None => self.evaluate(&state.members),
         };
-        state.basis = value.basis().cloned();
-        value.carbon()
+        let carbon = value.carbon();
+        state.basis = value.into_basis();
+        carbon
     }
 }
 
@@ -506,6 +540,7 @@ impl IncrementalGame for NetworkCarbonGame {
 mod tests {
     use super::*;
     use crate::exact::exact_shapley;
+    use proptest::prelude::*;
 
     /// 4 nodes: 0,1 inject, 2 relays, 3 is egress. Integer capacities,
     /// dyadic prices.
@@ -637,6 +672,59 @@ mod tests {
         // …and the table-scatter share cancels to accumulation epsilon.
         let phi = exact_shapley(&game).unwrap();
         assert!(phi[1].abs() <= 1e-12);
+    }
+
+    /// Up to eight tenants injecting at the diamond's two sources, with
+    /// demands large enough that many coalitions overload the relay and
+    /// are unroutable.
+    fn overloaded_diamond_game(n: usize, pool: &[u8]) -> NetworkCarbonGame {
+        let demands = (0..n)
+            .map(|t| {
+                let d = f64::from(pool[t % pool.len()]);
+                if t % 2 == 0 {
+                    vec![d, 0.0, 0.0, 0.0]
+                } else {
+                    vec![0.0, d, 0.0, 0.0]
+                }
+            })
+            .collect();
+        NetworkCarbonGame::new(diamond(), demands)
+    }
+
+    #[test]
+    fn overloaded_diamond_has_unroutable_parents() {
+        let game = overloaded_diamond_game(8, &[3, 5, 2, 4, 6]);
+        let (_, stats) = game.fill_lattice_warm();
+        assert!(stats.unroutable > 0);
+        // Children of an unroutable parent get no warm offer.
+        assert!(stats.warm_attempts < stats.coalitions - 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Warm-chained `fill_values` over any sub-range — including one
+        /// starting mid-block, where the first masks' parents lie outside
+        /// the range — equals cold `evaluate` bit for bit on this dyadic
+        /// instance.
+        #[test]
+        fn fill_values_matches_cold_evaluate_on_any_range(
+            n in 1usize..=8,
+            pool in prop::collection::vec(0u8..=6, 1..8),
+            start in 0u64..256,
+            len in 0usize..=256,
+        ) {
+            let game = overloaded_diamond_game(n, &pool);
+            let size = 1u64 << n;
+            let first = start % size;
+            let len = len.min((size - first) as usize);
+            let mut out = vec![f64::NAN; len];
+            game.fill_values(first, &mut out);
+            for (mask, v) in (first..).zip(&out) {
+                let cold = game.evaluate(&Coalition::from_mask(n, mask)).carbon();
+                prop_assert_eq!(v.to_bits(), cold.to_bits(), "mask {:#b}", mask);
+            }
+        }
     }
 
     #[test]

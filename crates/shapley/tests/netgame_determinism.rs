@@ -3,7 +3,12 @@
 //! * warm-started coalition solves **bit-identical** to cold solves
 //!   across the full coalition lattice up to n = 10 tenants;
 //! * [`parallel_exact_shapley`] over the LP game bit-identical to the
-//!   serial solver at 1, 2, and 8 threads;
+//!   serial solver at 1, 2, 3, and 8 threads, below one fill block and
+//!   across four, and both equal to the cold lattice's Shapley values;
+//! * on a non-dyadic instance the same thread invariance, with values
+//!   within 1e-9 (scaled) of the cold lattice's;
+//! * the whole-lattice warm fill's [`LatticeStats`] on the ten-tenant
+//!   fixture;
 //! * [`sampled_shapley_cached`] bit-identical run-to-run at a fixed seed
 //!   and bit-identical to the uncached estimator (the cache may only skip
 //!   work, never change a value — which holds because warm incremental
@@ -11,11 +16,14 @@
 //! * [`parallel_sampled_shapley`] with batch-local coalition caches
 //!   bit-identical at 1, 2, and 8 threads.
 //!
-//! All instances here use integer capacities/demands and integer link
-//! prices, the exact-arithmetic regime documented in `fairco2-solver`.
+//! All instances except the non-dyadic one use integer capacities/demands
+//! and integer link prices, the exact-arithmetic regime documented in
+//! `fairco2-solver`.
 
-use fairco2_shapley::exact::{exact_shapley, parallel_exact_shapley};
-use fairco2_shapley::netgame::{Link, Network, NetworkCarbonGame};
+use fairco2_shapley::exact::{
+    exact_shapley, parallel_exact_shapley, shapley_from_table, FILL_BLOCK_MASKS,
+};
+use fairco2_shapley::netgame::{LatticeStats, Link, Network, NetworkCarbonGame};
 use fairco2_shapley::parallel::{parallel_sampled_shapley, ParallelConfig};
 use fairco2_shapley::sampled::{sampled_shapley, sampled_shapley_cached, SampleConfig};
 use rand::rngs::StdRng;
@@ -116,20 +124,111 @@ fn warm_lattice_is_bit_identical_to_cold_up_to_ten_tenants() {
     }
 }
 
+/// Lattice sizes for the exact-solver pins: one below a single fill block
+/// and one spanning four blocks.
+const EXACT_SIZES: [usize; 2] = [6, 10];
+
+fn assert_bitwise(want: &[f64], got: &[f64], what: &str) {
+    assert_eq!(want.len(), got.len(), "{what}: length");
+    for (p, (a, b)) in want.iter().zip(got).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: player {p}: {a} vs {b}");
+    }
+}
+
+/// The bottleneck network with non-dyadic prices (tenths and thirds) and
+/// capacities (integers plus tenths), so simplex arithmetic rounds and a
+/// warm solve may differ from the cold one in the last bits.
+fn non_dyadic_game(n: usize) -> NetworkCarbonGame {
+    let links = bottleneck_network()
+        .links()
+        .iter()
+        .enumerate()
+        .map(|(i, l)| Link {
+            capacity: l.capacity + 0.1 * (i + 1) as f64,
+            carbon_per_unit: if i % 2 == 0 {
+                l.carbon_per_unit * 0.1
+            } else {
+                l.carbon_per_unit / 3.0
+            },
+            ..*l
+        })
+        .collect();
+    NetworkCarbonGame::new(Network::new(5, 4, links), tenants(n))
+}
+
 #[test]
-fn parallel_exact_shapley_is_bit_identical_at_1_2_8_threads() {
-    let g = game(8);
-    let serial = exact_shapley(&g).unwrap();
-    for threads in [1usize, 2, 8] {
-        let parallel = parallel_exact_shapley(&g, threads).unwrap();
-        for (p, (a, b)) in serial.iter().zip(&parallel).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "player {p} at {threads} threads: serial {a} vs parallel {b}"
+fn exact_sizes_sit_below_and_across_fill_blocks() {
+    assert!(1u64 << EXACT_SIZES[0] < FILL_BLOCK_MASKS);
+    assert!(1u64 << EXACT_SIZES[1] >= 4 * FILL_BLOCK_MASKS);
+}
+
+#[test]
+fn exact_solvers_are_bit_identical_at_1_2_3_8_threads_and_to_the_cold_lattice() {
+    for n in EXACT_SIZES {
+        let g = game(n);
+        let serial = exact_shapley(&g).unwrap();
+        for threads in [1usize, 2, 3, 8] {
+            let parallel = parallel_exact_shapley(&g, threads).unwrap();
+            assert_bitwise(&serial, &parallel, &format!("n={n} threads={threads}"));
+        }
+        // The warm-chained fill reproduces cold `value()` bit for bit on
+        // this dyadic instance, so the Shapley values match the cold
+        // lattice's exactly.
+        let (cold, _) = g.fill_lattice_cold();
+        assert_bitwise(
+            &serial,
+            &shapley_from_table(n, &cold),
+            &format!("n={n} cold"),
+        );
+    }
+}
+
+#[test]
+fn non_dyadic_exact_solvers_are_thread_invariant_and_close_to_cold() {
+    for n in EXACT_SIZES {
+        let g = non_dyadic_game(n);
+        let serial = exact_shapley(&g).unwrap();
+        for threads in [1usize, 2, 3, 8] {
+            let parallel = parallel_exact_shapley(&g, threads).unwrap();
+            assert_bitwise(&serial, &parallel, &format!("n={n} threads={threads}"));
+        }
+        let (cold, _) = g.fill_lattice_cold();
+        if n == EXACT_SIZES[1] {
+            // The fixture must actually round: some warm-chained entries
+            // differ from cold in their last bits, so a fill boundary
+            // that moved with the thread count would show.
+            let (warm, _) = g.fill_lattice_warm();
+            assert!(cold
+                .iter()
+                .zip(&warm)
+                .any(|(c, w)| c.to_bits() != w.to_bits()));
+        }
+        let cold_phi = shapley_from_table(n, &cold);
+        let scale = 1.0 + cold.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (p, (w, c)) in serial.iter().zip(&cold_phi).enumerate() {
+            assert!(
+                (w - c).abs() <= 1e-9 * scale,
+                "n={n} player {p}: warm-chained {w} vs cold {c}"
             );
         }
     }
+}
+
+/// The whole-lattice warm fill chains every coalition off its parent, as
+/// it always has: its accounting on the ten-tenant fixture is pinned.
+#[test]
+fn warm_lattice_stats_are_pinned_on_the_ten_tenant_fixture() {
+    let (_, stats) = game(10).fill_lattice_warm();
+    assert_eq!(
+        stats,
+        LatticeStats {
+            coalitions: 1024,
+            warm_attempts: 1001,
+            warm_hits: 909,
+            iterations: 654,
+            unroutable: 114,
+        }
+    );
 }
 
 #[test]

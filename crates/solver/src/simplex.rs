@@ -33,6 +33,8 @@
 //! residual numerical stall into the typed [`SolverError::IterationLimit`]
 //! rather than a hang.
 
+use std::borrow::Cow;
+
 use crate::csc::Csc;
 use crate::lu::{LuError, LuFactors};
 
@@ -49,14 +51,19 @@ const PIVOT_TOL: f64 = 1e-9;
 const DEGENERATE_STREAK_LIMIT: usize = 40;
 
 /// A linear program in standard form `min cᵀx  s.t.  A x = b, x ≥ 0`.
+///
+/// The matrix and costs are either owned ([`new`](Self::new)) or borrowed
+/// from another program ([`with_rhs`](Self::with_rhs)), so a family of
+/// programs differing only in `b` costs one rhs allocation per member and
+/// no shared counter that concurrent solves would contend on.
 #[derive(Debug, Clone)]
-pub struct LinearProgram {
-    a: Csc,
+pub struct LinearProgram<'a> {
+    a: Cow<'a, Csc>,
     b: Vec<f64>,
-    c: Vec<f64>,
+    c: Cow<'a, [f64]>,
 }
 
-impl LinearProgram {
+impl LinearProgram<'static> {
     /// Builds the program `min cᵀx  s.t.  A x = b, x ≥ 0`.
     ///
     /// # Panics
@@ -64,13 +71,27 @@ impl LinearProgram {
     /// Panics if `b`/`c` lengths disagree with `a`, or any datum is
     /// non-finite.
     pub fn new(a: Csc, b: Vec<f64>, c: Vec<f64>) -> Self {
-        assert_eq!(a.rows(), b.len(), "rhs length must match constraint rows");
         assert_eq!(a.cols(), c.len(), "cost length must match variable count");
-        assert!(
-            b.iter().chain(c.iter()).all(|v| v.is_finite()),
-            "LP data must be finite"
-        );
+        assert!(c.iter().all(|v| v.is_finite()), "LP data must be finite");
+        Self::checked(Cow::Owned(a), b, Cow::Owned(c))
+    }
+}
+
+impl<'a> LinearProgram<'a> {
+    fn checked(a: Cow<'a, Csc>, b: Vec<f64>, c: Cow<'a, [f64]>) -> Self {
+        assert_eq!(a.rows(), b.len(), "rhs length must match constraint rows");
+        assert!(b.iter().all(|v| v.is_finite()), "LP data must be finite");
         Self { a, b, c }
+    }
+
+    /// The same matrix and costs, borrowed rather than copied, with
+    /// right-hand side `b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` has the wrong length or a non-finite entry.
+    pub fn with_rhs(&self, b: Vec<f64>) -> LinearProgram<'_> {
+        LinearProgram::checked(Cow::Borrowed(&*self.a), b, Cow::Borrowed(&*self.c))
     }
 
     /// Number of equality constraints (rows of `A`).
@@ -247,7 +268,7 @@ impl Certificate {
 }
 
 /// Recomputes the KKT residuals of `sol` against `lp` from scratch.
-pub fn certify(lp: &LinearProgram, sol: &Solution) -> Certificate {
+pub fn certify(lp: &LinearProgram<'_>, sol: &Solution) -> Certificate {
     let m = lp.constraints();
     let n = lp.variables();
     let mut ax = vec![0.0f64; m];
@@ -297,7 +318,7 @@ enum DualEnd {
 }
 
 struct Engine<'a> {
-    lp: &'a LinearProgram,
+    lp: &'a LinearProgram<'a>,
     m: usize,
     n: usize,
     /// Sign of the artificial column for each row (`±e_r`).
@@ -314,7 +335,7 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn cold(lp: &'a LinearProgram) -> Self {
+    fn cold(lp: &'a LinearProgram<'a>) -> Self {
         let m = lp.constraints();
         let n = lp.variables();
         let art_sign: Vec<f64> = lp
@@ -347,7 +368,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn warm(lp: &'a LinearProgram, cols_ids: &[usize]) -> Result<Self, LuError> {
+    fn warm(lp: &'a LinearProgram<'a>, cols_ids: &[usize]) -> Result<Self, LuError> {
         let m = lp.constraints();
         let n = lp.variables();
         let art_sign = vec![1.0; m];
@@ -734,7 +755,7 @@ fn iter_cap(m: usize, n: usize) -> u64 {
 /// [`SolverError`] on iteration-cap or factorization breakdown; the
 /// mathematical outcomes (`Infeasible`, `Unbounded`) are typed
 /// [`LpOutcome`]s, not errors.
-pub fn solve(lp: &LinearProgram) -> Result<LpOutcome, SolverError> {
+pub fn solve(lp: &LinearProgram<'_>) -> Result<LpOutcome, SolverError> {
     let mut eng = Engine::cold(lp);
     eng.two_phase()
 }
@@ -749,7 +770,7 @@ pub fn solve(lp: &LinearProgram) -> Result<LpOutcome, SolverError> {
 /// # Errors
 ///
 /// [`SolverError`] only if the *fallback cold solve* itself fails.
-pub fn solve_warm(lp: &LinearProgram, basis: &Basis) -> Result<LpOutcome, SolverError> {
+pub fn solve_warm(lp: &LinearProgram<'_>, basis: &Basis) -> Result<LpOutcome, SolverError> {
     let m = lp.constraints();
     let n = lp.variables();
     let shape_ok = basis.cols.len() == m && basis.is_structural(n) && {
@@ -790,7 +811,7 @@ mod tests {
         triplets: &[(usize, usize, f64)],
         b: &[f64],
         c: &[f64],
-    ) -> LinearProgram {
+    ) -> LinearProgram<'static> {
         LinearProgram::new(
             Csc::from_triplets(rows, cols, triplets),
             b.to_vec(),

@@ -111,7 +111,7 @@ fn build_instance(m: usize, n: usize, entries: &[i8], x0: &[u8], costs: &[i8]) -
     SmallInstance { m, n, dense, b, c }
 }
 
-fn to_lp(inst: &SmallInstance) -> LinearProgram {
+fn to_lp(inst: &SmallInstance) -> LinearProgram<'static> {
     let mut triplets = Vec::new();
     for (j, col) in inst.dense.iter().enumerate() {
         for (i, &v) in col.iter().enumerate() {
