@@ -16,20 +16,16 @@
 //! * `billing_per_call` / `billing_batch` — workload billing-window
 //!   queries one `workload_carbon` call at a time versus the batched
 //!   prefix-table entry point;
-//! * `kernel_sweep` / `kernel_prefix` / `kernel_scatter` — the retained
-//!   scalar inner loops versus the canonical lane-parallel kernels
-//!   (multi-accumulator sweep, blocked prefix, quad-unrolled table
-//!   scatter).
+//! * `kernel_sweep` / `kernel_prefix` — the serial reference loops
+//!   versus the canonical lane-parallel cascade kernels
+//!   (multi-accumulator sweep, blocked prefix).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use fairco2_shapley::cascade::{BillingQuery, CascadeScratch};
 use fairco2_shapley::default_threads;
-use fairco2_shapley::exact::{
-    exact_shapley, exact_shapley_fast, parallel_exact_shapley, shapley_from_table,
-    shapley_from_table_scalar,
-};
+use fairco2_shapley::exact::{exact_shapley, exact_shapley_fast, parallel_exact_shapley};
 use fairco2_shapley::game::{PeakDemandGame, ScanPeak};
 use fairco2_shapley::kernels::{
     hierarchy_bounds, level_sums_lanes, level_sums_scalar, prefix_blocked, prefix_scalar,
@@ -266,29 +262,6 @@ fn bench_kernel_prefix(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_kernel_scatter(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernel_scatter");
-    group.sample_size(10);
-    for n in [14usize, 18] {
-        // A synthetic non-negative characteristic table, like a peak-demand
-        // game's toggle fill would produce.
-        let table: Vec<f64> = (0..1u64 << n)
-            .map(|m| {
-                let mut x = m.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(7);
-                x ^= x >> 33;
-                ((x >> 40) % 8_001) as f64 / 100.0
-            })
-            .collect();
-        group.bench_with_input(BenchmarkId::new("scalar", n), &table, |b, t| {
-            b.iter(|| shapley_from_table_scalar(n, black_box(t)))
-        });
-        group.bench_with_input(BenchmarkId::new("lane", n), &table, |b, t| {
-            b.iter(|| shapley_from_table(n, black_box(t)))
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_exact_parallelism,
@@ -297,7 +270,6 @@ criterion_group!(
     bench_cascade_paths,
     bench_billing_queries,
     bench_kernel_sweep,
-    bench_kernel_prefix,
-    bench_kernel_scatter
+    bench_kernel_prefix
 );
 criterion_main!(benches);

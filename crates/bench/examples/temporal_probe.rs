@@ -99,8 +99,8 @@ fn main() {
         out[samples]
     });
 
-    // The actual retained kernels, scalar vs lane canonical, so the
-    // floors above can be compared with what the cascade really runs.
+    // The serial reference loops vs the lane kernels the cascade really
+    // runs, so the floors above can be compared with both.
     let bounds = hierarchy_bounds(samples, &[10, 9, 8, 12]).unwrap();
     let mut q = Vec::new();
     let mut peaks = Vec::new();
@@ -135,7 +135,7 @@ fn main() {
     println!("one fill pass      {:>9.1} µs", fill_pass * 1e6);
     println!("fused sweep        {:>9.1} µs", sweep_pass * 1e6);
     println!("prefix chain       {:>9.1} µs", prefix_pass * 1e6);
-    println!("-- kernels (scalar vs lane canonical) --");
+    println!("-- kernels (reference vs lane canonical) --");
     println!(
         "level sums         {:>9.1} µs  vs  {:>9.1} µs  ({:.2}x, {CANONICAL_LANES} lanes)",
         sweep_scalar * 1e6,

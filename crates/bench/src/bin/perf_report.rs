@@ -16,7 +16,7 @@
 //!   sub-study) — written separately to `results/BENCH_montecarlo.json`;
 //! * a `temporal` section timing the flat Temporal Shapley cascade against
 //!   the retained per-period path on a year-long 5-minute trace under the
-//!   paper hierarchy (bit-identity asserted), plus batched
+//!   paper hierarchy (closeness asserted), plus batched
 //!   `workload_carbon_batch` billing-query throughput — written to
 //!   `results/BENCH_temporal.json`;
 //! * a `service` section driving the always-on attribution service
@@ -24,12 +24,11 @@
 //!   queries per second and p99 batch latency while epochs publish, a
 //!   bit-identity gate against a from-scratch rebuild, and sharded batch
 //!   throughput — written to `results/BENCH_service.json`;
-//! * a `kernels` section timing each lane-parallel inner-loop kernel
-//!   against its retained scalar path on the year-long trace — the fused
-//!   per-period sweep, the leaf carbon prefix, the exact-table scatter,
-//!   and the paired antithetic replay — reporting GB/s and elements/ns
-//!   per kernel with the equality/closeness gates asserted in the same
-//!   run, plus a thread-scaling curve (1/2/4/… up to `--threads`) for
+//! * a `kernels` section timing each lane-parallel cascade kernel against
+//!   its serial reference loop on the year-long trace — the fused
+//!   per-period sweep and the leaf carbon prefix — reporting GB/s and
+//!   elements/ns per kernel with the equality/closeness gates asserted in
+//!   the same run, plus a thread-scaling curve (1/2/4/… up to `--threads`) for
 //!   the `run_parallel`-backed paths — written to
 //!   `results/BENCH_kernels.json`;
 //! * a `surrogate` section running the surrogate-accelerated attribution
@@ -76,14 +75,8 @@ use fairco2_montecarlo::{
 use fairco2_serve::{demand_sample, run_load, AttributionService, LoadOptions, ServiceConfig};
 use fairco2_shapley::cascade::{BillingQuery, CascadeScratch};
 use fairco2_shapley::default_threads;
-use fairco2_shapley::exact::{
-    exact_shapley, exact_shapley_fast, parallel_exact_shapley, shapley_from_table,
-    shapley_from_table_scalar,
-};
-use fairco2_shapley::game::{
-    replay_marginals_into, replay_marginals_paired_into, EvalCounters, Game, IncrementalGame,
-    PeakDemandGame, ScanPeak,
-};
+use fairco2_shapley::exact::{exact_shapley, exact_shapley_fast, parallel_exact_shapley};
+use fairco2_shapley::game::{Game, PeakDemandGame, ScanPeak};
 use fairco2_shapley::kernels::{
     hierarchy_bounds, level_sums_lanes, level_sums_scalar, prefix_blocked, prefix_scalar,
     CANONICAL_LANES, PREFIX_BLOCK,
@@ -219,8 +212,8 @@ struct TemporalReport {
     peak_rss_kib: Option<u64>,
 }
 
-/// Per-kernel scalar-versus-lane timings on the year-long trace, written
-/// to `results/BENCH_kernels.json`.
+/// Per-kernel reference-versus-lane timings on the year-long trace,
+/// written to `results/BENCH_kernels.json`.
 #[derive(Serialize)]
 struct KernelsReport {
     /// Demand samples in the trace (default: one year at 5 minutes).
@@ -233,19 +226,13 @@ struct KernelsReport {
     lanes: usize,
     /// Block length of the two-level prefix.
     prefix_block: usize,
-    /// Players of the synthetic exact table the scatter kernel runs over
-    /// (`2ⁿ` masks).
-    scatter_players: usize,
-    /// Players and steps of the replay game, and permutations per timing
-    /// pass.
-    replay_players: usize,
-    replay_steps: usize,
-    replay_permutations: usize,
-    /// One row per kernel: fused sweep, leaf prefix, table scatter,
-    /// antithetic replay.
+    /// Players of the exact game timed in the thread-scaling curve.
+    scaling_players: usize,
+    /// One row per kernel: fused sweep, leaf prefix.
     kernels: Vec<KernelRow>,
-    /// Every equality/closeness gate between the scalar and lane paths
-    /// held before any timing ran (asserted; recorded for the report).
+    /// Every equality/closeness gate between the reference and lane
+    /// paths held before any timing ran (asserted; recorded for the
+    /// report).
     gates_passed: bool,
     /// Cores the OS reports — speedup curves below are flat when this
     /// is 1 (single-CPU runners time slice the worker threads).
@@ -256,19 +243,18 @@ struct KernelsReport {
     peak_rss_kib: Option<u64>,
 }
 
-/// One lane-parallel kernel against its retained scalar path.
+/// One lane-parallel kernel against its serial reference loop (the
+/// `scalar_*` fields).
 #[derive(Serialize)]
 struct KernelRow {
     kernel: &'static str,
-    /// Work units per timing pass (samples, table masks, or profile
-    /// samples touched by the replay).
+    /// Samples per timing pass.
     elems: usize,
     /// Memory traffic per pass the rates below are computed from.
     bytes: u64,
     scalar_secs: f64,
     lane_secs: f64,
-    /// Scalar over lane wall time (the ≥1.5× targets are the sweep and
-    /// prefix rows).
+    /// Reference over lane wall time.
     speedup: f64,
     scalar_gb_per_sec: f64,
     lane_gb_per_sec: f64,
@@ -315,8 +301,8 @@ struct ScalingRow {
 }
 
 /// Asserts two attributions agree within `tol` relative error in every
-/// observable — the lane canonical reassociates sums, so lane-vs-scalar
-/// comparisons are closeness pins, not bit pins.
+/// observable — the lane canonical reassociates sums, so
+/// lane-vs-reference comparisons are closeness pins, not bit pins.
 fn assert_attributions_close(
     label: &str,
     a: &TemporalAttribution,
@@ -901,14 +887,11 @@ fn main() {
         let reference = hierarchy
             .attribute_per_period(&demand, total_carbon)
             .expect("paper hierarchy divides the trace");
-        // The retained scalar kernels reproduce the per-period reference
-        // bit for bit; the default lane canonical reassociates sums, so
-        // it is closeness-pinned against the scalar path, and parallel
+        // The lane canonical reassociates sums, so the flat cascade is
+        // closeness-pinned against the per-period reference, and parallel
         // fan-out must reproduce the serial lane bits exactly.
-        let scalar = hierarchy.attribute_scalar(&demand, total_carbon).unwrap();
-        assert_attributions_identical("scalar flat vs per-period", &reference, &scalar);
         let flat = hierarchy.attribute(&demand, total_carbon).unwrap();
-        assert_attributions_close("lane flat vs scalar flat", &scalar, &flat, 1e-9);
+        assert_attributions_close("lane flat vs per-period", &reference, &flat, 1e-9);
         let parallel = hierarchy
             .attribute_parallel(&demand, total_carbon, threads)
             .unwrap();
@@ -1014,15 +997,12 @@ fn main() {
         println!("wrote {}", path.display());
     }
 
-    // --- kernels: lane-parallel inner loops vs retained scalar paths ---
+    // --- kernels: lane-parallel cascade kernels vs serial reference loops ---
     if run("kernels") {
         let samples = args.usize("temporal-samples", 105_120).max(8_640);
         let step = 300u32;
         let hierarchy = TemporalShapley::paper_hierarchy();
-        let scatter_players = 20.min(max_n);
-        let replay_players = 16.min(max_n).max(2);
-        let replay_steps = 96usize;
-        let replay_perms = 256usize;
+        let scaling_players = 16.min(max_n).max(2);
         println!(
             "kernels: {samples} samples, {CANONICAL_LANES} lanes, {PREFIX_BLOCK}-sample prefix blocks"
         );
@@ -1041,11 +1021,11 @@ fn main() {
         })
         .expect("year-long trace is non-empty");
         let values = demand.values();
-        let close = |label: &str, a: f64, b: f64, tol: f64| {
+        let close = |label: &str, a: f64, b: f64| {
             let scale = a.abs().max(b.abs()).max(f64::MIN_POSITIVE);
             assert!(
-                (a - b).abs() <= tol * scale,
-                "{label}: scalar {a} vs lane {b}"
+                (a - b).abs() <= 1e-11 * scale,
+                "{label}: reference {a} vs lane {b}"
             );
         };
 
@@ -1066,7 +1046,7 @@ fn main() {
         );
         for (level, (qs, ql)) in q_s.iter().zip(&q_l).enumerate() {
             for (i, (a, b)) in qs.iter().zip(ql).enumerate() {
-                close(&format!("sweep q[{level}][{i}]"), *a, *b, 1e-11);
+                close(&format!("sweep q[{level}][{i}]"), *a, *b);
             }
         }
         for (i, (a, b)) in peaks_s.iter().zip(&peaks_l).enumerate() {
@@ -1113,7 +1093,7 @@ fn main() {
             );
         }
         for (i, (a, b)) in prefix_s.iter().zip(&prefix_l).enumerate() {
-            close(&format!("prefix[{i}]"), *a, *b, 1e-11);
+            close(&format!("prefix[{i}]"), *a, *b);
         }
         let (prefix_scalar_secs, prefix_blocked_secs) = best_secs_pair(
             trials,
@@ -1127,111 +1107,10 @@ fn main() {
             },
         );
 
-        // Table scatter over a synthetic hash-valued 2ⁿ table, so the
-        // kernel is measured apart from the table fill. Non-negative
-        // values keep the scalar-vs-lane gate free of cancellation (the
-        // tolerance still covers the ~n·ε worst case at 2²⁰ terms).
-        let table: Vec<f64> = (0..1u64 << scatter_players)
-            .map(|mask| {
-                let mut x = mask.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(seed);
-                x ^= x >> 33;
-                x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-                ((x >> 40) % 8_001) as f64 / 100.0
-            })
-            .collect();
-        let phi_scalar = shapley_from_table_scalar(scatter_players, &table);
-        let phi_lane = shapley_from_table(scatter_players, &table);
-        for (p, (a, b)) in phi_scalar.iter().zip(&phi_lane).enumerate() {
-            close(&format!("scatter phi[{p}]"), *a, *b, 1e-9);
-        }
-        let (scatter_scalar_secs, scatter_lane_secs) = best_secs_pair(
-            trials,
-            || shapley_from_table_scalar(scatter_players, &table),
-            || shapley_from_table(scatter_players, &table),
-        );
-
-        // Paired antithetic replay. Gate: the interleaved pair reproduces
-        // two sequential replays bit for bit with equal counter charges.
-        let replay_game = peak_game(replay_players, replay_steps, seed + 500);
-        let mut rng = StdRng::seed_from_u64(seed + 501);
-        let orders: Vec<Vec<usize>> = (0..replay_perms)
-            .map(|_| {
-                let mut order: Vec<usize> = (0..replay_players).collect();
-                for i in (1..replay_players).rev() {
-                    order.swap(i, rng.gen_range(0..=i));
-                }
-                order
-            })
-            .collect();
-        let reversed: Vec<Vec<usize>> = orders
-            .iter()
-            .map(|o| o.iter().rev().copied().collect())
-            .collect();
-        let mut state_a = replay_game.initial_state();
-        let mut state_b = replay_game.initial_state();
-        let (mut fwd_s, mut rev_s) = (vec![0.0; replay_players], vec![0.0; replay_players]);
-        let (mut fwd_p, mut rev_p) = (vec![0.0; replay_players], vec![0.0; replay_players]);
-        for (order, rev) in orders.iter().zip(&reversed) {
-            let mut seq = EvalCounters::default();
-            replay_marginals_into(&replay_game, order, &mut state_a, &mut fwd_s, &mut seq);
-            replay_marginals_into(&replay_game, rev, &mut state_a, &mut rev_s, &mut seq);
-            let mut pair = EvalCounters::default();
-            replay_marginals_paired_into(
-                &replay_game,
-                order,
-                &mut state_a,
-                &mut state_b,
-                &mut fwd_p,
-                &mut rev_p,
-                &mut pair,
-            );
-            for p in 0..replay_players {
-                assert_eq!(
-                    fwd_s[p].to_bits(),
-                    fwd_p[p].to_bits(),
-                    "paired forward marginal"
-                );
-                assert_eq!(
-                    rev_s[p].to_bits(),
-                    rev_p[p].to_bits(),
-                    "paired reverse marginal"
-                );
-            }
-            assert_eq!(seq.coalition_evals, pair.coalition_evals);
-            assert_eq!(seq.marginal_updates, pair.marginal_updates);
-        }
-        let mut state_c = replay_game.initial_state();
-        let (replay_seq_secs, replay_paired_secs) = best_secs_pair(
-            trials,
-            || {
-                let mut c = EvalCounters::default();
-                for (order, rev) in orders.iter().zip(&reversed) {
-                    replay_marginals_into(&replay_game, order, &mut state_a, &mut fwd_s, &mut c);
-                    replay_marginals_into(&replay_game, rev, &mut state_a, &mut rev_s, &mut c);
-                }
-                c.marginal_updates
-            },
-            || {
-                let mut c = EvalCounters::default();
-                for order in &orders {
-                    replay_marginals_paired_into(
-                        &replay_game,
-                        order,
-                        &mut state_c,
-                        &mut state_b,
-                        &mut fwd_p,
-                        &mut rev_p,
-                        &mut c,
-                    );
-                }
-                c.marginal_updates
-            },
-        );
-
         // Thread-scaling curve for the run_parallel-backed paths, every
         // point asserted bit-identical to the serial result first.
         let available_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let scaling_game = peak_game(replay_players, 8, seed + 600);
+        let scaling_game = peak_game(scaling_players, 8, seed + 600);
         let attr_reference = hierarchy.attribute(&demand, 1.0e6).unwrap();
         let exact_reference = exact_shapley(&scaling_game).unwrap();
         let mut scaling_raw = Vec::new();
@@ -1266,7 +1145,6 @@ fn main() {
             })
             .collect();
 
-        let replay_touched = replay_perms * 2 * replay_players * replay_steps;
         let kernels = vec![
             KernelRow::new(
                 "fused_sweep",
@@ -1283,26 +1161,10 @@ fn main() {
                 prefix_scalar_secs,
                 prefix_blocked_secs,
             ),
-            KernelRow::new(
-                "table_scatter",
-                1 << scatter_players,
-                8u64 << scatter_players,
-                scatter_scalar_secs,
-                scatter_lane_secs,
-            ),
-            // Replay traffic: each marginal reads one demand row and
-            // updates the profile in place.
-            KernelRow::new(
-                "antithetic_replay",
-                replay_touched,
-                16 * replay_touched as u64,
-                replay_seq_secs,
-                replay_paired_secs,
-            ),
         ];
         for row in &kernels {
             println!(
-                "kernels    {:<17} scalar {:>9.2} µs ({:>6.2} GB/s)  lane {:>9.2} µs ({:>6.2} GB/s)  ({:.2}x)",
+                "kernels    {:<11} reference {:>9.2} µs ({:>6.2} GB/s)  lane {:>9.2} µs ({:>6.2} GB/s)  ({:.2}x)",
                 row.kernel,
                 row.scalar_secs * 1.0e6,
                 row.scalar_gb_per_sec,
@@ -1317,7 +1179,7 @@ fn main() {
                 row.threads,
                 row.attribute_secs * 1.0e6,
                 row.attribute_speedup,
-                replay_players,
+                scaling_players,
                 row.exact_secs * 1.0e6,
                 row.exact_speedup
             );
@@ -1328,10 +1190,7 @@ fn main() {
             splits: hierarchy.splits().to_vec(),
             lanes: CANONICAL_LANES,
             prefix_block: PREFIX_BLOCK,
-            scatter_players,
-            replay_players,
-            replay_steps,
-            replay_permutations: replay_perms,
+            scaling_players,
             kernels,
             gates_passed: true,
             available_cores,

@@ -84,6 +84,8 @@ pub enum ServeError {
     Config(SeriesError),
     /// Persisting a closed window failed.
     Persist(CheckpointError),
+    /// A demand sample was negative or non-finite; it was not ingested.
+    BadSample(f64),
 }
 
 impl std::fmt::Display for ServeError {
@@ -91,6 +93,12 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Config(e) => write!(f, "invalid service config: {e}"),
             ServeError::Persist(e) => write!(f, "window persistence failed: {e}"),
+            ServeError::BadSample(v) => {
+                write!(
+                    f,
+                    "demand sample {v} rejected: must be finite and non-negative"
+                )
+            }
         }
     }
 }
@@ -180,15 +188,18 @@ impl AttributionService {
     ///
     /// # Errors
     ///
+    /// [`ServeError::BadSample`] if `value` is negative or non-finite —
+    /// the sample is dropped before it reaches the engine, so
+    /// [`ServiceHandle::ingested`], [`open_window_fill`](Self::open_window_fill)
+    /// and the open window are unchanged and the writer can keep going.
+    ///
     /// [`ServeError::Persist`] if the configured durable write fails —
     /// the window is *not* published in that case (at-least-once
     /// persistence: nothing is queryable that is not on disk).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is negative or non-finite (see
-    /// [`IncrementalCascade::push`]).
     pub fn ingest(&mut self, value: f64) -> Result<Option<u64>, ServeError> {
+        if !(0.0..f64::INFINITY).contains(&value) {
+            return Err(ServeError::BadSample(value));
+        }
         let closed = self.engine.push(value);
         self.shared.ingested.fetch_add(1, Ordering::Relaxed);
         if !closed {

@@ -7,7 +7,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use fairco2_serve::{
-    demand_sample, read_persisted_window, AttributionService, EpochSnapshot, ServiceConfig,
+    demand_sample, read_persisted_window, AttributionService, EpochSnapshot, ServeError,
+    ServiceConfig,
 };
 use fairco2_shapley::cascade::first_sample_at_or_after;
 use fairco2_shapley::temporal::TemporalShapley;
@@ -150,6 +151,61 @@ fn every_epoch_matches_a_from_scratch_rebuild_bit_for_bit() {
         }
     }
     assert_eq!(handle.epoch().epoch, total_windows);
+}
+
+/// NaN, −1 and +∞ interleaved into a valid stream are each rejected with
+/// a typed error that leaves the writer's state untouched, and every
+/// epoch published afterwards is bit-identical to the clean stream's.
+#[test]
+fn bad_samples_are_rejected_without_disturbing_later_epochs() {
+    let config = test_config(vec![3, 2], 2);
+    let w = config.window_samples() as u64;
+    let seed = 29;
+    let mut clean = AttributionService::start(config.clone()).unwrap();
+    let mut dirty = AttributionService::start(config.clone()).unwrap();
+    let (clean_handle, dirty_handle) = (clean.handle(), dirty.handle());
+    let bad = [f64::NAN, -1.0, f64::INFINITY];
+    for i in 0..3 * w {
+        // Every 5th step (window starts and mid-window alike) is
+        // preceded by a bad sample.
+        if i % 5 == 0 {
+            let value = bad[(i / 5) as usize % bad.len()];
+            let before = (
+                dirty_handle.ingested(),
+                dirty.open_window_fill(),
+                dirty.engine_ops(),
+            );
+            match dirty.ingest(value) {
+                Err(ServeError::BadSample(v)) => assert_eq!(v.to_bits(), value.to_bits()),
+                other => panic!("sample {value} was not rejected: {other:?}"),
+            }
+            let after = (
+                dirty_handle.ingested(),
+                dirty.open_window_fill(),
+                dirty.engine_ops(),
+            );
+            assert_eq!(before, after, "sample {value} touched the service");
+        }
+        let sample = demand_sample(i, seed);
+        let published = clean.ingest(sample).unwrap();
+        assert_eq!(dirty.ingest(sample).unwrap(), published);
+        if let Some(epoch) = published {
+            let (a, b) = (clean_handle.epoch(), dirty_handle.epoch());
+            assert_eq!(a.samples(), b.samples());
+            for k in 0..=a.samples() {
+                assert_eq!(
+                    a.prefix_at(k).to_bits(),
+                    b.prefix_at(k).to_bits(),
+                    "prefix_at({k}) diverged at epoch {epoch}"
+                );
+            }
+            for q in query_mix(&config, epoch, epoch) {
+                assert_eq!(a.carbon(q).to_bits(), b.carbon(q).to_bits());
+            }
+        }
+    }
+    assert_eq!(dirty_handle.epoch().epoch, 3);
+    assert_eq!(dirty_handle.ingested(), 3 * w);
 }
 
 #[test]

@@ -28,27 +28,22 @@
 //!   the leaf peaks is exported alongside for `O(1)` *arbitrary*-window
 //!   peak queries.
 //! * **Integrals** come from one fused sweep over the demand slice that
-//!   accumulates every level's per-period sums simultaneously. Two
-//!   kernels implement the sweep, selected by [`KernelMode`]:
-//!   - [`KernelMode::Scalar`] keeps the original left-to-right fold
-//!     over exactly each period's samples from `0.0` — bit-identical
-//!     to [`TimeSeries::integral`] on the period's series, retained as
-//!     the equality/closeness pin for the lane path.
-//!   - [`KernelMode::Lane`] (the default) uses the documented
-//!     *canonical lane reduction*: within every leaf period, lane
-//!     `j ∈ 0..CANONICAL_LANES` sums the samples at within-leaf offsets
-//!     `≡ j (mod CANONICAL_LANES)`; each leaf's lane vector collapses
-//!     to one leaf sum through the fixed adjacent-pair tree of
-//!     [`combine_lanes`], and every level's period sum is the
-//!     left-to-right sum of its leaves' sums. The lane count, the
-//!     combine order, and the leaf-sum order are all constants of the
-//!     hierarchy shape — independent of the demand values — so the
-//!     reduction is deterministic and reproducible by the streaming
-//!     engine ([`crate::incremental`]) bit-for-bit. It *reassociates*
-//!     addition relative to the scalar fold, so lane sums match the
-//!     scalar ones only to a documented ulp bound (see DESIGN.md §8).
-//!     Peaks are unaffected: `f64::max` is associative and
-//!     operand-selecting, so lane-split peaks stay bit-identical.
+//!   accumulates every level's per-period sums simultaneously, under
+//!   the documented *canonical lane reduction*: within every leaf
+//!   period, lane `j ∈ 0..CANONICAL_LANES` sums the samples at
+//!   within-leaf offsets `≡ j (mod CANONICAL_LANES)`; each leaf's lane
+//!   vector collapses to one leaf sum through the fixed adjacent-pair
+//!   tree of [`combine_lanes`], and every level's period sum is the
+//!   left-to-right sum of its leaves' sums. The lane count, the combine
+//!   order, and the leaf-sum order are all constants of the hierarchy
+//!   shape — independent of the demand values — so the reduction is
+//!   deterministic and reproducible by the streaming engine
+//!   ([`crate::incremental`]) bit-for-bit. It *reassociates* addition
+//!   relative to [`TimeSeries::integral`]'s left-to-right fold, so
+//!   period sums match the per-period reference only to a documented
+//!   ulp bound (see DESIGN.md §8). Peaks are unaffected: `f64::max` is
+//!   associative and operand-selecting, so lane-split peaks stay
+//!   bit-identical.
 //! * **Scratch reuse**: all bounds, sums, carbon, intensity, and solver
 //!   buffers live in a [`CascadeScratch`]; a repeated
 //!   [`attribute_with_scratch`](crate::temporal::TemporalShapley::attribute_with_scratch)
@@ -316,8 +311,8 @@ fn ensure_levels<T: Default>(buffers: &mut Vec<T>, levels: usize) {
     }
 }
 
-/// Lane count of the canonical lane reduction used by
-/// [`KernelMode::Lane`] and [`crate::incremental::IncrementalCascade`].
+/// Lane count of the canonical lane reduction used by the cascade's
+/// sweep and [`crate::incremental::IncrementalCascade`].
 ///
 /// This is a *semantic* constant, not a tuning knob: changing it
 /// changes which reassociated sum the lane kernels produce, so every
@@ -344,24 +339,6 @@ pub const CANONICAL_LANES: usize = 4;
 /// machine's reorder capacity, serializing the kernel back to chain
 /// latency.
 pub const PREFIX_BLOCK: usize = 8;
-
-/// Which inner-loop implementation [`run_cascade`] uses.
-///
-/// Both modes run the same algorithm; they differ only in floating-point
-/// summation order (and therefore in ulp-level rounding) as documented
-/// on the module and in DESIGN.md §8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// The original serial loops: per-period left-to-right folds and a
-    /// single `acc += value · step` prefix chain. Bit-identical to the
-    /// per-period reference path; retained as the pin for `Lane`.
-    Scalar,
-    /// The lane-parallel canonical reduction: [`CANONICAL_LANES`]
-    /// accumulator lanes per sum, combined with [`combine_lanes`], and
-    /// the [`PREFIX_BLOCK`]-blocked two-level prefix.
-    #[default]
-    Lane,
-}
 
 /// Folds a lane vector into one sum with the fixed adjacent-pair tree:
 /// `((l0 + l1) + (l2 + l3))` for `K = 4`, recursively for larger `K`.
@@ -457,110 +434,11 @@ pub(crate) fn fill_bounds(
 }
 
 /// One fused sweep over the demand samples filling every level's
-/// per-period integrals plus the leaf-period peaks. Each period's sum is
-/// accumulated left-to-right over exactly its own samples from `0.0` —
-/// bit-identical to [`TimeSeries::integral`] on the period's series —
-/// then scaled by the step, and each leaf peak is the left-to-right
-/// `fold(NEG_INFINITY, f64::max)` of [`TimeSeries::peak`], so one
-/// `O(samples · levels)` pass replaces the old per-level rescans without
-/// touching a single bit of the result. Upper-level period boundaries
-/// are a subset of the leaf boundaries (hierarchy bounds are nested), so
-/// boundary bookkeeping runs per leaf, not per sample.
-///
-/// This is the retained scalar kernel ([`KernelMode::Scalar`]); the
-/// default lane-parallel kernel is [`fill_level_sums_lanes`].
-pub(crate) fn fill_level_sums_scalar(
-    values: &[f64],
-    step: f64,
-    bounds: &[Vec<usize>],
-    q: &mut Vec<Vec<f64>>,
-    acc: &mut Vec<f64>,
-    next: &mut Vec<usize>,
-    leaf_peaks: &mut Vec<f64>,
-) {
-    ensure_levels(q, bounds.len());
-    let levels = bounds.len();
-    acc.clear();
-    acc.resize(levels, 0.0);
-    next.clear();
-    next.resize(levels, 1); // index into bounds[l] of the next boundary
-    for sums in q.iter_mut() {
-        sums.clear();
-    }
-    leaf_peaks.clear();
-    match levels {
-        // Monomorphize the hot depths: a fixed-width register file of
-        // accumulators lets the compiler unroll the per-sample adds
-        // into independent instructions with no bounds checks. Each
-        // slot receives exactly the same adds in the same order as the
-        // generic loop, so the sums are bit-identical.
-        1 => fused_sweep_scalar::<1>(values, step, bounds, q, next, leaf_peaks),
-        2 => fused_sweep_scalar::<2>(values, step, bounds, q, next, leaf_peaks),
-        3 => fused_sweep_scalar::<3>(values, step, bounds, q, next, leaf_peaks),
-        4 => fused_sweep_scalar::<4>(values, step, bounds, q, next, leaf_peaks),
-        5 => fused_sweep_scalar::<5>(values, step, bounds, q, next, leaf_peaks),
-        6 => fused_sweep_scalar::<6>(values, step, bounds, q, next, leaf_peaks),
-        7 => fused_sweep_scalar::<7>(values, step, bounds, q, next, leaf_peaks),
-        8 => fused_sweep_scalar::<8>(values, step, bounds, q, next, leaf_peaks),
-        _ => {
-            let leaf_bounds = bounds.last().expect("at least the root level");
-            for w in leaf_bounds.windows(2) {
-                let mut peak = f64::NEG_INFINITY;
-                for &v in &values[w[0]..w[1]] {
-                    for a in acc.iter_mut() {
-                        *a += v;
-                    }
-                    peak = f64::max(peak, v);
-                }
-                leaf_peaks.push(peak);
-                for level in 0..levels {
-                    if bounds[level][next[level]] == w[1] {
-                        q[level].push(acc[level] * step);
-                        acc[level] = 0.0;
-                        next[level] += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The scalar fused sweep monomorphized for an `L`-level hierarchy; see
-/// [`fill_level_sums_scalar`].
-fn fused_sweep_scalar<const L: usize>(
-    values: &[f64],
-    step: f64,
-    bounds: &[Vec<usize>],
-    q: &mut [Vec<f64>],
-    next: &mut [usize],
-    leaf_peaks: &mut Vec<f64>,
-) {
-    debug_assert_eq!(bounds.len(), L);
-    let mut file = [0.0f64; L];
-    let leaf_bounds = bounds.last().expect("at least the root level");
-    for w in leaf_bounds.windows(2) {
-        let mut peak = f64::NEG_INFINITY;
-        for &v in &values[w[0]..w[1]] {
-            for slot in file.iter_mut() {
-                *slot += v;
-            }
-            peak = f64::max(peak, v);
-        }
-        leaf_peaks.push(peak);
-        for level in 0..L {
-            if bounds[level][next[level]] == w[1] {
-                q[level].push(file[level] * step);
-                file[level] = 0.0;
-                next[level] += 1;
-            }
-        }
-    }
-}
-
-/// The lane-parallel sweep ([`KernelMode::Lane`]): fills the same
-/// per-level integrals and leaf peaks as [`fill_level_sums_scalar`],
-/// but under the canonical lane reduction with `K = CANONICAL_LANES`.
-/// Buffer roles match the scalar kernel's.
+/// per-period integrals (`q[level][period]`, already scaled by the step)
+/// plus the leaf-period peaks, under the canonical lane reduction with
+/// `K = CANONICAL_LANES`. One `O(samples)` pass replaces per-level
+/// rescans; `acc` and `next` are the per-level running sums and
+/// next-boundary cursors, reused across calls.
 pub(crate) fn fill_level_sums_lanes(
     values: &[f64],
     step: f64,
@@ -592,7 +470,7 @@ pub(crate) fn fill_level_sums_lanes(
 /// 1. Lane `j` sums (and maxes) the leaf's samples at within-leaf
 ///    offsets `≡ j (mod K)` — a `chunks_exact(K)` loop of `K`
 ///    independent adds per chunk, which is what breaks the serial FP
-///    dependency chain of the scalar kernel (the hot per-sample work
+///    dependency chain of a per-period fold (the hot per-sample work
 ///    drops from `levels` dependent adds to one add on a 4-way
 ///    independent chain).
 /// 2. The leaf's lane vector collapses to one *leaf sum* through the
@@ -607,8 +485,8 @@ pub(crate) fn fill_level_sums_lanes(
 /// so the streaming engine ([`crate::incremental`]) reproduces these
 /// sums bit-for-bit by maintaining the same lanes sample-by-sample.
 /// Leaf peaks use the identical partition with `f64::max`
-/// ([`combine_lanes_max`]), which keeps them bit-identical to the
-/// scalar kernel's.
+/// ([`combine_lanes_max`]), which keeps them bit-identical to a serial
+/// left-to-right fold.
 pub(crate) fn lane_sweep<const K: usize>(
     values: &[f64],
     step: f64,
@@ -751,47 +629,8 @@ pub(crate) fn fill_intensity(
     }
 }
 
-/// The leaf-level [`fill_intensity`], fused with the carbon-prefix
-/// accumulation: the prefix needs one `acc += value · step` per sample
-/// in sample order, and the leaf fill already visits every sample in
-/// that order, so one pass writes both buffers instead of re-reading
-/// the finished leaf signal. The accumulation sequence is exactly the
-/// reference's, so the prefix is bit-identical. Shared with the
-/// streaming engine in [`crate::incremental`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fill_leaf_intensity_and_prefix(
-    bounds: &[usize],
-    q: &[f64],
-    carbon: &[f64],
-    intensity: &mut Vec<f64>,
-    prefix: &mut Vec<f64>,
-    samples: usize,
-    step: f64,
-    stranded: &mut f64,
-) {
-    intensity.resize(samples, 0.0);
-    prefix.resize(samples + 1, 0.0);
-    prefix[0] = 0.0;
-    let mut acc = 0.0;
-    for ((w, &qp), &cp) in bounds.windows(2).zip(q).zip(carbon) {
-        let value = if qp <= 0.0 {
-            *stranded += cp;
-            0.0
-        } else {
-            cp / qp
-        };
-        intensity[w[0]..w[1]].fill(value);
-        for slot in &mut prefix[w[0] + 1..w[1] + 1] {
-            acc += value * step;
-            *slot = acc;
-        }
-    }
-}
-
-/// The blocked prefix ([`KernelMode::Lane`]'s replacement for the
-/// serial chain of [`fill_leaf_intensity_and_prefix`]):
-/// `prefix[k] = Σ_{i<k} intensity[i] · step` under the canonical
-/// blocked reduction with `B = PREFIX_BLOCK`.
+/// The leaf carbon prefix `prefix[k] = Σ_{i<k} intensity[i] · step`
+/// under the canonical blocked reduction with `B = PREFIX_BLOCK`.
 pub(crate) fn fill_prefix_blocked(intensity: &[f64], step: f64, prefix: &mut Vec<f64>) {
     fill_prefix_blocked_sized::<PREFIX_BLOCK>(intensity, step, prefix);
 }
@@ -867,10 +706,7 @@ pub(crate) fn fill_prefix_blocked_sized<const B: usize>(
 /// Runs the flat cascade for `splits` over `demand`, filling `scratch`.
 /// `threads > 1` fans each level's parents out over [`run_parallel`]
 /// with an in-order merge; the result is bit-identical at any thread
-/// count. `mode` selects the sweep/prefix kernels:
-/// [`KernelMode::Scalar`] is bit-identical to the per-period reference
-/// path, [`KernelMode::Lane`] to the streaming engine's canonical lane
-/// reduction.
+/// count, and to the streaming engine's canonical lane reduction.
 ///
 /// # Errors
 ///
@@ -881,7 +717,6 @@ pub(crate) fn run_cascade(
     demand: &TimeSeries,
     total_carbon: f64,
     threads: usize,
-    mode: KernelMode,
     scratch: &mut CascadeScratch,
 ) -> Result<(), SeriesError> {
     let samples = demand.len();
@@ -901,26 +736,15 @@ pub(crate) fn run_cascade(
         fill_bounds(&mut scratch.bounds, samples, splits)?;
         scratch.splits_cache.extend_from_slice(splits);
     }
-    match mode {
-        KernelMode::Scalar => fill_level_sums_scalar(
-            values,
-            step,
-            &scratch.bounds,
-            &mut scratch.q,
-            &mut scratch.level_acc,
-            &mut scratch.level_next,
-            &mut scratch.leaf_peaks,
-        ),
-        KernelMode::Lane => fill_level_sums_lanes(
-            values,
-            step,
-            &scratch.bounds,
-            &mut scratch.q,
-            &mut scratch.level_acc,
-            &mut scratch.level_next,
-            &mut scratch.leaf_peaks,
-        ),
-    }
+    fill_level_sums_lanes(
+        values,
+        step,
+        &scratch.bounds,
+        &mut scratch.q,
+        &mut scratch.level_acc,
+        &mut scratch.level_next,
+        &mut scratch.leaf_peaks,
+    );
     let levels = splits.len() + 1;
     ensure_levels(&mut scratch.carbon, levels);
     ensure_levels(&mut scratch.intensity, levels);
@@ -954,39 +778,16 @@ pub(crate) fn run_cascade(
     // splits the root is the leaf, so the prefix rides along.
     scratch.carbon[0].clear();
     scratch.carbon[0].push(total_carbon);
+    fill_intensity(
+        &scratch.bounds[0],
+        &scratch.q[0],
+        &scratch.carbon[0],
+        &mut scratch.intensity[0],
+        samples,
+        &mut scratch.stranded,
+    );
     if levels == 1 {
-        match mode {
-            KernelMode::Scalar => fill_leaf_intensity_and_prefix(
-                &scratch.bounds[0],
-                &scratch.q[0],
-                &scratch.carbon[0],
-                &mut scratch.intensity[0],
-                &mut scratch.prefix,
-                samples,
-                step,
-                &mut scratch.stranded,
-            ),
-            KernelMode::Lane => {
-                fill_intensity(
-                    &scratch.bounds[0],
-                    &scratch.q[0],
-                    &scratch.carbon[0],
-                    &mut scratch.intensity[0],
-                    samples,
-                    &mut scratch.stranded,
-                );
-                fill_prefix_blocked(&scratch.intensity[0], step, &mut scratch.prefix);
-            }
-        }
-    } else {
-        fill_intensity(
-            &scratch.bounds[0],
-            &scratch.q[0],
-            &scratch.carbon[0],
-            &mut scratch.intensity[0],
-            samples,
-            &mut scratch.stranded,
-        );
+        fill_prefix_blocked(&scratch.intensity[0], step, &mut scratch.prefix);
     }
 
     for (level, &m) in splits.iter().enumerate() {
@@ -1053,45 +854,18 @@ pub(crate) fn run_cascade(
         }
 
         let mut level_stranded = 0.0;
+        fill_intensity(
+            &scratch.bounds[level + 1],
+            child_q,
+            child_carbon,
+            &mut scratch.intensity[level + 1],
+            samples,
+            &mut level_stranded,
+        );
+        // Finest level: run the blocked billing prefix over the leaf
+        // signal while it is hot in cache.
         if level + 2 == levels {
-            match mode {
-                // Finest level, scalar: fuse the O(1)-billing-query
-                // prefix into the same pass.
-                KernelMode::Scalar => fill_leaf_intensity_and_prefix(
-                    &scratch.bounds[level + 1],
-                    child_q,
-                    child_carbon,
-                    &mut scratch.intensity[level + 1],
-                    &mut scratch.prefix,
-                    samples,
-                    step,
-                    &mut level_stranded,
-                ),
-                // Finest level, lane: fill the leaf signal, then run
-                // the blocked prefix over it (the second read is hot in
-                // cache, and the blocked chain is ~3× faster than the
-                // fused serial one).
-                KernelMode::Lane => {
-                    fill_intensity(
-                        &scratch.bounds[level + 1],
-                        child_q,
-                        child_carbon,
-                        &mut scratch.intensity[level + 1],
-                        samples,
-                        &mut level_stranded,
-                    );
-                    fill_prefix_blocked(&scratch.intensity[level + 1], step, &mut scratch.prefix);
-                }
-            }
-        } else {
-            fill_intensity(
-                &scratch.bounds[level + 1],
-                child_q,
-                child_carbon,
-                &mut scratch.intensity[level + 1],
-                samples,
-                &mut level_stranded,
-            );
+            fill_prefix_blocked(&scratch.intensity[level + 1], step, &mut scratch.prefix);
         }
         scratch.stranded = level_stranded;
     }
@@ -1204,6 +978,7 @@ impl<'a> IntensityIndex<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::level_sums_scalar;
 
     #[test]
     fn range_max_matches_fold_on_every_window() {
@@ -1255,23 +1030,14 @@ mod tests {
     }
 
     #[test]
-    fn fused_sums_match_per_period_integrals() {
+    fn reference_sums_match_per_period_integrals() {
         let values: Vec<f64> = (0..23).map(|i| 0.1 + i as f64 * 0.37).collect();
         let series = TimeSeries::from_values(0, 300, values.clone()).unwrap();
         let mut bounds = Vec::new();
         fill_bounds(&mut bounds, 23, &[2, 3]).unwrap();
         let mut q = Vec::new();
-        let (mut acc, mut next) = (Vec::new(), Vec::new());
         let mut leaf_peaks = Vec::new();
-        fill_level_sums_scalar(
-            &values,
-            300.0,
-            &bounds,
-            &mut q,
-            &mut acc,
-            &mut next,
-            &mut leaf_peaks,
-        );
+        level_sums_scalar(&values, 300.0, &bounds, &mut q, &mut leaf_peaks);
         assert_eq!(q[0][0].to_bits(), series.integral().to_bits());
         for (level, level_bounds) in bounds.iter().enumerate() {
             for (p, w) in level_bounds.windows(2).enumerate() {
@@ -1313,7 +1079,7 @@ mod tests {
     }
 
     #[test]
-    fn lane_sweep_peaks_and_small_sums_match_the_scalar_kernel() {
+    fn lane_sweep_peaks_and_small_sums_match_the_reference_sweep() {
         // Peaks are bit-identical under the lane partition; sums are
         // bit-identical whenever every leaf is shorter than two lanes'
         // worth of samples *and* each level closes per leaf — here the
@@ -1327,15 +1093,7 @@ mod tests {
         let (mut q_s, mut q_l) = (Vec::new(), Vec::new());
         let (mut acc, mut next) = (Vec::new(), Vec::new());
         let (mut peaks_s, mut peaks_l) = (Vec::new(), Vec::new());
-        fill_level_sums_scalar(
-            &values,
-            300.0,
-            &bounds,
-            &mut q_s,
-            &mut acc,
-            &mut next,
-            &mut peaks_s,
-        );
+        level_sums_scalar(&values, 300.0, &bounds, &mut q_s, &mut peaks_s);
         fill_level_sums_lanes(
             &values,
             300.0,

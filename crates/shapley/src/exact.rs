@@ -9,7 +9,6 @@
 
 use std::fmt;
 
-use crate::cascade::{combine_lanes, CANONICAL_LANES};
 use crate::game::Game;
 use crate::maxtree::MaxTree;
 use crate::parallel::run_parallel;
@@ -444,45 +443,14 @@ impl DeltaGame for crate::game::TableGame {
 /// (`popcount` adds per mask, `n·2ⁿ⁻¹` total — half the marginal loop's
 /// work), and the player-independent correction `Σ w[|T|]·v(T)`
 /// subtracted once at the end. The pass is split into
-/// [`TABLE_BLOCK_MASKS`]-sized blocks whose partial φ vectors are merged
-/// in ascending block order; the parallel accumulation distributes the
-/// same blocks and merges identically, so both are bit-identical at any
-/// thread count.
-///
-/// Within a block the scatter is **lane-parallel**
-/// ([`scatter_block_lanes`]): mask `m` accumulates into lane `m mod 4`,
-/// and the four lane partials collapse through the cascade's canonical
-/// pair tree ([`combine_lanes`]). Per φ slot that is one reassociation of
-/// the block's serial sum, so results differ from
-/// [`shapley_from_table_scalar`] by a documented ≤ O(ε)-relative bound
-/// per block while staying bit-identical across thread counts.
+/// [`TABLE_BLOCK_MASKS`]-sized blocks, each one serial chain per φ slot,
+/// whose partial φ vectors are merged in ascending block order; the parallel
+/// accumulation distributes the same blocks and merges identically, so
+/// both are bit-identical at any thread count.
 pub fn shapley_from_table(n: usize, table: &[f64]) -> Vec<f64> {
     let mut phi = vec![0.0f64; n];
     let mut weights = vec![0.0f64; n];
     shapley_from_table_into(n, table, &mut weights, &mut phi);
-    phi
-}
-
-/// The retained serial-chain accumulation: every mask in a block adds
-/// into the same φ slot chain in ascending order ([`scatter_block_scalar`]).
-/// Kept as the closeness reference for the lane kernel and as the
-/// scalar side of `perf_report --section kernels`.
-pub fn shapley_from_table_scalar(n: usize, table: &[f64]) -> Vec<f64> {
-    let mut phi = vec![0.0f64; n];
-    let mut weights = vec![0.0f64; n];
-    subset_weights_into(n, &mut weights);
-    let (wc, coeff) = scatter_coefficients(n, &weights);
-    let mut correction = 0.0;
-    let mut block_phi = [0.0f64; MAX_EXACT_PLAYERS];
-    for block in mask_blocks(n) {
-        correction += scatter_block_scalar(table, &wc, &coeff, &block, &mut block_phi[..n]);
-        for (p, b) in phi.iter_mut().zip(&block_phi[..n]) {
-            *p += *b;
-        }
-    }
-    for p in phi.iter_mut() {
-        *p -= correction;
-    }
     phi
 }
 
@@ -496,7 +464,7 @@ fn shapley_from_table_into(n: usize, table: &[f64], weights: &mut [f64], phi: &m
     let mut correction = 0.0;
     let mut block_phi = [0.0f64; MAX_EXACT_PLAYERS];
     for block in mask_blocks(n) {
-        correction += scatter_block_lanes(table, &wc, &coeff, &block, &mut block_phi[..n]);
+        correction += scatter_block(table, &wc, &coeff, &block, &mut block_phi[..n]);
         for (p, b) in phi.iter_mut().zip(&block_phi[..n]) {
             *p += *b;
         }
@@ -517,7 +485,7 @@ fn parallel_shapley_from_table(n: usize, table: &[f64], threads: usize) -> Vec<f
     let blocks: Vec<_> = mask_blocks(n).collect();
     let partials = run_parallel(blocks.len(), threads, |b| {
         let mut block_phi = [0.0f64; MAX_EXACT_PLAYERS];
-        let c = scatter_block_lanes(table, &wc, &coeff, &blocks[b], &mut block_phi[..n]);
+        let c = scatter_block(table, &wc, &coeff, &blocks[b], &mut block_phi[..n]);
         (block_phi, c)
     });
     let mut phi = vec![0.0f64; n];
@@ -584,9 +552,12 @@ fn scatter_coefficients(
 /// returns the block's correction-term contribution, one serial
 /// dependency chain per φ slot. Each table entry is loaded once; its
 /// weighted value is added to the φ slot of every member of the
-/// coalition (set bit of the mask). Retained as the reference chain for
-/// [`scatter_block_lanes`].
-pub(crate) fn scatter_block_scalar(
+/// coalition (set bit of the mask).
+///
+/// The chain is plain and serial: a 4-lane variant with the masks
+/// quad-unrolled over separate accumulators measured 1.01× on a
+/// 2²⁰-mask table on a single-core host, inside run-to-run noise.
+fn scatter_block(
     table: &[f64],
     wc: &[f64],
     coeff: &[f64],
@@ -607,121 +578,6 @@ pub(crate) fn scatter_block_scalar(
         }
     }
     correction
-}
-
-/// Lane-parallel scatter: mask `m` accumulates into lane `m mod
-/// [`CANONICAL_LANES`]`, so consecutive masks write disjoint accumulator
-/// arrays and the serial `φ[p] += …` dependency chain of
-/// [`scatter_block_scalar`] only recurs every 4 masks — the adds of 4
-/// masks retire in flight together. The lane partials collapse through
-/// the cascade's canonical pair tree ([`combine_lanes`]), fixed and
-/// data-length independent, so the result is a deterministic function of
-/// the block alone: serial and parallel callers merging blocks in
-/// ascending order stay bit-identical to each other.
-///
-/// Versus the scalar chain each φ slot is reassociated once per block
-/// (serial sum → 4 lane sums + pair tree), giving the usual ≤ O(n·ε)
-/// relative summation bound per block; zero inputs produce exactly 0.0
-/// in every lane, so a player absent from all masks still gets φ = 0.0
-/// exactly.
-pub(crate) fn scatter_block_lanes(
-    table: &[f64],
-    wc: &[f64],
-    coeff: &[f64],
-    block: &std::ops::Range<u64>,
-    block_phi: &mut [f64],
-) -> f64 {
-    const K: usize = CANONICAL_LANES;
-    const _: () = assert!(K == 4, "the unrolled quad bodies hardcode 4 lanes");
-    let mut p0 = [0.0f64; MAX_EXACT_PLAYERS];
-    let mut p1 = [0.0f64; MAX_EXACT_PLAYERS];
-    let mut p2 = [0.0f64; MAX_EXACT_PLAYERS];
-    let mut p3 = [0.0f64; MAX_EXACT_PLAYERS];
-    let mut corr = [0.0f64; K];
-    let mut m = block.start;
-    // Table blocks start at 0 or a multiple of `TABLE_BLOCK_MASKS`, so
-    // `m % 4 == 0` here and the mask's lane equals its position inside
-    // the quad: the four unrolled bodies below write fixed,
-    // statically-named accumulator arrays instead of indexing a 2-D
-    // array through `mask % 4`, which is what lets the four φ chains
-    // actually retire in flight.
-    if m.is_multiple_of(K as u64) {
-        while m + K as u64 <= block.end {
-            {
-                let v = table[m as usize];
-                let k = m.count_ones() as usize;
-                corr[0] += wc[k] * v;
-                let cv = coeff[k] * v;
-                let mut members = m;
-                while members != 0 {
-                    p0[members.trailing_zeros() as usize] += cv;
-                    members &= members - 1;
-                }
-            }
-            {
-                let mask = m + 1;
-                let v = table[mask as usize];
-                let k = mask.count_ones() as usize;
-                corr[1] += wc[k] * v;
-                let cv = coeff[k] * v;
-                let mut members = mask;
-                while members != 0 {
-                    p1[members.trailing_zeros() as usize] += cv;
-                    members &= members - 1;
-                }
-            }
-            {
-                let mask = m + 2;
-                let v = table[mask as usize];
-                let k = mask.count_ones() as usize;
-                corr[2] += wc[k] * v;
-                let cv = coeff[k] * v;
-                let mut members = mask;
-                while members != 0 {
-                    p2[members.trailing_zeros() as usize] += cv;
-                    members &= members - 1;
-                }
-            }
-            {
-                let mask = m + 3;
-                let v = table[mask as usize];
-                let k = mask.count_ones() as usize;
-                corr[3] += wc[k] * v;
-                let cv = coeff[k] * v;
-                let mut members = mask;
-                while members != 0 {
-                    p3[members.trailing_zeros() as usize] += cv;
-                    members &= members - 1;
-                }
-            }
-            m += K as u64;
-        }
-    }
-    // Remainder masks (a 1- or 2-player table shorter than one quad)
-    // keep the same `mask mod 4` lane assignment, so the collapse below
-    // is a function of the mask values alone either way.
-    while m < block.end {
-        let v = table[m as usize];
-        let k = m.count_ones() as usize;
-        let cv = coeff[k] * v;
-        let (lane_phi, lane_corr) = match (m % K as u64) as usize {
-            0 => (&mut p0, &mut corr[0]),
-            1 => (&mut p1, &mut corr[1]),
-            2 => (&mut p2, &mut corr[2]),
-            _ => (&mut p3, &mut corr[3]),
-        };
-        *lane_corr += wc[k] * v;
-        let mut members = m;
-        while members != 0 {
-            lane_phi[members.trailing_zeros() as usize] += cv;
-            members &= members - 1;
-        }
-        m += 1;
-    }
-    for (p, slot) in block_phi.iter_mut().enumerate() {
-        *slot = combine_lanes([p0[p], p1[p], p2[p], p3[p]]);
-    }
-    combine_lanes(corr)
 }
 
 #[cfg(test)]
@@ -845,7 +701,7 @@ mod tests {
     }
 
     /// Deterministic signed pseudo-random coalition values, exercising
-    /// cancellation in the lane partials.
+    /// cancellation in the φ accumulation.
     fn hash_value(mask: u64, seed: u64) -> f64 {
         let mut x = mask.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(seed);
         x ^= x >> 29;
@@ -854,49 +710,47 @@ mod tests {
         ((x >> 16) % 2001) as f64 / 100.0 - 10.0
     }
 
-    /// The lane scatter reassociates each φ slot's block sum once
-    /// (serial chain → 4 lane chains + pair tree), so it must agree with
-    /// the scalar chain to a tight relative bound — across sizes below,
-    /// at, and above the [`TABLE_BLOCK_MASKS`] block boundary (n = 17 →
-    /// two blocks).
+    /// The regrouped scatter must agree with the textbook per-player
+    /// marginal sum `φᵢ = Σ_{S∌i} w[|S|]·(v(S∪{i}) − v(S))` on cancelling
+    /// values — across sizes below, at, and above the
+    /// [`TABLE_BLOCK_MASKS`] block boundary (n = 17 → two blocks).
     #[test]
-    fn lane_scatter_stays_within_summation_error_of_the_scalar_chain() {
+    fn scatter_matches_the_textbook_marginal_sum() {
         for &n in &[1usize, 2, 3, 5, 10, 17] {
             let table: Vec<f64> = (0u64..1 << n).map(|m| hash_value(m, n as u64)).collect();
-            let scalar = shapley_from_table_scalar(n, &table);
-            let lane = shapley_from_table(n, &table);
-            for (p, (s, l)) in scalar.iter().zip(&lane).enumerate() {
-                let scale = s.abs().max(l.abs()).max(f64::MIN_POSITIVE);
+            let weights = subset_weights(n);
+            let phi = shapley_from_table(n, &table);
+            for (i, &got) in phi.iter().enumerate() {
+                let bit = 1usize << i;
+                let want: f64 = (0..table.len())
+                    .filter(|s| s & bit == 0)
+                    .map(|s| weights[s.count_ones() as usize] * (table[s | bit] - table[s]))
+                    .sum();
+                let scale = want.abs().max(got.abs()).max(f64::MIN_POSITIVE);
                 assert!(
-                    (s - l).abs() <= 1e-11 * scale,
-                    "n={n} phi[{p}]: scalar {s} vs lane {l}"
+                    (want - got).abs() <= 1e-11 * scale,
+                    "n={n} phi[{i}]: marginal sum {want} vs scatter {got}"
                 );
             }
         }
     }
 
-    /// An all-zero table must produce exactly-0.0 φ on both kernels: the
-    /// lane partials hold exact zeros, the pair tree combines them to
-    /// 0.0, and the correction subtracts 0.0.
+    /// An all-zero table must produce exactly-0.0 φ: every scatter add
+    /// and the correction are exact zeros.
     #[test]
-    fn lane_scatter_preserves_exact_zeros() {
+    fn scatter_preserves_exact_zeros() {
         let table = vec![0.0f64; 1 << 6];
-        for phi in [
-            shapley_from_table(6, &table),
-            shapley_from_table_scalar(6, &table),
-        ] {
-            for v in phi {
-                assert_eq!(v.to_bits(), 0.0f64.to_bits());
-            }
+        for v in shapley_from_table(6, &table) {
+            assert_eq!(v.to_bits(), 0.0f64.to_bits());
         }
     }
 
-    /// The per-block lane combine is a fixed tree independent of the
+    /// Each block's scatter is a fixed serial chain independent of the
     /// fan-out, so distributing blocks across workers and merging them in
-    /// ascending order reproduces the serial lane accumulation bit for
-    /// bit at any thread count.
+    /// ascending order reproduces the serial accumulation bit for bit at
+    /// any thread count.
     #[test]
-    fn parallel_table_accumulation_is_bit_identical_to_serial_lane() {
+    fn parallel_table_accumulation_is_bit_identical_to_serial() {
         let n = 17; // two TABLE_BLOCK_MASKS blocks
         let table: Vec<f64> = (0u64..1 << n).map(|m| hash_value(m, 7)).collect();
         let serial = shapley_from_table(n, &table);

@@ -196,69 +196,6 @@ pub fn replay_marginals_into<G: IncrementalGame>(
     }
 }
 
-/// Replays a permutation **and its reversal** through two independent
-/// states in one interleaved pass: step `i` advances the forward chain by
-/// `order[i]` and the reverse chain by `order[n−1−i]`. Antithetic
-/// sampling always replays both directions; running them as two
-/// dependency chains in flight lets the two `add_player` streams overlap
-/// instead of serializing one full replay after the other.
-///
-/// **Bit-identity:** each chain performs exactly the additions, in
-/// exactly the order, of a standalone [`replay_marginals_into`] on
-/// `order` (resp. reversed `order`) — interleaving changes which chain's
-/// instruction retires next, never the operand order within a chain — so
-/// `forward` and `reverse` are bit-identical to two sequential replays.
-/// This also holds through a [`CachedGame`](crate::cache::CachedGame):
-/// two coalition masks from opposite chains can only be equal at equal
-/// prefix lengths, where the forward lookup precedes the reverse one in
-/// both schedules, so every lookup hits or misses identically and
-/// memoizes the same value (saturated caches that displace entries are
-/// the one exception — displacement order may differ).
-///
-/// Work accounting matches two sequential replays: `2·order.len()`
-/// marginal updates, and either the instrumented game's actual deltas or
-/// `2·order.len()` coalition evaluations.
-///
-/// # Panics
-///
-/// Panics if `marginals`/`reverse` are shorter than the largest player
-/// index.
-pub fn replay_marginals_paired_into<G: IncrementalGame>(
-    game: &G,
-    order: &[usize],
-    state: &mut G::State,
-    state_rev: &mut G::State,
-    forward: &mut [f64],
-    reverse: &mut [f64],
-    counters: &mut EvalCounters,
-) {
-    game.reset_state(state);
-    game.reset_state(state_rev);
-    let before = game.stats();
-    let n = order.len();
-    let mut prev_f = 0.0f64;
-    let mut prev_r = 0.0f64;
-    for i in 0..n {
-        let pf = order[i];
-        let vf = game.add_player(state, pf);
-        forward[pf] = vf - prev_f;
-        prev_f = vf;
-        let pr = order[n - 1 - i];
-        let vr = game.add_player(state_rev, pr);
-        reverse[pr] = vr - prev_r;
-        prev_r = vr;
-    }
-    counters.marginal_updates += 2 * n as u64;
-    match (before, game.stats()) {
-        (Some(b), Some(a)) => {
-            counters.coalition_evals += a.evals - b.evals;
-            counters.cache_hits += a.hits - b.hits;
-            counters.cache_misses += a.misses - b.misses;
-        }
-        _ => counters.coalition_evals += 2 * n as u64,
-    }
-}
-
 /// Adapter giving any [`Game`] a (slow) incremental interface by replaying
 /// the full characteristic function after every insertion. Useful for
 /// cross-checking fast incremental implementations.

@@ -18,7 +18,7 @@
 //! O(1) with an O(levels) burst at each leaf boundary:
 //!
 //! * **Integrals** — the engine maintains the frozen engine's *canonical
-//!   lane reduction* ([`crate::cascade::KernelMode::Lane`]): each sample
+//!   lane reduction* (see [`crate::cascade`]): each sample
 //!   lands in lane `in_leaf mod CANONICAL_LANES` of the open leaf's lane
 //!   vector (one add); when the leaf closes, the lanes collapse through
 //!   the fixed pair tree of [`combine_lanes`] and every level

@@ -11,6 +11,10 @@
 //! awkward lengths `0`, `1`, `K−1`, `K`, `K+1`, non-multiples of `K` —
 //! without touching the canonical paths.
 //!
+//! [`level_sums_scalar`] and [`prefix_scalar`] are plain serial
+//! reference loops: the cascade never runs them, but the lane kernels
+//! are pinned and timed against them.
+//!
 //! Contracts (verified in `tests/kernel_lanes.rs`):
 //!
 //! * [`level_sums_lanes`] produces **bit-identical leaf peaks** to
@@ -23,12 +27,10 @@
 //! * both lane kernels are *deterministic in the data length alone* —
 //!   lane assignment and combine order never depend on the values.
 
-use crate::cascade::{fill_bounds, fill_level_sums_scalar, fill_prefix_blocked_sized, lane_sweep};
+use crate::cascade::{fill_bounds, fill_prefix_blocked_sized, lane_sweep};
 use fairco2_trace::series::SeriesError;
 
-pub use crate::cascade::{
-    combine_lanes, combine_lanes_max, KernelMode, CANONICAL_LANES, PREFIX_BLOCK,
-};
+pub use crate::cascade::{combine_lanes, combine_lanes_max, CANONICAL_LANES, PREFIX_BLOCK};
 
 /// Derives every hierarchy level's period bounds for `samples` samples
 /// under `splits`, using the same "earlier chunks get the remainder"
@@ -45,11 +47,13 @@ pub fn hierarchy_bounds(samples: usize, splits: &[usize]) -> Result<Vec<Vec<usiz
     Ok(bounds)
 }
 
-/// The retained scalar fused sweep: per-period left-to-right sums and
-/// peaks, one serial dependency chain per level. `q[level]` receives
-/// each of the level's period integrals (`Σ value · step`), and
-/// `leaf_peaks` each leaf period's maximum. Buffers are cleared and
-/// refilled; `bounds` comes from [`hierarchy_bounds`].
+/// The serial reference sweep: per-period left-to-right sums and peaks,
+/// one dependency chain per level. `q[level]` receives each of the
+/// level's period integrals — `Σ value` folded from `0.0` over exactly
+/// the period's samples, then scaled by `step`, which is bit-identical
+/// to `TimeSeries::integral` on the period — and `leaf_peaks` each leaf
+/// period's maximum. Buffers are cleared and refilled; `bounds` comes
+/// from [`hierarchy_bounds`].
 pub fn level_sums_scalar(
     values: &[f64],
     step: f64,
@@ -57,9 +61,45 @@ pub fn level_sums_scalar(
     q: &mut Vec<Vec<f64>>,
     leaf_peaks: &mut Vec<f64>,
 ) {
-    let mut acc = Vec::new();
-    let mut next = Vec::new();
-    fill_level_sums_scalar(values, step, bounds, q, &mut acc, &mut next, leaf_peaks);
+    let levels = reset_level_sums(bounds, q, leaf_peaks);
+    let mut acc = vec![0.0f64; levels];
+    let mut next = vec![1usize; levels]; // index into bounds[l] of the next boundary
+    let leaf_bounds = bounds.last().expect("at least the root level");
+    for w in leaf_bounds.windows(2) {
+        let mut peak = f64::NEG_INFINITY;
+        for &v in &values[w[0]..w[1]] {
+            for a in acc.iter_mut() {
+                *a += v;
+            }
+            peak = f64::max(peak, v);
+        }
+        leaf_peaks.push(peak);
+        for level in 0..levels {
+            if bounds[level][next[level]] == w[1] {
+                q[level].push(acc[level] * step);
+                acc[level] = 0.0;
+                next[level] += 1;
+            }
+        }
+    }
+}
+
+/// Gives `q` one cleared vector per level and clears `leaf_peaks`;
+/// returns the level count.
+fn reset_level_sums(
+    bounds: &[Vec<usize>],
+    q: &mut Vec<Vec<f64>>,
+    leaf_peaks: &mut Vec<f64>,
+) -> usize {
+    let levels = bounds.len();
+    while q.len() < levels {
+        q.push(Vec::new());
+    }
+    for sums in q.iter_mut() {
+        sums.clear();
+    }
+    leaf_peaks.clear();
+    levels
 }
 
 /// The lane-parallel sweep at an arbitrary power-of-two lane count `K`:
@@ -80,23 +120,16 @@ pub fn level_sums_lanes<const K: usize>(
     q: &mut Vec<Vec<f64>>,
     leaf_peaks: &mut Vec<f64>,
 ) {
-    let levels = bounds.len();
-    while q.len() < levels {
-        q.push(Vec::new());
-    }
-    for sums in q.iter_mut() {
-        sums.clear();
-    }
-    leaf_peaks.clear();
+    let levels = reset_level_sums(bounds, q, leaf_peaks);
     let mut acc = vec![0.0f64; levels];
     let mut next = vec![1usize; levels];
     lane_sweep::<K>(values, step, bounds, q, &mut acc, &mut next, leaf_peaks);
 }
 
-/// The retained scalar prefix: one serial chain
+/// The serial reference prefix: one chain
 /// `prefix[k] = prefix[k−1] + intensity[k−1] · step` over the whole
-/// signal, `prefix[0] = 0`. This is the accumulation order of the fused
-/// leaf fill the cascade's scalar mode uses.
+/// signal, `prefix[0] = 0` — the accumulation order of
+/// `TemporalShapley::attribute_per_period`'s carbon prefix.
 pub fn prefix_scalar(intensity: &[f64], step: f64, prefix: &mut Vec<f64>) {
     if prefix.len() != intensity.len() + 1 {
         prefix.clear();

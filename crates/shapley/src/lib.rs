@@ -87,16 +87,13 @@ pub mod unit_time;
 
 pub use axioms::{AxiomAudit, AxiomCheck};
 pub use cache::{CachedGame, CoalitionCache};
-pub use cascade::{combine_lanes, combine_lanes_max, KernelMode, CANONICAL_LANES, PREFIX_BLOCK};
+pub use cascade::{combine_lanes, combine_lanes_max, CANONICAL_LANES, PREFIX_BLOCK};
 pub use cascade::{BillingQuery, CascadeScratch, IntensityIndex, RangeMax};
 pub use coalition::Coalition;
 pub use exact::{
     exact_shapley, exact_shapley_fast_with_scratch, parallel_exact_shapley, ExactScratch,
 };
-pub use game::{
-    replay_marginals_into, replay_marginals_paired_into, EvalCounters, Game, GameStats,
-    IncrementalGame, ScanPeak,
-};
+pub use game::{replay_marginals_into, EvalCounters, Game, GameStats, IncrementalGame, ScanPeak};
 pub use incremental::{IncrementalCascade, WindowAttribution};
 pub use matching::{shapley_from_moments, MatchingGame};
 pub use maxtree::MaxTree;

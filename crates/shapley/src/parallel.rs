@@ -28,9 +28,7 @@ use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 use crate::cache::CachedGame;
-use crate::game::{
-    replay_marginals_into, replay_marginals_paired_into, EvalCounters, IncrementalGame,
-};
+use crate::game::{EvalCounters, IncrementalGame};
 use crate::sampled::{Moments, SampleConfig, SampleScratch, ShapleyEstimate};
 
 /// Runs `trials` independent work items across `threads` worker threads,
@@ -357,29 +355,11 @@ fn run_batch_uncached<G: IncrementalGame>(
     let mut scratch = SampleScratch::for_game(game);
     while moments.permutations() < count {
         scratch.order.shuffle(&mut rng);
+        scratch.replay_forward(game, &mut counters);
         if config.antithetic && moments.permutations() + 1 < count {
-            replay_marginals_paired_into(
-                game,
-                &scratch.order,
-                &mut scratch.state,
-                &mut scratch.state_rev,
-                &mut scratch.forward,
-                &mut scratch.reverse,
-                &mut counters,
-            );
-            // Preserve the batch's historical RNG stream: the next
-            // shuffle starts from the reversed arrangement, exactly as
-            // when the reverse replay flipped the buffer in place.
-            scratch.order.reverse();
+            scratch.replay_reversed(game, &mut counters);
             moments.record_pair(&scratch.forward, &scratch.reverse);
         } else {
-            replay_marginals_into(
-                game,
-                &scratch.order,
-                &mut scratch.state,
-                &mut scratch.forward,
-                &mut counters,
-            );
             moments.record_single(&scratch.forward);
         }
     }

@@ -24,25 +24,20 @@ use rand::Rng;
 use std::time::Instant;
 
 use crate::cache::CachedGame;
-use crate::game::{
-    replay_marginals_into, replay_marginals_paired_into, EvalCounters, IncrementalGame,
-};
+use crate::game::{replay_marginals_into, EvalCounters, IncrementalGame};
 
 /// Reusable per-worker replay buffers: the permutation, the forward and
-/// reverse marginal vectors, and *two* incremental game states — one per
-/// antithetic chain, so a forward/reverse pair replays as two interleaved
-/// dependency chains ([`replay_marginals_paired_into`]) instead of two
-/// serialized passes. Allocated once per estimator (or per parallel
-/// batch) so the inner sampling loop performs **no heap allocation after
-/// warm-up** — shuffling mutates the permutation in place and the states
-/// are rewound via [`IncrementalGame::reset_state`] instead of rebuilt.
+/// reverse marginal vectors, and the incremental game state. Allocated
+/// once per estimator (or per parallel batch) so the inner sampling loop
+/// performs **no heap allocation after warm-up** — shuffling mutates the
+/// permutation in place and the state is rewound via
+/// [`IncrementalGame::reset_state`] instead of rebuilt.
 #[derive(Debug)]
 pub struct SampleScratch<S> {
     pub(crate) order: Vec<usize>,
     pub(crate) forward: Vec<f64>,
     pub(crate) reverse: Vec<f64>,
     pub(crate) state: S,
-    pub(crate) state_rev: S,
 }
 
 impl<S> SampleScratch<S> {
@@ -59,13 +54,45 @@ impl<S> SampleScratch<S> {
             forward: vec![0.0; n],
             reverse: vec![0.0; n],
             state: game.initial_state(),
-            state_rev: game.initial_state(),
         }
     }
 
     /// Number of players the scratch covers.
     pub fn player_count(&self) -> usize {
         self.order.len()
+    }
+
+    /// Replays the current permutation into `forward`.
+    pub(crate) fn replay_forward<G: IncrementalGame<State = S>>(
+        &mut self,
+        game: &G,
+        counters: &mut EvalCounters,
+    ) {
+        replay_marginals_into(
+            game,
+            &self.order,
+            &mut self.state,
+            &mut self.forward,
+            counters,
+        );
+    }
+
+    /// Reverses the permutation in place and replays it into `reverse` —
+    /// the antithetic half of a pair. The buffer stays reversed, so the
+    /// next in-place shuffle starts from the reversed arrangement.
+    pub(crate) fn replay_reversed<G: IncrementalGame<State = S>>(
+        &mut self,
+        game: &G,
+        counters: &mut EvalCounters,
+    ) {
+        self.order.reverse();
+        replay_marginals_into(
+            game,
+            &self.order,
+            &mut self.state,
+            &mut self.reverse,
+            counters,
+        );
     }
 }
 
@@ -345,31 +372,11 @@ pub fn sampled_shapley_with_scratch<G: IncrementalGame>(
 
     while moments.permutations() < config.max_permutations {
         scratch.order.shuffle(rng);
+        scratch.replay_forward(game, &mut counters);
         if config.antithetic && moments.permutations() + 1 < config.max_permutations {
-            replay_marginals_paired_into(
-                game,
-                &scratch.order,
-                &mut scratch.state,
-                &mut scratch.state_rev,
-                &mut scratch.forward,
-                &mut scratch.reverse,
-                &mut counters,
-            );
-            // The paired kernel reads the reversal via indexing; the
-            // explicit reverse is still required because `shuffle`
-            // permutes in place — the next draw's Fisher-Yates walk
-            // starts from whatever arrangement the buffer holds, and the
-            // historical (sequential-replay) RNG stream reversed here.
-            scratch.order.reverse();
+            scratch.replay_reversed(game, &mut counters);
             moments.record_pair(&scratch.forward, &scratch.reverse);
         } else {
-            replay_marginals_into(
-                game,
-                &scratch.order,
-                &mut scratch.state,
-                &mut scratch.forward,
-                &mut counters,
-            );
             moments.record_single(&scratch.forward);
         }
         if config.target_stderr > 0.0
@@ -443,20 +450,10 @@ pub fn stratified_shapley<G: IncrementalGame>(
     for _ in 0..samples_per_stratum {
         // One permutation covers every stratum; the reversed pass swaps
         // every player's stratum (position i ↔ n−1−i), halving the
-        // positional imbalance per sample. Both passes run as one
-        // interleaved paired replay; the explicit reverse preserves the
-        // historical RNG stream (shuffle permutes in place).
+        // positional imbalance per sample.
         scratch.order.shuffle(rng);
-        replay_marginals_paired_into(
-            game,
-            &scratch.order,
-            &mut scratch.state,
-            &mut scratch.state_rev,
-            &mut scratch.forward,
-            &mut scratch.reverse,
-            &mut counters,
-        );
-        scratch.order.reverse();
+        scratch.replay_forward(game, &mut counters);
+        scratch.replay_reversed(game, &mut counters);
         moments.record_pair(&scratch.forward, &scratch.reverse);
     }
     moments.values()
@@ -758,117 +755,6 @@ mod tests {
         // below the uncached count.
         assert!(cached.counters.coalition_evals >= cached.counters.cache_misses);
         assert!(cached.counters.cache_hit_rate() >= 0.5);
-    }
-
-    /// The interleaved paired replay is the hot kernel behind every
-    /// antithetic pair; it must reproduce two sequential
-    /// `replay_marginals_into` calls bit-for-bit — same marginals, same
-    /// counter charges — on both a plain game and a cache-instrumented
-    /// one (where the stats() delta path is exercised).
-    #[test]
-    fn paired_replay_is_bit_identical_to_two_sequential_replays() {
-        use crate::game::replay_marginals_paired_into;
-        let g = demo_game();
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut order: Vec<usize> = (0..5).collect();
-        let mut state_a = g.initial_state();
-        let mut state_b = g.initial_state();
-        let (mut fwd_seq, mut rev_seq) = (vec![0.0; 5], vec![0.0; 5]);
-        let (mut fwd_pair, mut rev_pair) = (vec![0.0; 5], vec![0.0; 5]);
-        for _ in 0..20 {
-            order.shuffle(&mut rng);
-            let mut seq_counters = EvalCounters::default();
-            replay_marginals_into(&g, &order, &mut state_a, &mut fwd_seq, &mut seq_counters);
-            let reversed: Vec<usize> = order.iter().rev().copied().collect();
-            replay_marginals_into(&g, &reversed, &mut state_a, &mut rev_seq, &mut seq_counters);
-
-            let mut pair_counters = EvalCounters::default();
-            replay_marginals_paired_into(
-                &g,
-                &order,
-                &mut state_a,
-                &mut state_b,
-                &mut fwd_pair,
-                &mut rev_pair,
-                &mut pair_counters,
-            );
-            for p in 0..5 {
-                assert_eq!(fwd_seq[p].to_bits(), fwd_pair[p].to_bits(), "forward[{p}]");
-                assert_eq!(rev_seq[p].to_bits(), rev_pair[p].to_bits(), "reverse[{p}]");
-            }
-            assert_eq!(seq_counters.coalition_evals, pair_counters.coalition_evals);
-            assert_eq!(
-                seq_counters.marginal_updates,
-                pair_counters.marginal_updates
-            );
-            assert_eq!(pair_counters.coalition_evals, 10);
-            assert_eq!(pair_counters.marginal_updates, 10);
-        }
-    }
-
-    /// Same pin through a [`CachedGame`]: equal coalition masks from the
-    /// two chains keep their relative lookup order under interleaving, so
-    /// hit/miss counts and memoized values match the sequential schedule.
-    #[test]
-    fn paired_replay_matches_sequential_through_the_cache() {
-        use crate::cache::CachedGame;
-        use crate::game::replay_marginals_paired_into;
-        let g = demo_game();
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut order: Vec<usize> = (0..5).collect();
-        let (mut fwd_seq, mut rev_seq) = (vec![0.0; 5], vec![0.0; 5]);
-        let (mut fwd_pair, mut rev_pair) = (vec![0.0; 5], vec![0.0; 5]);
-        let mut orders = Vec::new();
-        for _ in 0..12 {
-            order.shuffle(&mut rng);
-            orders.push(order.clone());
-        }
-
-        let seq_game = CachedGame::new(&g);
-        let mut seq_counters = EvalCounters::default();
-        let mut state = seq_game.initial_state();
-        let mut seq_values = Vec::new();
-        for order in &orders {
-            replay_marginals_into(
-                &seq_game,
-                order,
-                &mut state,
-                &mut fwd_seq,
-                &mut seq_counters,
-            );
-            let reversed: Vec<usize> = order.iter().rev().copied().collect();
-            replay_marginals_into(
-                &seq_game,
-                &reversed,
-                &mut state,
-                &mut rev_seq,
-                &mut seq_counters,
-            );
-            seq_values.push((fwd_seq.clone(), rev_seq.clone()));
-        }
-
-        let pair_game = CachedGame::new(&g);
-        let mut pair_counters = EvalCounters::default();
-        let mut state_f = pair_game.initial_state();
-        let mut state_r = pair_game.initial_state();
-        for (order, (fs, rs)) in orders.iter().zip(&seq_values) {
-            replay_marginals_paired_into(
-                &pair_game,
-                order,
-                &mut state_f,
-                &mut state_r,
-                &mut fwd_pair,
-                &mut rev_pair,
-                &mut pair_counters,
-            );
-            for p in 0..5 {
-                assert_eq!(fs[p].to_bits(), fwd_pair[p].to_bits(), "forward[{p}]");
-                assert_eq!(rs[p].to_bits(), rev_pair[p].to_bits(), "reverse[{p}]");
-            }
-        }
-        assert_eq!(seq_counters.cache_hits, pair_counters.cache_hits);
-        assert_eq!(seq_counters.cache_misses, pair_counters.cache_misses);
-        assert_eq!(seq_counters.coalition_evals, pair_counters.coalition_evals);
     }
 
     #[test]

@@ -37,17 +37,15 @@
 //! max, integrals from a fused per-level sweep, and every buffer lives
 //! in a reusable [`CascadeScratch`]. The original per-period pipeline is
 //! retained verbatim as [`TemporalShapley::attribute_per_period`]; the
-//! flat engine's scalar kernels ([`TemporalShapley::attribute_scalar`])
-//! are pinned **bit-for-bit** against it, and the default lane-parallel
-//! kernels ([`crate::cascade::KernelMode::Lane`]) closeness-pinned
-//! against the scalar ones (and bit-pinned against themselves across
-//! thread counts) by property tests in `tests/temporal_cascade.rs`.
+//! flat engine's lane-parallel kernels are closeness-pinned against it
+//! (bit-pinned on the weight-fallback cases, and against themselves
+//! across thread counts) by property tests in `tests/temporal_cascade.rs`.
 
 use serde::{Deserialize, Serialize};
 
 use fairco2_trace::series::{SeriesError, TimeSeries};
 
-use crate::cascade::{run_cascade, BillingQuery, CascadeScratch, IntensityIndex, KernelMode};
+use crate::cascade::{run_cascade, BillingQuery, CascadeScratch, IntensityIndex};
 use crate::exact::exact_shapley;
 use crate::game::PeakDemandGame;
 
@@ -287,43 +285,7 @@ impl TemporalShapley {
         demand: &TimeSeries,
         total_carbon: f64,
     ) -> Result<TemporalAttribution, SeriesError> {
-        let mut scratch = CascadeScratch::new();
-        run_cascade(
-            &self.splits,
-            demand,
-            total_carbon,
-            1,
-            KernelMode::Lane,
-            &mut scratch,
-        )?;
-        Ok(scratch.into_attribution())
-    }
-
-    /// [`TemporalShapley::attribute`] through the retained scalar
-    /// kernels ([`KernelMode::Scalar`]): per-period left-to-right sums
-    /// and the serial prefix chain, bit-identical to
-    /// [`TemporalShapley::attribute_per_period`]. This is the
-    /// equality/closeness pin for the default lane-parallel path — use
-    /// [`TemporalShapley::attribute`] everywhere else.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TemporalShapley::attribute`].
-    pub fn attribute_scalar(
-        &self,
-        demand: &TimeSeries,
-        total_carbon: f64,
-    ) -> Result<TemporalAttribution, SeriesError> {
-        let mut scratch = CascadeScratch::new();
-        run_cascade(
-            &self.splits,
-            demand,
-            total_carbon,
-            1,
-            KernelMode::Scalar,
-            &mut scratch,
-        )?;
-        Ok(scratch.into_attribution())
+        self.attribute_parallel(demand, total_carbon, 1)
     }
 
     /// [`TemporalShapley::attribute`] with the per-level Shapley splits
@@ -341,14 +303,7 @@ impl TemporalShapley {
         threads: usize,
     ) -> Result<TemporalAttribution, SeriesError> {
         let mut scratch = CascadeScratch::new();
-        run_cascade(
-            &self.splits,
-            demand,
-            total_carbon,
-            threads,
-            KernelMode::Lane,
-            &mut scratch,
-        )?;
+        run_cascade(&self.splits, demand, total_carbon, threads, &mut scratch)?;
         Ok(scratch.into_attribution())
     }
 
@@ -372,48 +327,16 @@ impl TemporalShapley {
         threads: usize,
         scratch: &mut CascadeScratch,
     ) -> Result<(), SeriesError> {
-        run_cascade(
-            &self.splits,
-            demand,
-            total_carbon,
-            threads,
-            KernelMode::Lane,
-            scratch,
-        )
-    }
-
-    /// [`TemporalShapley::attribute_with_scratch`] through the retained
-    /// scalar kernels; see [`TemporalShapley::attribute_scalar`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TemporalShapley::attribute_with_scratch`].
-    pub fn attribute_scalar_with_scratch(
-        &self,
-        demand: &TimeSeries,
-        total_carbon: f64,
-        threads: usize,
-        scratch: &mut CascadeScratch,
-    ) -> Result<(), SeriesError> {
-        run_cascade(
-            &self.splits,
-            demand,
-            total_carbon,
-            threads,
-            KernelMode::Scalar,
-            scratch,
-        )
+        run_cascade(&self.splits, demand, total_carbon, threads, scratch)
     }
 
     /// The original per-period pipeline, retained verbatim as the
     /// reference implementation: it clones the demand into owned
     /// [`TimeSeries`] at every level and rescans each period for its peak
-    /// and integral. The scalar flat cascade
-    /// ([`TemporalShapley::attribute_scalar`]) is equality-pinned
-    /// bit-for-bit against this path by the property tests in
-    /// `tests/temporal_cascade.rs` and by `perf_report`, and the default
-    /// lane path closeness-pinned against *that*; keep using
-    /// [`TemporalShapley::attribute`] everywhere else.
+    /// and integral. The flat cascade is closeness-pinned against this
+    /// path by the property tests in `tests/temporal_cascade.rs` and by
+    /// `perf_report`; keep using [`TemporalShapley::attribute`]
+    /// everywhere else.
     ///
     /// # Errors
     ///

@@ -1,14 +1,12 @@
-//! Property pins for the lane-parallel kernels against their retained
-//! scalar counterparts, at several lane counts / block lengths and at
-//! the awkward data lengths (0, 1, K−1, K, K+1, non-multiples of K).
+//! Property pins for the lane-parallel kernels against the serial
+//! reference loops, at several lane counts / block lengths and at the
+//! awkward data lengths (0, 1, K−1, K, K+1, non-multiples of K).
 //!
 //! Two kinds of pin, matching the kernels' documented contracts:
 //!
 //! * **exact-bit** where the lane split preserves operand selection or
 //!   operand order — leaf peaks (`max` is associative and returns one of
-//!   its operands), the blocked prefix within one block, and the paired
-//!   permutation replay (interleaving two chains never reorders either
-//!   chain's arithmetic);
+//!   its operands) and the blocked prefix within one block;
 //! * **≤ O(n·ε) relative closeness** where the split reassociates a sum
 //!   — per-period lane sums versus the serial chain, and the blocked
 //!   prefix across block boundaries (one `local + carry` reassociation
@@ -18,10 +16,6 @@
 //!   wrong-partition bug (any mis-assigned sample shifts a sum by a
 //!   *relative* amount far above 1e-11 for the value ranges drawn).
 
-use fairco2_shapley::game::{
-    replay_marginals_into, replay_marginals_paired_into, EvalCounters, IncrementalGame,
-    PeakDemandGame,
-};
 use fairco2_shapley::kernels::{
     hierarchy_bounds, level_sums_lanes, level_sums_scalar, prefix_blocked, prefix_scalar,
 };
@@ -183,53 +177,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// The paired antithetic replay must be bit-identical to two
-    /// sequential replays for any demand matrix and permutation — same
-    /// marginals, same counter charges.
-    #[test]
-    fn paired_replay_is_exact_for_random_games(
-        rows in prop::collection::vec(
-            prop::collection::vec(0u32..32u32, 4..=4).prop_map(
-                |r| r.into_iter().map(|v| v as f64 / 4.0).collect::<Vec<f64>>()
-            ),
-            2..7,
-        ),
-        perm_seed in 0u64..10_000,
-    ) {
-        let n = rows.len();
-        let game = PeakDemandGame::new(rows);
-        // A deterministic permutation from the seed (Fisher-Yates with a
-        // tiny LCG keeps the test free of rand plumbing).
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut s = perm_seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-        for i in (1..n).rev() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            order.swap(i, (s >> 33) as usize % (i + 1));
-        }
-
-        let mut state_a = game.initial_state();
-        let mut state_b = game.initial_state();
-        let (mut fwd_seq, mut rev_seq) = (vec![0.0; n], vec![0.0; n]);
-        let (mut fwd_pair, mut rev_pair) = (vec![0.0; n], vec![0.0; n]);
-
-        let mut seq = EvalCounters::default();
-        replay_marginals_into(&game, &order, &mut state_a, &mut fwd_seq, &mut seq);
-        let reversed: Vec<usize> = order.iter().rev().copied().collect();
-        replay_marginals_into(&game, &reversed, &mut state_a, &mut rev_seq, &mut seq);
-
-        let mut pair = EvalCounters::default();
-        replay_marginals_paired_into(
-            &game, &order, &mut state_a, &mut state_b,
-            &mut fwd_pair, &mut rev_pair, &mut pair,
-        );
-        for p in 0..n {
-            prop_assert_eq!(fwd_seq[p].to_bits(), fwd_pair[p].to_bits(), "forward[{}]", p);
-            prop_assert_eq!(rev_seq[p].to_bits(), rev_pair[p].to_bits(), "reverse[{}]", p);
-        }
-        prop_assert_eq!(seq.coalition_evals, pair.coalition_evals);
-        prop_assert_eq!(seq.marginal_updates, pair.marginal_updates);
     }
 }
 

@@ -1,15 +1,12 @@
 //! Equality pins for the flat Temporal Shapley cascade:
 //!
-//! * the scalar flat engine ([`TemporalShapley::attribute_scalar`]) is
-//!   **bit-identical** to the retained per-period reference
+//! * the lane-parallel engine ([`TemporalShapley::attribute`]) matches
+//!   the retained per-period reference
 //!   ([`TemporalShapley::attribute_per_period`]) on random series and
-//!   hierarchies — including zero-demand stranding and the
-//!   φ·q → q → duration weight fallbacks;
-//! * the default lane-parallel engine ([`TemporalShapley::attribute`])
-//!   matches the scalar one to a documented ulp-accumulation bound
-//!   (its sums are *reassociated*, not reordered per element; zero/sign
-//!   decisions — stranding, weight fallbacks — and the work counters
-//!   stay exact);
+//!   hierarchies to a documented ulp-accumulation bound (its sums are
+//!   *reassociated*, not reordered per element; zero/sign decisions —
+//!   stranding, weight fallbacks — and the work counters stay exact),
+//!   and bit for bit on the q → duration weight fallbacks;
 //! * [`TemporalShapley::attribute_parallel`] is bit-identical to the
 //!   serial lane path at 1, 2, and 8 threads;
 //! * a reused [`CascadeScratch`] reproduces fresh results exactly;
@@ -70,8 +67,8 @@ fn assert_bits_eq(label: &str, a: &TemporalAttribution, b: &TemporalAttribution)
 /// Asserts two attributions agree to a relative tolerance per element,
 /// with the *discrete* observables (shapes, counters, and exact-zero
 /// stranding decisions) still exact. Used to pin the lane engine
-/// against the scalar one: each lane sum differs from the scalar fold
-/// only by reassociation, so the per-element error is bounded by
+/// against the per-period reference: each lane sum differs from the
+/// serial fold only by reassociation, so the per-element error is bounded by
 /// `O(n · ε)` relative — `n ≤ 8641` samples and `ε = 2⁻⁵²` put the true
 /// bound near `2e-12`; `1e-9` leaves three orders of slack without
 /// masking real bugs.
@@ -153,10 +150,8 @@ proptest! {
         let series = masked_series(&raw[..len], &mask[..len], start, 300);
         let h = TemporalShapley::new(splits);
         let reference = h.attribute_per_period(&series, carbon).unwrap();
-        let scalar = h.attribute_scalar(&series, carbon).unwrap();
-        assert_bits_eq("scalar flat vs reference", &reference, &scalar);
         let lane = h.attribute(&series, carbon).unwrap();
-        assert_close("lane vs scalar", &scalar, &lane, 1e-9);
+        assert_close("lane vs reference", &reference, &lane, 1e-9);
         for threads in [2usize, 8] {
             let parallel = h.attribute_parallel(&series, carbon, threads).unwrap();
             assert_bits_eq("parallel vs serial lane", &lane, &parallel);
@@ -248,9 +243,8 @@ fn duration_fallback_is_bit_identical_on_idle_series() {
 }
 
 /// Uneven splits (remainder-bearing periods) on the paper hierarchy:
-/// the scalar flat path matches the reference bit for bit, the lane
-/// path matches the scalar one to the ulp bound, and 1/2/8-thread lane
-/// runs agree with the serial lane path bit for bit.
+/// the lane path matches the reference to the ulp bound, and
+/// 1/2/8-thread lane runs agree with the serial lane path bit for bit.
 #[test]
 fn paper_hierarchy_is_thread_invariant() {
     let series = TimeSeries::from_fn(0, 300, 8641, |t| {
@@ -260,10 +254,8 @@ fn paper_hierarchy_is_thread_invariant() {
     .unwrap();
     let h = TemporalShapley::paper_hierarchy();
     let reference = h.attribute_per_period(&series, 12_000.0).unwrap();
-    let scalar = h.attribute_scalar(&series, 12_000.0).unwrap();
-    assert_bits_eq("paper hierarchy scalar", &reference, &scalar);
     let lane = h.attribute(&series, 12_000.0).unwrap();
-    assert_close("paper hierarchy lane", &scalar, &lane, 1e-9);
+    assert_close("paper hierarchy lane", &reference, &lane, 1e-9);
     for threads in [1usize, 2, 8] {
         let parallel = h.attribute_parallel(&series, 12_000.0, threads).unwrap();
         assert_bits_eq("paper hierarchy threads", &lane, &parallel);
