@@ -6,9 +6,6 @@
 //!   partitioner (bit-identical results, wall-clock only differs);
 //! * `sampling_uncached` / `sampling_cached` — permutation sampling with
 //!   and without the coalition-value memo table;
-//! * `toggle_scan` / `toggle_tree` — the Gray-code table fill through the
-//!   original dense `O(steps)` re-scan versus the `O(log steps)` segment
-//!   tree;
 //! * `cascade_per_period` / `cascade_flat` / `cascade_scratch` — the
 //!   hierarchical Temporal Shapley pipeline through the old owned
 //!   per-period path versus the flat zero-copy engine (fresh and with a
@@ -25,8 +22,8 @@ use std::hint::black_box;
 
 use fairco2_shapley::cascade::{BillingQuery, CascadeScratch};
 use fairco2_shapley::default_threads;
-use fairco2_shapley::exact::{exact_shapley, exact_shapley_fast, parallel_exact_shapley};
-use fairco2_shapley::game::{PeakDemandGame, ScanPeak};
+use fairco2_shapley::exact::{exact_shapley, parallel_exact_shapley};
+use fairco2_shapley::game::PeakDemandGame;
 use fairco2_shapley::kernels::{
     hierarchy_bounds, level_sums_lanes, level_sums_scalar, prefix_blocked, prefix_scalar,
     CANONICAL_LANES, PREFIX_BLOCK,
@@ -41,33 +38,6 @@ fn peak_game(n: usize, steps: usize, seed: u64) -> PeakDemandGame {
     let mut rng = StdRng::seed_from_u64(seed);
     let demand = (0..n)
         .map(|_| (0..steps).map(|_| rng.gen_range(0.0..96.0)).collect())
-        .collect();
-    PeakDemandGame::new(demand)
-}
-
-/// Schedule-shaped demand: each workload occupies a contiguous window of
-/// `steps / 32` slices (like [`ScheduledWorkload`] slice ranges), so rows
-/// are zero almost everywhere. This sparsity is what the segment-tree
-/// toggle exploits: `O(|support| · log steps)` per toggle versus the
-/// scan's unconditional `O(steps)` re-scan. On fully dense demand the
-/// linear scan is competitive — the tree's advantage is the schedule
-/// structure, not a universal constant factor.
-fn windowed_peak_game(n: usize, steps: usize, seed: u64) -> PeakDemandGame {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let window = (steps / 32).max(1);
-    let demand = (0..n)
-        .map(|p| {
-            let start = p * (steps - window) / n.max(2);
-            (0..steps)
-                .map(|t| {
-                    if (start..start + window).contains(&t) {
-                        rng.gen_range(1.0..96.0)
-                    } else {
-                        0.0
-                    }
-                })
-                .collect()
-        })
         .collect();
     PeakDemandGame::new(demand)
 }
@@ -111,25 +81,6 @@ fn bench_sampling_cache(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_toggle_paths(c: &mut Criterion) {
-    let mut group = c.benchmark_group("toggle");
-    group.sample_size(10);
-    // Many time steps with schedule-sparse rows is where the re-scan
-    // hurts: each of the 2ⁿ toggles pays O(steps) in the scan path but
-    // only O(|support| · log steps) in the tree path.
-    for steps in [64usize, 512] {
-        let game = windowed_peak_game(14, steps, steps as u64);
-        let scan = ScanPeak(game.clone());
-        group.bench_with_input(BenchmarkId::new("tree", steps), &game, |b, g| {
-            b.iter(|| exact_shapley_fast(black_box(g)).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("scan", steps), &scan, |b, g| {
-            b.iter(|| exact_shapley_fast(black_box(g)).unwrap())
-        });
-    }
-    group.finish();
-}
-
 /// A diurnal+weekly demand trace on the 5-minute grid, like the
 /// `perf_report` temporal section uses (shrunk to keep Criterion's
 /// warm-up affordable).
@@ -164,11 +115,11 @@ fn bench_cascade_paths(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("scratch", samples), &demand, |b, d| {
             let mut scratch = CascadeScratch::new();
             hierarchy
-                .attribute_with_scratch(d, 1.0e6, 1, &mut scratch)
+                .attribute_with_scratch(d, 1.0e6, &mut scratch)
                 .unwrap();
             b.iter(|| {
                 hierarchy
-                    .attribute_with_scratch(black_box(d), 1.0e6, 1, &mut scratch)
+                    .attribute_with_scratch(black_box(d), 1.0e6, &mut scratch)
                     .unwrap()
             })
         });
@@ -266,7 +217,6 @@ criterion_group!(
     benches,
     bench_exact_parallelism,
     bench_sampling_cache,
-    bench_toggle_paths,
     bench_cascade_paths,
     bench_billing_queries,
     bench_kernel_sweep,

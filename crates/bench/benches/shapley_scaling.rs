@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use fairco2_shapley::exact::exact_shapley_fast;
+use fairco2_shapley::exact::exact_shapley;
 use fairco2_shapley::game::PeakDemandGame;
 use fairco2_shapley::sampled::{sampled_shapley, SampleConfig};
 use fairco2_shapley::temporal::peak_shapley;
@@ -47,7 +47,7 @@ fn bench_exact(c: &mut Criterion) {
     for n in [8usize, 12, 16, 18] {
         let game = peak_game(n, 8, n as u64);
         group.bench_with_input(BenchmarkId::from_parameter(n), &game, |b, g| {
-            b.iter(|| exact_shapley_fast(black_box(g)).unwrap())
+            b.iter(|| exact_shapley(black_box(g)).unwrap())
         });
     }
     group.finish();

@@ -36,10 +36,10 @@ fn main() {
     let per_period = best(reps, || h.attribute_per_period(&demand, 1.0e6).unwrap());
     let fresh = best(reps, || h.attribute(&demand, 1.0e6).unwrap());
     let mut scratch = CascadeScratch::new();
-    h.attribute_with_scratch(&demand, 1.0e6, 1, &mut scratch)
+    h.attribute_with_scratch(&demand, 1.0e6, &mut scratch)
         .unwrap();
     let reuse = best(reps, || {
-        h.attribute_with_scratch(&demand, 1.0e6, 1, &mut scratch)
+        h.attribute_with_scratch(&demand, 1.0e6, &mut scratch)
             .unwrap()
     });
     let materialize = best(reps, || scratch.to_attribution());
@@ -55,9 +55,9 @@ fn main() {
     ] {
         let h = TemporalShapley::new(splits.clone());
         let mut s = CascadeScratch::new();
-        h.attribute_with_scratch(&demand, 1.0e6, 1, &mut s).unwrap();
+        h.attribute_with_scratch(&demand, 1.0e6, &mut s).unwrap();
         let t = best(reps, || {
-            h.attribute_with_scratch(&demand, 1.0e6, 1, &mut s).unwrap()
+            h.attribute_with_scratch(&demand, 1.0e6, &mut s).unwrap()
         });
         partial.push((splits, t));
     }

@@ -5,8 +5,6 @@
 //!   across player counts (bit-identity asserted on every trial);
 //! * cached versus uncached permutation sampling
 //!   (`sampled_shapley_cached`), with eval counts and cache hit rate;
-//! * the Gray-code table fill through the segment-tree toggle versus the
-//!   original dense re-scan (`ScanPeak`);
 //! * a `monte_carlo` section timing the Figure-7 demand study end to end —
 //!   the pre-streaming baseline (fresh per-trial allocations, segment-tree
 //!   fill, per-player marginal accumulation, replicated below from public
@@ -29,8 +27,7 @@
 //!   per-period sweep and the leaf carbon prefix — reporting GB/s and
 //!   elements/ns per kernel with the equality/closeness gates asserted in
 //!   the same run, plus a thread-scaling curve (1/2/4/… up to `--threads`) for
-//!   the `run_parallel`-backed paths — written to
-//!   `results/BENCH_kernels.json`;
+//!   `parallel_exact_shapley` — written to `results/BENCH_kernels.json`;
 //! * a `surrogate` section running the surrogate-accelerated attribution
 //!   benchmark (harvest → cross-fitted ridge fit → error-bounded serving
 //!   vs the streaming engine) with its determinism and accuracy gates
@@ -75,8 +72,8 @@ use fairco2_montecarlo::{
 use fairco2_serve::{demand_sample, run_load, AttributionService, LoadOptions, ServiceConfig};
 use fairco2_shapley::cascade::{BillingQuery, CascadeScratch};
 use fairco2_shapley::default_threads;
-use fairco2_shapley::exact::{exact_shapley, exact_shapley_fast, parallel_exact_shapley};
-use fairco2_shapley::game::{Game, PeakDemandGame, ScanPeak};
+use fairco2_shapley::exact::{exact_shapley, parallel_exact_shapley};
+use fairco2_shapley::game::{Game, PeakDemandGame};
 use fairco2_shapley::kernels::{
     hierarchy_bounds, level_sums_lanes, level_sums_scalar, prefix_blocked, prefix_scalar,
     CANONICAL_LANES, PREFIX_BLOCK,
@@ -97,9 +94,8 @@ struct PerfReport {
     trials: usize,
     exact: Vec<ExactRow>,
     sampling: Vec<SamplingRow>,
-    toggle: Vec<ToggleRow>,
     /// Process peak RSS (`VmHWM` from `/proc/self/status`) in KiB, when
-    /// the platform exposes it. Dominated by the largest exact table.
+    /// the platform exposes it.
     peak_rss_kib: Option<u64>,
 }
 
@@ -120,15 +116,6 @@ struct SamplingRow {
     uncached_evals: u64,
     cached_evals: u64,
     cache_hit_rate: f64,
-}
-
-#[derive(Serialize)]
-struct ToggleRow {
-    players: usize,
-    steps: usize,
-    scan_secs: f64,
-    tree_secs: f64,
-    speedup: f64,
 }
 
 /// End-to-end demand-study throughput, written to
@@ -196,8 +183,6 @@ struct TemporalReport {
     /// Flat cascade through a reused `CascadeScratch` (allocation-free
     /// steady state).
     flat_scratch_secs: f64,
-    /// Flat cascade with per-level parallel splits at `--threads`.
-    flat_parallel_secs: f64,
     /// Fresh flat call vs the per-period reference (the ≥5× target).
     speedup_fresh: f64,
     /// Scratch-reuse flat call vs the per-period reference.
@@ -237,7 +222,7 @@ struct KernelsReport {
     /// Cores the OS reports — speedup curves below are flat when this
     /// is 1 (single-CPU runners time slice the worker threads).
     available_cores: usize,
-    /// `run_parallel`-backed paths at 1/2/4/… threads up to `--threads`.
+    /// `parallel_exact_shapley` at 1/2/4/… threads up to `--threads`.
     thread_scaling: Vec<ScalingRow>,
     /// Process peak RSS (`VmHWM`) in KiB.
     peak_rss_kib: Option<u64>,
@@ -291,12 +276,9 @@ impl KernelRow {
 #[derive(Serialize)]
 struct ScalingRow {
     threads: usize,
-    /// `TemporalShapley::attribute_parallel` on the year trace.
-    attribute_secs: f64,
     /// `parallel_exact_shapley` on the scaling game.
     exact_secs: f64,
-    /// Wall-time ratios versus the 1-thread row.
-    attribute_speedup: f64,
+    /// Wall-time ratio versus the 1-thread row.
     exact_speedup: f64,
 }
 
@@ -325,53 +307,10 @@ fn assert_attributions_close(
     );
 }
 
-/// Asserts two attributions agree bit-for-bit in every observable.
-fn assert_attributions_identical(label: &str, a: &TemporalAttribution, b: &TemporalAttribution) {
-    assert_eq!(a.level_intensity().len(), b.level_intensity().len());
-    for (la, lb) in a.level_intensity().iter().zip(b.level_intensity()) {
-        for (va, vb) in la.values().iter().zip(lb.values()) {
-            assert_eq!(va.to_bits(), vb.to_bits(), "{label}: level intensity");
-        }
-    }
-    for (va, vb) in a.carbon_prefix().iter().zip(b.carbon_prefix()) {
-        assert_eq!(va.to_bits(), vb.to_bits(), "{label}: carbon prefix");
-    }
-    assert_eq!(
-        a.stranded_carbon().to_bits(),
-        b.stranded_carbon().to_bits(),
-        "{label}: stranded carbon"
-    );
-}
-
 fn peak_game(n: usize, steps: usize, seed: u64) -> PeakDemandGame {
     let mut rng = StdRng::seed_from_u64(seed);
     let demand = (0..n)
         .map(|_| (0..steps).map(|_| rng.gen_range(0.0..96.0)).collect())
-        .collect();
-    PeakDemandGame::new(demand)
-}
-
-/// Schedule-shaped demand: each workload occupies a contiguous window of
-/// `steps / 32` slices, so rows are sparse the way schedule-derived demand
-/// matrices are. The segment-tree toggle's `O(|support| · log steps)`
-/// beats the dense re-scan only under this sparsity; on fully dense rows
-/// the linear scan is competitive.
-fn windowed_peak_game(n: usize, steps: usize, seed: u64) -> PeakDemandGame {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let window = (steps / 32).max(1);
-    let demand = (0..n)
-        .map(|p| {
-            let start = p * (steps - window) / n.max(2);
-            (0..steps)
-                .map(|t| {
-                    if (start..start + window).contains(&t) {
-                        rng.gen_range(1.0..96.0)
-                    } else {
-                        0.0
-                    }
-                })
-                .collect()
-        })
         .collect();
     PeakDemandGame::new(demand)
 }
@@ -570,8 +509,7 @@ fn main() {
 
     if run("shapley") {
         let mut exact = Vec::new();
-        // `24` is `MAX_EXACT_PLAYERS`; pass `--max-n 24` to include it (its
-        // 2²⁴-entry table dominates the reported peak RSS).
+        // `24` is `MAX_EXACT_PLAYERS`; pass `--max-n 24` to include it.
         for n in [12usize, 16, 20, 24] {
             if n > max_n {
                 continue;
@@ -644,36 +582,11 @@ fn main() {
             sampling.push(row);
         }
 
-        let mut toggle = Vec::new();
-        // Steps start above `SCAN_FILL_MAX_STEPS` (64): at or below it the
-        // hybrid fill routes `PeakDemandGame` to the flat re-scan itself, so
-        // the tree-vs-scan comparison would measure two scans.
-        for steps in [128usize, 512, 4096] {
-            let n = 14.min(max_n);
-            let game = windowed_peak_game(n, steps, seed + 200 + steps as u64);
-            let scan = ScanPeak(game.clone());
-            let tree_secs = best_secs(trials, || exact_shapley_fast(&game).unwrap());
-            let scan_secs = best_secs(trials, || exact_shapley_fast(&scan).unwrap());
-            let row = ToggleRow {
-                players: n,
-                steps,
-                scan_secs,
-                tree_secs,
-                speedup: scan_secs / tree_secs,
-            };
-            println!(
-                "toggle     steps={:<4} scan {:.4}s  tree {:.4}s  ({:.2}x)",
-                row.steps, row.scan_secs, row.tree_secs, row.speedup
-            );
-            toggle.push(row);
-        }
-
         let report = PerfReport {
             threads,
             trials,
             exact,
             sampling,
-            toggle,
             peak_rss_kib: peak_rss_kib(),
         };
         if let Some(kib) = report.peak_rss_kib {
@@ -888,14 +801,9 @@ fn main() {
             .attribute_per_period(&demand, total_carbon)
             .expect("paper hierarchy divides the trace");
         // The lane canonical reassociates sums, so the flat cascade is
-        // closeness-pinned against the per-period reference, and parallel
-        // fan-out must reproduce the serial lane bits exactly.
+        // closeness-pinned against the per-period reference.
         let flat = hierarchy.attribute(&demand, total_carbon).unwrap();
         assert_attributions_close("lane flat vs per-period", &reference, &flat, 1e-9);
-        let parallel = hierarchy
-            .attribute_parallel(&demand, total_carbon, threads)
-            .unwrap();
-        assert_attributions_identical("parallel vs serial lane", &flat, &parallel);
 
         let per_period_secs = best_secs(trials, || {
             hierarchy
@@ -907,16 +815,11 @@ fn main() {
         });
         let mut scratch = CascadeScratch::new();
         hierarchy
-            .attribute_with_scratch(&demand, total_carbon, 1, &mut scratch)
+            .attribute_with_scratch(&demand, total_carbon, &mut scratch)
             .unwrap();
         let flat_scratch_secs = best_secs(trials, || {
             hierarchy
-                .attribute_with_scratch(&demand, total_carbon, 1, &mut scratch)
-                .unwrap()
-        });
-        let flat_parallel_secs = best_secs(trials, || {
-            hierarchy
-                .attribute_parallel(&demand, total_carbon, threads)
+                .attribute_with_scratch(&demand, total_carbon, &mut scratch)
                 .unwrap()
         });
 
@@ -966,7 +869,6 @@ fn main() {
             per_period_secs,
             flat_fresh_secs,
             flat_scratch_secs,
-            flat_parallel_secs,
             speedup_fresh: per_period_secs / flat_fresh_secs,
             speedup_scratch: per_period_secs / flat_scratch_secs,
             queries,
@@ -975,14 +877,13 @@ fn main() {
             peak_rss_kib: peak_rss_kib(),
         };
         println!(
-        "temporal   per-period {:.4}s  flat {:.4}s ({:.2}x)  scratch {:.4}s ({:.2}x)  parallel {:.4}s",
-        temporal.per_period_secs,
-        temporal.flat_fresh_secs,
-        temporal.speedup_fresh,
-        temporal.flat_scratch_secs,
-        temporal.speedup_scratch,
-        temporal.flat_parallel_secs
-    );
+            "temporal   per-period {:.4}s  flat {:.4}s ({:.2}x)  scratch {:.4}s ({:.2}x)",
+            temporal.per_period_secs,
+            temporal.flat_fresh_secs,
+            temporal.speedup_fresh,
+            temporal.flat_scratch_secs,
+            temporal.speedup_scratch
+        );
         println!(
             "temporal   {} queries in {:.4}s = {:.2}M queries/s; {} series clones avoided per call",
             temporal.queries,
@@ -1107,40 +1008,32 @@ fn main() {
             },
         );
 
-        // Thread-scaling curve for the run_parallel-backed paths, every
-        // point asserted bit-identical to the serial result first.
+        // Thread-scaling curve for the parallel exact solver, every point
+        // asserted bit-identical to the serial result first.
         let available_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let scaling_game = peak_game(scaling_players, 8, seed + 600);
-        let attr_reference = hierarchy.attribute(&demand, 1.0e6).unwrap();
         let exact_reference = exact_shapley(&scaling_game).unwrap();
         let mut scaling_raw = Vec::new();
         let mut t = 1usize;
         loop {
-            let attribution = hierarchy.attribute_parallel(&demand, 1.0e6, t).unwrap();
-            assert_attributions_identical("thread scaling", &attr_reference, &attribution);
             let phi = parallel_exact_shapley(&scaling_game, t).unwrap();
             for (a, b) in phi.iter().zip(&exact_reference) {
-                assert_eq!(a.to_bits(), b.to_bits(), "thread scaling: exact table");
+                assert_eq!(a.to_bits(), b.to_bits(), "thread scaling: exact solve");
             }
-            let attribute_secs = best_secs(trials, || {
-                hierarchy.attribute_parallel(&demand, 1.0e6, t).unwrap()
-            });
             let exact_secs =
                 best_secs(trials, || parallel_exact_shapley(&scaling_game, t).unwrap());
-            scaling_raw.push((t, attribute_secs, exact_secs));
+            scaling_raw.push((t, exact_secs));
             if t >= threads {
                 break;
             }
             t = (t * 2).min(threads);
         }
-        let (_, attr_base, exact_base) = scaling_raw[0];
+        let (_, exact_base) = scaling_raw[0];
         let thread_scaling: Vec<ScalingRow> = scaling_raw
             .iter()
-            .map(|&(threads, attribute_secs, exact_secs)| ScalingRow {
+            .map(|&(threads, exact_secs)| ScalingRow {
                 threads,
-                attribute_secs,
                 exact_secs,
-                attribute_speedup: attr_base / attribute_secs,
                 exact_speedup: exact_base / exact_secs,
             })
             .collect();
@@ -1175,10 +1068,8 @@ fn main() {
         }
         for row in &thread_scaling {
             println!(
-                "kernels    threads={:<2} attribute {:>9.2} µs ({:.2}x)  exact n={} {:>9.2} µs ({:.2}x)",
+                "kernels    threads={:<2} exact n={} {:>9.2} µs ({:.2}x)",
                 row.threads,
-                row.attribute_secs * 1.0e6,
-                row.attribute_speedup,
                 scaling_players,
                 row.exact_secs * 1.0e6,
                 row.exact_speedup

@@ -9,9 +9,9 @@
 //! bit-identical to the serial
 //! [`DemandStudySummary::from_trials`] fold at any thread count.
 //!
-//! Memory stays `O(threads)`: one scratch arena per worker (the 32 MiB
-//! exact-solver table dominates), plus a reorder buffer that holds only
-//! the batch accumulators that arrived ahead of order.
+//! Memory stays `O(threads)`: one scratch arena per worker, plus a
+//! reorder buffer that holds only the batch accumulators that arrived
+//! ahead of order.
 //!
 //! # Fault containment and resume
 //!

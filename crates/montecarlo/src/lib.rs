@@ -23,10 +23,9 @@
 //! Full-scale runs go through the streaming study engine instead of
 //! collecting trials:
 //!
-//! * [`scratch`] — per-worker [`TrialScratch`] arenas (exact-solver
-//!   coalition table, share vectors, generation buffers), so a
-//!   10,000-trial run performs `O(threads)` large allocations rather than
-//!   `O(trials)`;
+//! * [`scratch`] — per-worker [`TrialScratch`] arenas (exact-solver φ
+//!   buffer, share vectors, generation buffers), so a 10,000-trial run
+//!   allocates `O(threads)` times rather than `O(trials)`;
 //! * [`streaming`] — constant-memory summary accumulators (Welford
 //!   moments, worst-case maxima, deviation histograms for the CDF
 //!   figures) merged batch-by-batch in a fixed order;

@@ -93,7 +93,7 @@ impl DemandStudy {
     }
 
     /// [`run_trial`](Self::run_trial) through a per-worker arena: the
-    /// exact-solver coalition table, the share vectors, and the generation
+    /// exact-solver φ buffer, the share vectors, and the generation
     /// buffers all live in `scratch` and are reused across calls.
     /// Bit-identical to [`run_trial`](Self::run_trial).
     ///

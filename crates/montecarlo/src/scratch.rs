@@ -1,12 +1,12 @@
 //! Per-worker trial scratch arenas.
 //!
-//! A demand trial at the paper's scale solves an exact Shapley game of up
-//! to 22 players — a 2²²-entry (32 MiB) coalition table. Allocating (and
-//! page-faulting) that table per trial dominates a 10,000-trial study, so
-//! the streaming engine gives every worker thread one [`TrialScratch`]
-//! that owns the table plus every other per-trial buffer: share vectors,
-//! schedule-generation buffers, and the colocation sampling pool. A study
-//! then performs `O(threads)` large allocations instead of `O(trials)`.
+//! Every trial needs the same handful of buffers: the exact solver's φ
+//! vector, share vectors, schedule-generation buffers, and the
+//! colocation sampling pool. The streaming engine gives every worker
+//! thread one [`TrialScratch`] that owns them all, so a study allocates
+//! `O(threads)` times instead of `O(trials)`. (The exact solver itself
+//! holds no coalition table: it fills and scatters one 256-mask block at
+//! a time on the stack.)
 
 use fairco2_shapley::exact::{ExactScratch, MAX_EXACT_PLAYERS};
 use fairco2_workloads::history::InterferenceProfile;
@@ -24,8 +24,7 @@ use crate::schedules::DemandStudy;
 /// [`run_trial`](crate::schedules::DemandStudy::run_trial) paths.
 #[derive(Debug, Default)]
 pub struct TrialScratch {
-    /// Exact-solver arena (coalition table + φ buffers) for the demand
-    /// ground truth.
+    /// Exact-solver φ buffer for the demand ground truth.
     pub(crate) exact: ExactScratch,
     /// Ground-truth share vector.
     pub(crate) truth: Vec<f64>,
@@ -56,8 +55,8 @@ impl TrialScratch {
         Self::default()
     }
 
-    /// A scratch pre-grown for the demand study: the exact-solver table is
-    /// sized to the study's `max_workloads` cap up front, so the worker
+    /// A scratch pre-grown for the demand study: the exact-solver φ buffer
+    /// is sized to the study's `max_workloads` cap up front, so the worker
     /// never reallocates it mid-run.
     pub fn for_demand(study: &DemandStudy) -> Self {
         let players = study.max_workloads.clamp(1, MAX_EXACT_PLAYERS);
@@ -73,7 +72,6 @@ impl TrialScratch {
             trials: self.trials,
             table_grows: self.exact.grows(),
             table_reuses: self.exact.reuses(),
-            table_bytes: self.exact.table_bytes() as u64,
         }
     }
 }
@@ -115,12 +113,11 @@ impl EngineScratch for NoScratch {}
 pub struct ScratchStats {
     /// Trials executed.
     pub trials: u64,
-    /// Exact-table (re)allocations — `O(threads)` for a healthy run.
+    /// Exact-solver scratch (re)allocations — `O(threads)` for a healthy
+    /// run.
     pub table_grows: u64,
-    /// Exact solves served from an already-sized table.
+    /// Exact solves served from an already-sized scratch.
     pub table_reuses: u64,
-    /// Coalition-table bytes held (summed across workers when merged).
-    pub table_bytes: u64,
 }
 
 impl ScratchStats {
@@ -129,7 +126,6 @@ impl ScratchStats {
         self.trials += other.trials;
         self.table_grows += other.table_grows;
         self.table_reuses += other.table_reuses;
-        self.table_bytes += other.table_bytes;
     }
 }
 
@@ -147,7 +143,7 @@ mod tests {
         let stats = scratch.stats();
         assert_eq!(stats.table_grows, 1);
         assert_eq!(stats.table_reuses, 0);
-        assert_eq!(stats.table_bytes, (1u64 << 10) * 8);
+        assert_eq!(scratch.exact.reserved_players(), 10);
     }
 
     #[test]
@@ -157,7 +153,7 @@ mod tests {
             ..DemandStudy::default()
         };
         let scratch = TrialScratch::for_demand(&study);
-        assert_eq!(scratch.stats().table_bytes, (1u64 << MAX_EXACT_PLAYERS) * 8);
+        assert_eq!(scratch.exact.reserved_players(), MAX_EXACT_PLAYERS);
     }
 
     #[test]
@@ -166,18 +162,15 @@ mod tests {
             trials: 3,
             table_grows: 1,
             table_reuses: 2,
-            table_bytes: 100,
         };
         let b = ScratchStats {
             trials: 4,
             table_grows: 1,
             table_reuses: 3,
-            table_bytes: 200,
         };
         a.merge(&b);
         assert_eq!(a.trials, 7);
         assert_eq!(a.table_grows, 2);
         assert_eq!(a.table_reuses, 5);
-        assert_eq!(a.table_bytes, 300);
     }
 }

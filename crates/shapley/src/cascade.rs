@@ -2,13 +2,12 @@
 //!
 //! [`TemporalShapley::attribute`](crate::temporal::TemporalShapley::attribute)
 //! originally materialized every hierarchy period as an owned
-//! [`TimeSeries`](fairco2_trace::TimeSeries): each level cloned the whole
-//! demand buffer into per-period series, rescanned every period for its
-//! peak and its integral, and allocated a fresh per-sample intensity
-//! vector — `O(samples · levels)` copies and ~`Σ periods` heap
-//! allocations per call. This module replaces that pipeline with a flat
-//! engine in which a *period is an index range* over the one shared
-//! demand slice:
+//! [`TimeSeries`]: each level cloned the whole demand buffer into
+//! per-period series, rescanned every period for its peak and its
+//! integral, and allocated a fresh per-sample intensity vector —
+//! `O(samples · levels)` copies and ~`Σ periods` heap allocations per
+//! call. This module replaces that pipeline with a flat engine in which
+//! a *period is an index range* over the one shared demand slice:
 //!
 //! * **Period bounds** are plain `usize` offsets, derived level by level
 //!   with the same remainder rule as
@@ -48,11 +47,6 @@
 //!   buffers live in a [`CascadeScratch`]; a repeated
 //!   [`attribute_with_scratch`](crate::temporal::TemporalShapley::attribute_with_scratch)
 //!   call on same-shaped inputs performs no heap allocation.
-//! * **Parallel levels**: with `threads > 1` each level fans its parent
-//!   periods out over [`run_parallel`](crate::parallel::run_parallel)
-//!   and merges the per-parent child shares in strict parent order, so
-//!   the result is bit-identical to the serial path — and to the old
-//!   per-period path — at any thread count.
 //!
 //! The billing-query side lives here too: [`IntensityIndex`] wraps the
 //! leaf carbon prefix sums and answers `(t0, t1, allocation)` queries in
@@ -62,7 +56,6 @@
 
 use fairco2_trace::series::{SeriesError, TimeSeries};
 
-use crate::parallel::run_parallel;
 use crate::temporal::peak_shapley_into;
 
 /// A sparse table answering `max(values[lo..hi])` in `O(1)` after an
@@ -199,11 +192,6 @@ pub struct CascadeScratch {
     ops: u64,
 }
 
-/// Per-parent output of a parallel level step: the children's carbon
-/// shares, in child order. Sums are recomputed identically on merge, so
-/// only the shares cross the thread boundary.
-type ParentShares = Vec<f64>;
-
 impl CascadeScratch {
     /// An empty scratch; buffers are sized on first use.
     pub fn new() -> Self {
@@ -324,11 +312,11 @@ fn ensure_levels<T: Default>(buffers: &mut Vec<T>, levels: usize) {
 pub const CANONICAL_LANES: usize = 4;
 
 /// Block length of the blocked two-level prefix
-/// ([`fill_prefix_blocked`]). Part of the canonical reduction: the
-/// serial `acc += intensity · step` chain restarts at every multiple of
-/// this constant, and the inter-block carry is itself a serial sum of
-/// block totals. For signals no longer than one block the result is
-/// bit-identical to the scalar chain.
+/// ([`prefix_blocked`](crate::kernels::prefix_blocked)). Part of the
+/// canonical reduction: the serial `acc += intensity · step` chain
+/// restarts at every multiple of this constant, and the inter-block
+/// carry is itself a serial sum of block totals. For signals no longer
+/// than one block the result is bit-identical to the scalar chain.
 ///
 /// Like [`CANONICAL_LANES`], this is a *semantic* constant. Blocks are
 /// deliberately short: the whole local chain of one block fits inside
@@ -703,10 +691,9 @@ pub(crate) fn fill_prefix_blocked_sized<const B: usize>(
     }
 }
 
-/// Runs the flat cascade for `splits` over `demand`, filling `scratch`.
-/// `threads > 1` fans each level's parents out over [`run_parallel`]
-/// with an in-order merge; the result is bit-identical at any thread
-/// count, and to the streaming engine's canonical lane reduction.
+/// Runs the flat cascade for `splits` over `demand`, filling `scratch`;
+/// the result is bit-identical to the streaming engine's canonical lane
+/// reduction.
 ///
 /// # Errors
 ///
@@ -716,7 +703,6 @@ pub(crate) fn run_cascade(
     splits: &[usize],
     demand: &TimeSeries,
     total_carbon: f64,
-    threads: usize,
     scratch: &mut CascadeScratch,
 ) -> Result<(), SeriesError> {
     let samples = demand.len();
@@ -811,46 +797,18 @@ pub(crate) fn run_cascade(
         } else {
             &scratch.level_peaks[level + 1]
         };
-        if threads > 1 && parents > 1 {
-            // Parents are independent; fan them out and merge the child
-            // shares in strict parent order. Each worker computes with
-            // the same per-parent arithmetic as the serial loop, so the
-            // merge is bit-identical at any thread count.
-            let shares: Vec<ParentShares> = run_parallel(parents, threads, |p| {
-                let mut phi = Vec::with_capacity(m);
-                let mut order = Vec::with_capacity(m);
-                let mut weights = Vec::with_capacity(m);
-                let mut out = Vec::with_capacity(m);
-                split_parent(
-                    &child_bounds[p * m..(p + 1) * m + 1],
-                    &child_q[p * m..(p + 1) * m],
-                    &child_peaks[p * m..(p + 1) * m],
-                    parent_carbon[p],
-                    step,
-                    &mut phi,
-                    &mut order,
-                    &mut weights,
-                    &mut out,
-                );
-                out
-            });
-            for parent_shares in &shares {
-                child_carbon.extend_from_slice(parent_shares);
-            }
-        } else {
-            for p in 0..parents {
-                split_parent(
-                    &child_bounds[p * m..(p + 1) * m + 1],
-                    &child_q[p * m..(p + 1) * m],
-                    &child_peaks[p * m..(p + 1) * m],
-                    parent_carbon[p],
-                    step,
-                    &mut scratch.phi,
-                    &mut scratch.order,
-                    &mut scratch.weights,
-                    child_carbon,
-                );
-            }
+        for p in 0..parents {
+            split_parent(
+                &child_bounds[p * m..(p + 1) * m + 1],
+                &child_q[p * m..(p + 1) * m],
+                &child_peaks[p * m..(p + 1) * m],
+                parent_carbon[p],
+                step,
+                &mut scratch.phi,
+                &mut scratch.order,
+                &mut scratch.weights,
+                child_carbon,
+            );
         }
 
         let mut level_stranded = 0.0;

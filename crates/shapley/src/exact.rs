@@ -6,40 +6,36 @@
 //! `Θ(2ⁿ)` coalition evaluations plus `Θ(n·2ⁿ)` accumulation steps, which
 //! is why the paper caps its demand scenarios at 22 workloads — and why
 //! Fair-CO₂ exists.
+//!
+//! Every solver here runs one block routine. The `2ⁿ` coalitions are cut
+//! into fixed, aligned [`FILL_BLOCK_MASKS`] blocks; each block is filled
+//! through [`Game::fill_values`] into a 256-value stack buffer and at
+//! once scattered into its own φ partial and correction term; the
+//! partials are folded in ascending block order. No solver holds a `2ⁿ`
+//! value table, and since neither the blocks nor the fold order depend on
+//! the thread count, the serial and parallel solvers agree bit for bit.
 
 use std::fmt;
 
 use crate::game::Game;
-use crate::maxtree::MaxTree;
 use crate::parallel::run_parallel;
 
-/// Hard cap on exact enumeration: `2²⁴` values ≈ 128 MiB of table.
-///
-/// Peak memory at the cap is the value table plus allocator slack and
-/// nothing else: measured peak RSS (`VmHWM` from `/proc/self/status`) of
-/// a 24-player run on the CI container is 130.0 MiB for `exact_shapley`
-/// and 134.2 MiB for `parallel_exact_shapley` — [`shapley_from_table`]
-/// streams the table in cache-friendly blocks rather than materializing
-/// any per-player copy, and the parallel fill writes the single table in
-/// place instead of assembling per-chunk buffers. Reproduce with
-/// `perf_report --max-n 24`, which records the same counter.
+/// Hard cap on exact enumeration. The cap is on time, not memory: a solve
+/// holds one block buffer and, on the parallel path, one small φ partial
+/// per block, while serial time doubles with every player. A 9-slice
+/// peak-demand game took 0.13–0.18 s serially at 22 players and 0.43 s
+/// at 24 on a 2-core shared host.
 pub const MAX_EXACT_PLAYERS: usize = 24;
 
-/// Masks per block when streaming the value table. Blocks are the unit
-/// of both cache blocking (`2¹⁶` masks = 512 KiB of table, so a block's
-/// φ scatter stays in L2) and of the parallel accumulation fan-out; the
-/// per-block partials are merged in ascending block order, which is what
-/// keeps [`parallel_exact_shapley`] bit-identical to the serial solver.
-const TABLE_BLOCK_MASKS: u64 = 1 << 16;
-
-/// Masks per [`Game::fill_values`] call when filling the value table.
-/// Blocks are aligned and fixed, so their boundaries never depend on the
-/// thread count: serial and parallel fills make the same calls, and a
-/// game whose fill chains work within a block (the LP game warm-starts
-/// each coalition from its parent) gives both solvers the same table.
-/// Small enough that an 11-player table splits into 8 blocks for the
-/// workers; large enough that the LP game's one cold solve per block is a
-/// small share of the block's warm solves.
+/// Masks per [`Game::fill_values`] call, and per φ partial. Blocks are
+/// aligned and fixed, so their boundaries never depend on the thread
+/// count: serial and parallel solvers make the same calls and fold the
+/// same partials, and a game whose fill chains work within a block (the
+/// peak-demand game's Gray walk, the LP game's warm starts) gives both
+/// the same values. Small enough that an 11-player game splits into 8
+/// blocks for the workers and a block's values fit on the stack; large
+/// enough that a block's setup (the LP game's one cold solve, the
+/// peak-demand game's high-bit toggles) is a small share of its work.
 pub const FILL_BLOCK_MASKS: u64 = 1 << 8;
 
 /// Error from the exact solver.
@@ -69,25 +65,9 @@ impl fmt::Display for ExactError {
 
 impl std::error::Error for ExactError {}
 
-/// A game whose coalition value can be updated as single players are
-/// *toggled* in or out, letting the exact solver fill its `2ⁿ` value table
-/// in Gray-code order with `O(toggle)` work per coalition instead of a
-/// full characteristic-function evaluation.
-pub trait DeltaGame: Game {
-    /// Mutable evaluation state of the current coalition.
-    type State;
-
-    /// State of the empty coalition.
-    fn initial_state(&self) -> Self::State;
-
-    /// Adds `player` if absent or removes it if present, returning the
-    /// value of the updated coalition.
-    fn toggle(&self, state: &mut Self::State, player: usize) -> f64;
-}
-
 /// Computes exact Shapley values by evaluating the characteristic
-/// function on all `2ⁿ` coalitions, filling the value table through
-/// [`Game::fill_values`] one [`FILL_BLOCK_MASKS`] block at a time.
+/// function on all `2ⁿ` coalitions, one [`FILL_BLOCK_MASKS`] block of
+/// [`Game::fill_values`] at a time.
 ///
 /// # Example
 ///
@@ -109,26 +89,15 @@ pub trait DeltaGame: Game {
 /// Returns [`ExactError::TooManyPlayers`] beyond [`MAX_EXACT_PLAYERS`]
 /// players and [`ExactError::NoPlayers`] for an empty game.
 pub fn exact_shapley<G: Game>(game: &G) -> Result<Vec<f64>, ExactError> {
-    let n = check_size(game)?;
-    let mut table = vec![0.0f64; 1 << n];
-    fill_blocks(game, 0, &mut table);
-    Ok(shapley_from_table(n, &table))
+    exact_shapley_fast_with_scratch(game, &mut ExactScratch::new()).map(<[f64]>::to_vec)
 }
 
-/// [`exact_shapley`] with both phases fanned out across worker threads:
-/// each worker fills a disjoint run of whole [`FILL_BLOCK_MASKS`] blocks
-/// of the final table in place, and the `Θ(n·2ⁿ)` accumulation is
-/// chunked per block through [`run_parallel`].
-///
-/// Each table entry is a pure function of its mask and its fixed fill
-/// block — never of the thread count or of which worker filled it — so
-/// the result is **bit-identical** to [`exact_shapley`] at any thread
-/// count, for every game. For the default [`Game::fill_values`] the entry
-/// is `value()` of its mask; for the LP game's warm-chained fill it equals
-/// `value()` bitwise on exact-dyadic instances. Filling in place also
-/// means the table is allocated exactly once; assembling per-chunk
-/// buffers would transiently double peak memory at the
-/// [`MAX_EXACT_PLAYERS`] cap.
+/// [`exact_shapley`] with the blocks fanned out across worker threads
+/// through [`run_parallel`]: each worker fills and scatters a contiguous
+/// run of blocks, and the returned partials are folded in ascending block
+/// order exactly as the serial solver folds them. The result is therefore
+/// **bit-identical** to [`exact_shapley`] at any thread count, for every
+/// game whose [`Game::fill_values`] is a pure function of its range.
 ///
 /// `threads = 0` is clamped to one worker.
 ///
@@ -140,63 +109,30 @@ where
     G: Game + Sync,
 {
     let n = check_size(game)?;
-    let size = 1usize << n;
-    let threads = threads.max(1);
-    let mut table = vec![0.0f64; size];
-    let block = FILL_BLOCK_MASKS as usize;
-    let chunk_len = size.div_ceil(block).div_ceil(threads) * block;
-    std::thread::scope(|scope| {
-        for (worker, chunk) in table.chunks_mut(chunk_len).enumerate() {
-            scope.spawn(move || fill_blocks(game, (worker * chunk_len) as u64, chunk));
-        }
+    let scatter = Scatter::new(n);
+    let partials = run_parallel(scatter.blocks as usize, threads, |b| {
+        scatter.block(b as u64, |first, out| game.fill_values(first, out))
     });
-    Ok(parallel_shapley_from_table(n, &table, threads))
+    let mut phi = vec![0.0f64; n];
+    fold_partials(&mut phi, partials);
+    Ok(phi)
 }
 
-/// Fills `table[i]` with the value of mask `first_mask + i` through one
-/// [`Game::fill_values`] call per [`FILL_BLOCK_MASKS`] block;
-/// `first_mask` must be block-aligned.
-fn fill_blocks<G: Game>(game: &G, first_mask: u64, table: &mut [f64]) {
-    debug_assert!(first_mask.is_multiple_of(FILL_BLOCK_MASKS));
-    for (b, block) in table.chunks_mut(FILL_BLOCK_MASKS as usize).enumerate() {
-        game.fill_values(first_mask + b as u64 * FILL_BLOCK_MASKS, block);
-    }
-}
-
-/// Computes exact Shapley values using Gray-code toggling, avoiding a full
-/// characteristic-function evaluation per coalition. Produces identical
-/// results to [`exact_shapley`] up to floating-point accumulation order.
+/// Reusable φ buffer for the exact solver.
 ///
-/// # Errors
-///
-/// Same conditions as [`exact_shapley`].
-pub fn exact_shapley_fast<G: DeltaGame>(game: &G) -> Result<Vec<f64>, ExactError> {
-    let mut scratch = ExactScratch::new();
-    exact_shapley_fast_with_scratch(game, &mut scratch).map(<[f64]>::to_vec)
-}
-
-/// Reusable buffers for the Gray-code exact solver: the `2ⁿ` value table
-/// plus the φ and weight vectors.
-///
-/// A Monte Carlo study calling the exact solver once per trial spends a
-/// large share of its time allocating, page-faulting, and freeing a fresh
-/// table (32 MiB at the paper's 22-workload cap) every trial. A scratch
-/// grown once to the study's player cap
-/// ([`reserve_players`](Self::reserve_players)) turns that into O(workers)
-/// large allocations per study: the Gray-code walk rewrites every entry it
-/// reads, so reuse needs no clearing beyond re-seeding the empty-coalition
-/// slot.
+/// A Monte Carlo study calling the exact solver once per trial keeps one
+/// scratch per worker, grown once to the study's player cap
+/// ([`reserve_players`](Self::reserve_players)), so the solve allocates
+/// nothing; the counters report how often a call had to grow it.
 #[derive(Debug, Default)]
 pub struct ExactScratch {
-    table: Vec<f64>,
     phi: Vec<f64>,
-    weights: Vec<f64>,
     grows: u64,
     reuses: u64,
 }
 
 impl ExactScratch {
-    /// An empty scratch; buffers grow on first use.
+    /// An empty scratch; the buffer grows on first use.
     pub fn new() -> Self {
         Self::default()
     }
@@ -212,8 +148,8 @@ impl ExactScratch {
         scratch
     }
 
-    /// Grows the buffers to hold a `players`-player solve, counting one
-    /// growth if any buffer actually grew. Never shrinks.
+    /// Grows the buffer to hold a `players`-player solve, counting one
+    /// growth if it actually grew. Never shrinks.
     ///
     /// # Panics
     ///
@@ -223,21 +159,19 @@ impl ExactScratch {
             players <= MAX_EXACT_PLAYERS,
             "{players} players exceed the exact-enumeration cap of {MAX_EXACT_PLAYERS}"
         );
-        let size = 1usize << players;
-        if self.table.len() < size || self.phi.len() < players {
-            self.grows += 1;
-        }
-        if self.table.len() < size {
-            self.table.resize(size, 0.0);
-        }
         if self.phi.len() < players {
+            self.grows += 1;
             self.phi.resize(players, 0.0);
-            self.weights.resize(players, 0.0);
         }
     }
 
+    /// Largest player count the scratch can solve without growing.
+    pub fn reserved_players(&self) -> usize {
+        self.phi.len()
+    }
+
     /// Number of solver calls (or explicit reservations) that had to grow
-    /// a buffer.
+    /// the buffer.
     pub fn grows(&self) -> u64 {
         self.grows
     }
@@ -246,50 +180,29 @@ impl ExactScratch {
     pub fn reuses(&self) -> u64 {
         self.reuses
     }
-
-    /// Bytes currently held by the coalition value table.
-    pub fn table_bytes(&self) -> usize {
-        self.table.len() * std::mem::size_of::<f64>()
-    }
 }
 
-/// [`exact_shapley_fast`] writing through a reusable [`ExactScratch`]:
-/// bit-identical results, but the value table, φ, and weight buffers are
-/// reused across calls instead of reallocated. Returns the φ values as a
-/// slice into the scratch (valid until the next call).
+/// [`exact_shapley`] writing through a reusable [`ExactScratch`]:
+/// bit-identical results, but the φ buffer is reused across calls instead
+/// of reallocated. Returns the φ values as a slice into the scratch
+/// (valid until the next call).
 ///
 /// # Errors
 ///
 /// Same conditions as [`exact_shapley`].
-pub fn exact_shapley_fast_with_scratch<'a, G: DeltaGame>(
+pub fn exact_shapley_fast_with_scratch<'a, G: Game>(
     game: &G,
     scratch: &'a mut ExactScratch,
 ) -> Result<&'a [f64], ExactError> {
     let n = check_size(game)?;
-    let size = 1usize << n;
-    if scratch.table.len() >= size && scratch.phi.len() >= n {
+    if scratch.phi.len() >= n {
         scratch.reuses += 1;
     } else {
         scratch.reserve_players(n);
     }
-    let table = &mut scratch.table[..size];
-    // Every entry except the empty coalition is rewritten by the Gray
-    // walk below; slot 0 must be re-seeded because a previous (larger)
-    // solve may have left a stale value there.
-    table[0] = 0.0;
-    let mut state = game.initial_state();
-    // Walk coalitions in Gray-code order: consecutive codes differ in
-    // exactly one bit, so one toggle per step fills the whole table.
-    let mut prev_gray = 0u64;
-    for k in 1..size as u64 {
-        let gray = k ^ (k >> 1);
-        let flipped = (gray ^ prev_gray).trailing_zeros() as usize;
-        let v = game.toggle(&mut state, flipped);
-        table[gray as usize] = v;
-        prev_gray = gray;
-    }
-    shapley_from_table_into(n, table, &mut scratch.weights[..n], &mut scratch.phi[..n]);
-    Ok(&scratch.phi[..n])
+    let phi = &mut scratch.phi[..n];
+    serial_blocks(phi, |first, out| game.fill_values(first, out));
+    Ok(phi)
 }
 
 fn check_size<G: Game>(game: &G) -> Result<usize, ExactError> {
@@ -306,129 +219,10 @@ fn check_size<G: Game>(game: &G) -> Result<usize, ExactError> {
     Ok(n)
 }
 
-/// Step-count threshold below which the peak-demand toggle state keeps a
-/// flat per-step sum array re-scanned in full, instead of a [`MaxTree`].
-/// At the paper's 4–9 time slices a branch-free scan over ≤ 64 contiguous
-/// `f64`s beats the tree's pointer-arithmetic update path by ~4× on the
-/// `2ⁿ`-toggle fill; the tree still wins asymptotically, so long horizons
-/// keep it.
-const SCAN_FILL_MAX_STEPS: usize = 64;
-
-/// Toggle state of [`PeakDemandGame`](crate::game::PeakDemandGame):
-/// per-time-step coalition sums, kept flat or in a [`MaxTree`] depending
-/// on the horizon (see [`SCAN_FILL_MAX_STEPS`]). Both variants apply the
-/// same per-step additions and report the same maximum over the same
-/// sums — `max` selects an existing value and never rounds — so the
-/// choice never changes a value bit.
-#[derive(Debug)]
-pub enum PeakFill {
-    /// Flat sums plus the running peak, maintained incrementally: a
-    /// toggle compares the touched slots against the stored peak and only
-    /// re-scans the array when it lowered a slot that held the peak.
-    Scan {
-        /// Per-time-step coalition sums.
-        sums: Vec<f64>,
-        /// `max(0, sums)` of the current coalition.
-        peak: f64,
-    },
-    /// Segment-tree sums, peak read off the root.
-    Tree(MaxTree),
-}
-
-impl DeltaGame for crate::game::PeakDemandGame {
-    /// Per-time-step sums (flat or tree, per [`PeakFill`]) plus explicit
-    /// membership flags; a toggle applies the player's sparse support and
-    /// returns the updated peak.
-    type State = (PeakFill, Vec<bool>);
-
-    fn initial_state(&self) -> Self::State {
-        let sums = if self.steps() <= SCAN_FILL_MAX_STEPS {
-            PeakFill::Scan {
-                sums: vec![0.0; self.steps()],
-                peak: 0.0,
-            }
-        } else {
-            PeakFill::Tree(MaxTree::new(self.steps()))
-        };
-        (sums, vec![false; self.player_count()])
-    }
-
-    fn toggle(&self, (fill, members): &mut Self::State, player: usize) -> f64 {
-        let sign = if members[player] { -1.0 } else { 1.0 };
-        members[player] = !members[player];
-        match fill {
-            PeakFill::Scan { sums, peak } => {
-                let mut before = f64::NEG_INFINITY;
-                let mut after = f64::NEG_INFINITY;
-                for &(t, d) in self.support(player) {
-                    let s = &mut sums[t as usize];
-                    before = before.max(*s);
-                    *s += sign * d;
-                    after = after.max(*s);
-                }
-                // Exact case split on where the old peak lived:
-                // * `before < peak` — the peak is at an untouched slot, so
-                //   it still caps them and only `after` can beat it;
-                // * `after >= peak` — a touched slot now holds (at least)
-                //   the old peak, which already capped every other slot;
-                // * otherwise a slot holding the peak was lowered below
-                //   it, and only a full scan knows the new peak.
-                *peak = if before < *peak {
-                    peak.max(after)
-                } else if after >= *peak {
-                    after
-                } else {
-                    sums.iter().copied().fold(0.0, f64::max)
-                };
-                *peak
-            }
-            PeakFill::Tree(sums) => {
-                for &(t, d) in self.support(player) {
-                    sums.add(t as usize, sign * d);
-                }
-                sums.max()
-            }
-        }
-    }
-}
-
-impl DeltaGame for crate::game::ScanPeak {
-    /// The original dense layout: per-time-step sums plus membership
-    /// flags, re-scanned in full after every toggle. Reference path for
-    /// the equality pins and the `toggle` bench.
-    type State = (Vec<f64>, Vec<bool>);
-
-    fn initial_state(&self) -> Self::State {
-        (vec![0.0; self.0.steps()], vec![false; self.player_count()])
-    }
-
-    fn toggle(&self, (sums, members): &mut Self::State, player: usize) -> f64 {
-        let sign = if members[player] { -1.0 } else { 1.0 };
-        members[player] = !members[player];
-        for (s, d) in sums.iter_mut().zip(&self.0.demand()[player]) {
-            *s += sign * d;
-        }
-        sums.iter().copied().fold(0.0, f64::max)
-    }
-}
-
-impl DeltaGame for crate::game::TableGame {
-    /// The membership bitmask itself — a toggle is one XOR and a table
-    /// load.
-    type State = u64;
-
-    fn initial_state(&self) -> Self::State {
-        0
-    }
-
-    fn toggle(&self, mask: &mut Self::State, player: usize) -> f64 {
-        *mask ^= 1u64 << player;
-        self.lookup(*mask)
-    }
-}
-
 /// Shapley accumulation over a complete value table (`table[mask]` =
-/// value of coalition `mask`).
+/// value of coalition `mask`), running the solvers' block routine over
+/// the caller's table: [`exact_shapley`] of a game whose
+/// [`Game::fill_values`] returns the same values gives the same bits.
 ///
 /// Rather than the textbook per-player marginal loop (`n·2ⁿ` iterations,
 /// each loading two table entries — one of them a `2ⁱ`-stride partner),
@@ -438,153 +232,119 @@ impl DeltaGame for crate::game::TableGame {
 /// φᵢ = Σ_{T∋i} (w[|T|−1] + w[|T|])·v(T)  −  Σ_T w[|T|]·v(T)
 /// ```
 ///
-/// with `w[n] ≔ 0`: one ascending pass over the table, each value loaded
-/// exactly once and scattered to the φ slots of the coalition's members
-/// (`popcount` adds per mask, `n·2ⁿ⁻¹` total — half the marginal loop's
-/// work), and the player-independent correction `Σ w[|T|]·v(T)`
-/// subtracted once at the end. The pass is split into
-/// [`TABLE_BLOCK_MASKS`]-sized blocks, each one serial chain per φ slot,
-/// whose partial φ vectors are merged in ascending block order; the parallel
-/// accumulation distributes the same blocks and merges identically, so
-/// both are bit-identical at any thread count.
+/// with `w[n] ≔ 0`: each value is loaded once and scattered to the φ
+/// slots of the coalition's members (`popcount` adds per mask, `n·2ⁿ⁻¹`
+/// total — half the marginal loop's work), and the player-independent
+/// correction `Σ w[|T|]·v(T)` is subtracted once at the end.
+///
+/// # Panics
+///
+/// Panics if `table` holds fewer than `2ⁿ` values or `n` exceeds
+/// [`MAX_EXACT_PLAYERS`].
 pub fn shapley_from_table(n: usize, table: &[f64]) -> Vec<f64> {
     let mut phi = vec![0.0f64; n];
-    let mut weights = vec![0.0f64; n];
-    shapley_from_table_into(n, table, &mut weights, &mut phi);
+    serial_blocks(&mut phi, |first, out| {
+        out.copy_from_slice(&table[first as usize..][..out.len()]);
+    });
     phi
 }
 
-/// [`shapley_from_table`] writing into caller-owned `weights` and `phi`
-/// buffers (both of length `n`) — the allocation-free core shared with
-/// [`exact_shapley_fast_with_scratch`].
-fn shapley_from_table_into(n: usize, table: &[f64], weights: &mut [f64], phi: &mut [f64]) {
-    subset_weights_into(n, weights);
-    let (wc, coeff) = scatter_coefficients(n, weights);
+/// The serial block routine for a `phi.len()`-player game: fills each
+/// block through `fill`, scatters it, and folds each partial into `phi`
+/// as it is made.
+fn serial_blocks(phi: &mut [f64], fill: impl Fn(u64, &mut [f64])) {
+    let scatter = Scatter::new(phi.len());
+    fold_partials(phi, (0..scatter.blocks).map(|b| scatter.block(b, &fill)));
+}
+
+/// One block's scatter: its φ partial (the first `n` slots) and its
+/// correction-term contribution.
+type Partial = ([f64; MAX_EXACT_PLAYERS], f64);
+
+/// Folds the block partials in the order given into `phi` and subtracts
+/// the summed correction. Every solver passes the partials in ascending
+/// block order, which is what makes their results bit-identical.
+fn fold_partials(phi: &mut [f64], partials: impl IntoIterator<Item = Partial>) {
     phi.fill(0.0);
     let mut correction = 0.0;
-    let mut block_phi = [0.0f64; MAX_EXACT_PLAYERS];
-    for block in mask_blocks(n) {
-        correction += scatter_block(table, &wc, &coeff, &block, &mut block_phi[..n]);
-        for (p, b) in phi.iter_mut().zip(&block_phi[..n]) {
+    for (block_phi, c) in partials {
+        for (p, b) in phi.iter_mut().zip(&block_phi) {
             *p += *b;
         }
+        correction += c;
     }
     for p in phi.iter_mut() {
         *p -= correction;
     }
 }
 
-/// [`shapley_from_table`] with the per-block scatters fanned out across
-/// worker threads. Each block's partial φ vector and correction term are
-/// computed exactly as in the serial pass and merged in ascending block
-/// order, so the result is bit-identical to the serial accumulation at
-/// any thread count.
-fn parallel_shapley_from_table(n: usize, table: &[f64], threads: usize) -> Vec<f64> {
-    let weights = subset_weights(n);
-    let (wc, coeff) = scatter_coefficients(n, &weights);
-    let blocks: Vec<_> = mask_blocks(n).collect();
-    let partials = run_parallel(blocks.len(), threads, |b| {
-        let mut block_phi = [0.0f64; MAX_EXACT_PLAYERS];
-        let c = scatter_block(table, &wc, &coeff, &blocks[b], &mut block_phi[..n]);
-        (block_phi, c)
-    });
-    let mut phi = vec![0.0f64; n];
-    let mut correction = 0.0;
-    for (block_phi, c) in &partials {
-        for (p, b) in phi.iter_mut().zip(&block_phi[..n]) {
-            *p += *b;
+/// The per-size scatter coefficients of an `n`-player game and its block
+/// layout. Fixed-size stack arrays keep the block routine allocation-free.
+struct Scatter {
+    /// `wc[k]` weights a size-`k` coalition in the player-independent
+    /// correction: `w[k] = k!·(n−1−k)!/n!` for proper coalitions, 0 for
+    /// the grand coalition, where `w[n]` does not exist.
+    wc: [f64; MAX_EXACT_PLAYERS + 1],
+    /// `coeff[k] = w[k−1] + wc[k]`, the factor applied to `v(T)` for
+    /// every member of a size-`k` coalition.
+    coeff: [f64; MAX_EXACT_PLAYERS + 1],
+    /// Masks per block: [`FILL_BLOCK_MASKS`], or `2ⁿ` below it.
+    block_len: usize,
+    /// Number of blocks covering `0..2ⁿ`.
+    blocks: u64,
+}
+
+impl Scatter {
+    fn new(n: usize) -> Self {
+        let size = 1u64 << n;
+        let mut wc = [0.0f64; MAX_EXACT_PLAYERS + 1];
+        let mut coeff = [0.0f64; MAX_EXACT_PLAYERS + 1];
+        // `w[s] = w[s−1]·s/(n−s)` stays in floating range for any `n` we
+        // support.
+        wc[0] = 1.0 / n as f64;
+        for s in 1..n {
+            wc[s] = wc[s - 1] * s as f64 / (n - s) as f64;
         }
-        correction += *c;
-    }
-    for p in phi.iter_mut() {
-        *p -= correction;
-    }
-    phi
-}
-
-/// `w[s] = s!·(n−1−s)!/n!`, built by the recurrence
-/// `w[s] = w[s−1]·s/(n−s)` to stay in floating range for any `n` we
-/// support.
-fn subset_weights(n: usize) -> Vec<f64> {
-    let mut weights = vec![0.0f64; n];
-    subset_weights_into(n, &mut weights);
-    weights
-}
-
-/// [`subset_weights`] into a caller-owned buffer of length `n`.
-fn subset_weights_into(n: usize, weights: &mut [f64]) {
-    weights[0] = 1.0 / n as f64;
-    for s in 1..n {
-        weights[s] = weights[s - 1] * s as f64 / (n - s) as f64;
-    }
-}
-
-/// Ascending, non-overlapping mask ranges covering `0..2ⁿ` in blocks of
-/// [`TABLE_BLOCK_MASKS`].
-fn mask_blocks(n: usize) -> impl Iterator<Item = std::ops::Range<u64>> {
-    let size = 1u64 << n;
-    (0..size.div_ceil(TABLE_BLOCK_MASKS)).map(move |b| {
-        let start = b * TABLE_BLOCK_MASKS;
-        start..(start + TABLE_BLOCK_MASKS).min(size)
-    })
-}
-
-/// Per-coalition-size coefficients for the scatter accumulation:
-/// `wc[k]` weights a size-`k` coalition in the player-independent
-/// correction (`w[k]` for proper coalitions, 0 for the grand coalition,
-/// where `w[n]` does not exist), and `coeff[k] = w[k−1] + wc[k]` is the
-/// factor applied to `v(T)` for every member of a size-`k` coalition.
-/// Fixed-size stack arrays keep the scratch solver allocation-free.
-fn scatter_coefficients(
-    n: usize,
-    weights: &[f64],
-) -> ([f64; MAX_EXACT_PLAYERS + 1], [f64; MAX_EXACT_PLAYERS + 1]) {
-    let mut wc = [0.0f64; MAX_EXACT_PLAYERS + 1];
-    let mut coeff = [0.0f64; MAX_EXACT_PLAYERS + 1];
-    wc[..n].copy_from_slice(&weights[..n]);
-    for k in 1..=n {
-        coeff[k] = weights[k - 1] + wc[k];
-    }
-    (wc, coeff)
-}
-
-/// Scatters one mask block's values into a zeroed per-block φ vector and
-/// returns the block's correction-term contribution, one serial
-/// dependency chain per φ slot. Each table entry is loaded once; its
-/// weighted value is added to the φ slot of every member of the
-/// coalition (set bit of the mask).
-///
-/// The chain is plain and serial: a 4-lane variant with the masks
-/// quad-unrolled over separate accumulators measured 1.01× on a
-/// 2²⁰-mask table on a single-core host, inside run-to-run noise.
-fn scatter_block(
-    table: &[f64],
-    wc: &[f64],
-    coeff: &[f64],
-    block: &std::ops::Range<u64>,
-    block_phi: &mut [f64],
-) -> f64 {
-    block_phi.fill(0.0);
-    let mut correction = 0.0;
-    for mask in block.clone() {
-        let v = table[mask as usize];
-        let k = mask.count_ones() as usize;
-        correction += wc[k] * v;
-        let cv = coeff[k] * v;
-        let mut members = mask;
-        while members != 0 {
-            block_phi[members.trailing_zeros() as usize] += cv;
-            members &= members - 1;
+        for k in 1..=n {
+            coeff[k] = wc[k - 1] + wc[k];
+        }
+        Self {
+            wc,
+            coeff,
+            block_len: FILL_BLOCK_MASKS.min(size) as usize,
+            blocks: size.div_ceil(FILL_BLOCK_MASKS),
         }
     }
-    correction
+
+    /// Fills block `b` through `fill` into a stack buffer and scatters it
+    /// into a fresh partial: one serial chain per φ slot, each value
+    /// added to the slot of every member of its coalition.
+    fn block(&self, b: u64, fill: impl FnOnce(u64, &mut [f64])) -> Partial {
+        let first = b * FILL_BLOCK_MASKS;
+        let mut values = [0.0f64; FILL_BLOCK_MASKS as usize];
+        let values = &mut values[..self.block_len];
+        fill(first, values);
+        let mut phi = [0.0f64; MAX_EXACT_PLAYERS];
+        let mut correction = 0.0;
+        for (mask, &v) in (first..).zip(values.iter()) {
+            let k = mask.count_ones() as usize;
+            correction += self.wc[k] * v;
+            let cv = self.coeff[k] * v;
+            let mut members = mask;
+            while members != 0 {
+                phi[members.trailing_zeros() as usize] += cv;
+                members &= members - 1;
+            }
+        }
+        (phi, correction)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coalition::Coalition;
-    use crate::game::{PeakDemandGame, TableGame};
+    use crate::game::{PeakDemandGame, Replay, TableGame};
 
     #[test]
     fn two_player_split_the_difference() {
@@ -618,6 +378,8 @@ mod tests {
         assert!((total - grand).abs() < 1e-9, "Σφ={total} v(N)={grand}");
     }
 
+    /// The peak-demand game's Gray-walk fill against per-mask `value()`
+    /// through the [`Replay`] adapter.
     #[test]
     fn fast_gray_code_solver_matches_plain() {
         let g = PeakDemandGame::new(vec![
@@ -627,10 +389,11 @@ mod tests {
             vec![0.0, 3.0, 1.0],
             vec![2.5, 0.5, 3.5],
         ]);
-        let plain = exact_shapley(&g).unwrap();
-        let fast = exact_shapley_fast(&g).unwrap();
-        for (a, b) in plain.iter().zip(&fast) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        let gray = exact_shapley(&g).unwrap();
+        let plain = exact_shapley(&Replay(g.clone())).unwrap();
+        let scale = g.value(&Coalition::grand(5));
+        for (a, b) in plain.iter().zip(&gray) {
+            assert!((a - b).abs() <= 1e-12 * scale, "{a} vs {b}");
         }
     }
 
@@ -646,8 +409,8 @@ mod tests {
     #[test]
     fn scratch_reuse_is_bit_identical_even_across_game_sizes() {
         // Solve a 5-player game, then a 3-player game through the SAME
-        // scratch: the stale tail of the larger table must not leak into
-        // the smaller solve.
+        // scratch: the stale tail of the larger φ buffer must not leak
+        // into the smaller solve.
         let big = PeakDemandGame::new(vec![
             vec![4.0, 1.0, 0.0],
             vec![1.0, 4.0, 2.0],
@@ -662,7 +425,7 @@ mod tests {
         ]);
         let mut scratch = ExactScratch::for_players(5);
         for game in [&big, &small, &big, &small] {
-            let fresh = exact_shapley_fast(game).unwrap();
+            let fresh = exact_shapley(game).unwrap();
             let reused = exact_shapley_fast_with_scratch(game, &mut scratch).unwrap();
             assert_eq!(fresh.len(), reused.len());
             for (a, b) in fresh.iter().zip(reused) {
@@ -674,14 +437,14 @@ mod tests {
     }
 
     #[test]
-    fn scratch_grows_lazily_and_reports_table_bytes() {
+    fn scratch_grows_lazily_and_counts_reuses() {
         let g = PeakDemandGame::new(vec![vec![3.0, 1.0], vec![0.0, 2.0]]);
         let mut scratch = ExactScratch::new();
-        assert_eq!(scratch.table_bytes(), 0);
+        assert_eq!(scratch.reserved_players(), 0);
         exact_shapley_fast_with_scratch(&g, &mut scratch).unwrap();
         assert_eq!(scratch.grows(), 1);
         assert_eq!(scratch.reuses(), 0);
-        assert_eq!(scratch.table_bytes(), 4 * 8);
+        assert_eq!(scratch.reserved_players(), 2);
         exact_shapley_fast_with_scratch(&g, &mut scratch).unwrap();
         assert_eq!(scratch.reuses(), 1);
     }
@@ -710,15 +473,22 @@ mod tests {
         ((x >> 16) % 2001) as f64 / 100.0 - 10.0
     }
 
+    /// A hashed table with `v(∅) = 0`, as [`TableGame`] requires.
+    fn hash_table(n: usize, seed: u64) -> Vec<f64> {
+        (0u64..1 << n)
+            .map(|m| if m == 0 { 0.0 } else { hash_value(m, seed) })
+            .collect()
+    }
+
     /// The regrouped scatter must agree with the textbook per-player
     /// marginal sum `φᵢ = Σ_{S∌i} w[|S|]·(v(S∪{i}) − v(S))` on cancelling
-    /// values — across sizes below, at, and above the
-    /// [`TABLE_BLOCK_MASKS`] block boundary (n = 17 → two blocks).
+    /// values — across sizes below, at, and above one
+    /// [`FILL_BLOCK_MASKS`] block.
     #[test]
     fn scatter_matches_the_textbook_marginal_sum() {
-        for &n in &[1usize, 2, 3, 5, 10, 17] {
+        for &n in &[1usize, 2, 3, 5, 8, 9, 10, 17] {
             let table: Vec<f64> = (0u64..1 << n).map(|m| hash_value(m, n as u64)).collect();
-            let weights = subset_weights(n);
+            let weights = Scatter::new(n).wc;
             let phi = shapley_from_table(n, &table);
             for (i, &got) in phi.iter().enumerate() {
                 let bit = 1usize << i;
@@ -745,23 +515,25 @@ mod tests {
         }
     }
 
-    /// Each block's scatter is a fixed serial chain independent of the
-    /// fan-out, so distributing blocks across workers and merging them in
-    /// ascending order reproduces the serial accumulation bit for bit at
-    /// any thread count.
+    /// `shapley_from_table` runs the solvers' block routine over the
+    /// caller's table, so it equals the serial and parallel solvers on
+    /// the matching [`TableGame`] bit for bit — below one block, at one,
+    /// and across the block seams.
     #[test]
     fn parallel_table_accumulation_is_bit_identical_to_serial() {
-        let n = 17; // two TABLE_BLOCK_MASKS blocks
-        let table: Vec<f64> = (0u64..1 << n).map(|m| hash_value(m, 7)).collect();
-        let serial = shapley_from_table(n, &table);
-        for threads in [1, 2, 3, 8] {
-            let parallel = parallel_shapley_from_table(n, &table, threads);
-            for (p, (s, q)) in serial.iter().zip(&parallel).enumerate() {
-                assert_eq!(
-                    s.to_bits(),
-                    q.to_bits(),
-                    "threads={threads} phi[{p}]: {s} vs {q}"
-                );
+        for n in [1usize, 7, 8, 9, 17] {
+            let table = hash_table(n, 7);
+            let from_table = shapley_from_table(n, &table);
+            let game = TableGame::new(n, table);
+            let mut solves = vec![("serial".to_string(), exact_shapley(&game).unwrap())];
+            for threads in [1, 2, 3, 8] {
+                let phi = parallel_exact_shapley(&game, threads).unwrap();
+                solves.push((format!("threads={threads}"), phi));
+            }
+            for (label, phi) in &solves {
+                for (p, (s, q)) in from_table.iter().zip(phi).enumerate() {
+                    assert_eq!(s.to_bits(), q.to_bits(), "n={n} {label} phi[{p}]");
+                }
             }
         }
     }

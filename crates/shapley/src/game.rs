@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::coalition::Coalition;
+use crate::exact::FILL_BLOCK_MASKS;
 use crate::maxtree::MaxTree;
 
 /// A cooperative game: a set of players and a characteristic function
@@ -20,8 +21,9 @@ pub trait Game {
     fn value(&self, coalition: &Coalition) -> f64;
 
     /// Fills `out[i]` with the value of the coalition whose membership
-    /// bitmask is `first_mask + i` — the table-fill hook of the exact
-    /// solvers, which call it once per fixed, aligned fill block.
+    /// bitmask is `first_mask + i` — the only way the exact solvers read
+    /// a game: they call it once per fixed, aligned
+    /// [`FILL_BLOCK_MASKS`] block.
     ///
     /// The default evaluates [`value`](Game::value) mask by mask through
     /// one reused [`Coalition`]. Games that can share work between
@@ -279,14 +281,40 @@ impl PeakDemandGame {
         &self.demand
     }
 
-    /// Nonzero `(t, demand)` entries of player `p`'s row.
-    pub(crate) fn support(&self, player: usize) -> &[(u32, f64)] {
-        &self.support[player]
-    }
-
     /// Number of time steps.
     pub fn steps(&self) -> usize {
         self.steps
+    }
+
+    /// Adds `sign ·` `player`'s row to `sums` and returns the new
+    /// `max(0, sums)`, given the old one in `peak`. Only a toggle that
+    /// lowers a slot holding the peak re-scans the array:
+    ///
+    /// * `before < peak` — the peak is at an untouched slot, so it still
+    ///   caps them and only `after` can beat it;
+    /// * `after >= peak` — a touched slot now holds (at least) the old
+    ///   peak, which already capped every other slot;
+    /// * otherwise a slot holding the peak was lowered below it, and only
+    ///   a full scan knows the new peak.
+    ///
+    /// `max` selects an operand and never rounds, so the result is the
+    /// same bits as a full scan of the same sums.
+    fn toggle(&self, sums: &mut [f64], peak: f64, player: usize, sign: f64) -> f64 {
+        let mut before = f64::NEG_INFINITY;
+        let mut after = f64::NEG_INFINITY;
+        for &(t, d) in &self.support[player] {
+            let s = &mut sums[t as usize];
+            before = before.max(*s);
+            *s += sign * d;
+            after = after.max(*s);
+        }
+        if before < peak {
+            peak.max(after)
+        } else if after >= peak {
+            after
+        } else {
+            sums.iter().copied().fold(0.0, f64::max)
+        }
     }
 }
 
@@ -302,6 +330,49 @@ impl Game for PeakDemandGame {
             peak = peak.max(total);
         }
         peak
+    }
+
+    /// Block-local Gray walk. For each aligned [`FILL_BLOCK_MASKS`] block
+    /// the range touches, the block's fixed high players are toggled in
+    /// from the empty coalition, then the low players are walked in Gray
+    /// order, one toggle per coalition. The state is one flat per-step
+    /// sum array plus the running peak, and a toggle only touches the
+    /// player's nonzero steps.
+    ///
+    /// The toggle path to a mask depends on the mask alone, so each entry
+    /// is a function of its mask whatever range is asked for. It equals
+    /// [`Game::value`] bitwise whenever the sums are exact (integer or
+    /// dyadic demands), and to within a few ulps of the largest sum
+    /// otherwise.
+    fn fill_values(&self, first_mask: u64, out: &mut [f64]) {
+        let end = first_mask + out.len() as u64;
+        let block = 1u64 << self.player_count().min(FILL_BLOCK_MASKS.ilog2() as usize);
+        let mut sums = vec![0.0f64; self.steps];
+        let mut store = |mask: u64, peak: f64| {
+            if (first_mask..end).contains(&mask) {
+                out[(mask - first_mask) as usize] = peak;
+            }
+        };
+        let mut high = first_mask - first_mask % block;
+        while high < end {
+            sums.fill(0.0);
+            let mut peak = 0.0;
+            let mut players = high;
+            while players != 0 {
+                peak = self.toggle(&mut sums, peak, players.trailing_zeros() as usize, 1.0);
+                players &= players - 1;
+            }
+            let mut mask = high;
+            store(mask, peak);
+            for k in 1..block {
+                let bit = k & k.wrapping_neg();
+                let sign = if mask & bit == 0 { 1.0 } else { -1.0 };
+                mask ^= bit;
+                peak = self.toggle(&mut sums, peak, bit.trailing_zeros() as usize, sign);
+                store(mask, peak);
+            }
+            high += block;
+        }
     }
 }
 
@@ -320,57 +391,10 @@ impl IncrementalGame for PeakDemandGame {
     }
 
     fn add_player(&self, state: &mut Self::State, player: usize) -> f64 {
-        for &(t, d) in self.support(player) {
+        for &(t, d) in &self.support[player] {
             state.add(t as usize, d);
         }
         state.max()
-    }
-}
-
-/// The pre-segment-tree reference implementation of the peak-demand
-/// game's incremental and toggle paths: dense per-step sums, a running
-/// peak, and a full `O(steps)` re-scan per toggle.
-///
-/// Kept public so the equality-pinning tests and the
-/// `segment-tree vs scan` Criterion bench can compare [`PeakDemandGame`]'s
-/// [`MaxTree`]-backed paths against the original algorithm; not intended
-/// for production use.
-#[derive(Debug, Clone)]
-pub struct ScanPeak(pub PeakDemandGame);
-
-impl Game for ScanPeak {
-    fn player_count(&self) -> usize {
-        self.0.player_count()
-    }
-
-    fn value(&self, coalition: &Coalition) -> f64 {
-        self.0.value(coalition)
-    }
-}
-
-impl IncrementalGame for ScanPeak {
-    /// Running per-time-step sums plus the current peak (the original
-    /// state layout).
-    type State = (Vec<f64>, f64);
-
-    fn initial_state(&self) -> Self::State {
-        (vec![0.0; self.0.steps()], 0.0)
-    }
-
-    fn reset_state(&self, state: &mut Self::State) {
-        state.0.fill(0.0);
-        state.1 = 0.0;
-    }
-
-    fn add_player(&self, state: &mut Self::State, player: usize) -> f64 {
-        let (sums, peak) = state;
-        for (s, d) in sums.iter_mut().zip(&self.0.demand()[player]) {
-            *s += d;
-            if *s > *peak {
-                *peak = *s;
-            }
-        }
-        *peak
     }
 }
 
@@ -416,6 +440,11 @@ impl Game for TableGame {
             mask |= 1 << p;
         }
         self.values[mask as usize]
+    }
+
+    /// Copies the range out of the table.
+    fn fill_values(&self, first_mask: u64, out: &mut [f64]) {
+        out.copy_from_slice(&self.values[first_mask as usize..][..out.len()]);
     }
 }
 
@@ -503,26 +532,26 @@ mod tests {
 
     #[test]
     fn tree_backed_incremental_path_matches_the_scan_reference() {
-        // Equality pin: the MaxTree-backed add_player must reproduce the
-        // original dense-scan algorithm bit-for-bit on nonnegative
+        // Equality pin: the MaxTree-backed add_player must reproduce
+        // `value()`'s full scan of every prefix bit-for-bit on dyadic
         // demands, across several permutations and a reused state.
-        let demand = vec![
+        let g = PeakDemandGame::new(vec![
             vec![4.0, 1.0, 0.0, 2.0],
             vec![1.0, 4.0, 2.0, 0.0],
             vec![0.0, 0.0, 5.0, 5.0],
             vec![2.5, 0.5, 3.5, 0.25],
-        ];
-        let tree_game = PeakDemandGame::new(demand.clone());
-        let scan_game = ScanPeak(PeakDemandGame::new(demand));
-        let mut tree_state = tree_game.initial_state();
-        let mut scan_state = scan_game.initial_state();
+        ]);
+        let mut state = g.initial_state();
         for order in [[0usize, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]] {
-            tree_game.reset_state(&mut tree_state);
-            scan_game.reset_state(&mut scan_state);
-            for p in order {
-                let a = tree_game.add_player(&mut tree_state, p);
-                let b = scan_game.add_player(&mut scan_state, p);
-                assert_eq!(a.to_bits(), b.to_bits(), "player {p} in {order:?}");
+            g.reset_state(&mut state);
+            for (k, &p) in order.iter().enumerate() {
+                let prefix = Coalition::from_players(4, order[..=k].iter().copied());
+                let a = g.add_player(&mut state, p);
+                assert_eq!(
+                    a.to_bits(),
+                    g.value(&prefix).to_bits(),
+                    "player {p} in {order:?}"
+                );
             }
         }
     }

@@ -4,13 +4,14 @@
 //! Eq. 1) and contributes a scalable *Temporal Shapley* approximation
 //! (Eqs. 2–7). This crate implements the complete toolbox:
 //!
-//! * [`game`] — the [`Game`](game::Game) trait (characteristic function
+//! * [`game`] — the [`Game`] trait (characteristic function
 //!   over coalitions) and the incremental variant used by permutation
 //!   sampling.
-//! * [`exact`] — ground-truth Shapley by subset enumeration, `O(n·2ⁿ)`;
-//!   practical to ~24 players, exactly the regime the paper evaluates
-//!   (≤ 22 workloads). Includes a deterministic parallel table-fill
-//!   solver ([`exact::parallel_exact_shapley`]).
+//! * [`exact`] — ground-truth Shapley by subset enumeration, `O(n·2ⁿ)`
+//!   time and no `2ⁿ` table; practical to ~24 players, exactly the
+//!   regime the paper evaluates (≤ 22 workloads). One block routine
+//!   serves the serial and the deterministic parallel solver
+//!   ([`exact::parallel_exact_shapley`]).
 //! * [`sampled`] — permutation-sampling estimator with antithetic
 //!   variance reduction (pair-aware standard errors) and a standard-error
 //!   stopping rule, for games too large to enumerate. Reusable
@@ -93,7 +94,7 @@ pub use coalition::Coalition;
 pub use exact::{
     exact_shapley, exact_shapley_fast_with_scratch, parallel_exact_shapley, ExactScratch,
 };
-pub use game::{replay_marginals_into, EvalCounters, Game, GameStats, IncrementalGame, ScanPeak};
+pub use game::{replay_marginals_into, EvalCounters, Game, GameStats, IncrementalGame};
 pub use incremental::{IncrementalCascade, WindowAttribution};
 pub use matching::{shapley_from_moments, MatchingGame};
 pub use maxtree::MaxTree;
@@ -103,8 +104,8 @@ pub use parallel::{
     ConvergenceTrace, ItemAbandoned, ParallelConfig, ParallelEstimate, RetryCounters, TracePoint,
 };
 pub use sampled::{
-    sampled_shapley, sampled_shapley_cached, sampled_shapley_with_scratch, stratified_shapley,
-    Moments, SampleConfig, SampleScratch, ShapleyEstimate,
+    sampled_shapley, sampled_shapley_cached, sampled_shapley_with_scratch, Moments, SampleConfig,
+    SampleScratch, ShapleyEstimate,
 };
 pub use surrogate::{
     player_features_into, SurrogateAttributor, SurrogateModel, SurrogateOutcome, SurrogateScratch,

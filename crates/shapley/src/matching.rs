@@ -30,7 +30,6 @@
 //! where `2¹⁰⁰` enumeration is unthinkable.
 
 use crate::coalition::Coalition;
-use crate::exact::DeltaGame;
 use crate::game::Game;
 
 /// A pairwise matching game: per-player isolated costs plus a symmetric
@@ -197,41 +196,11 @@ impl Game for MatchingGame {
     }
 }
 
-impl DeltaGame for MatchingGame {
-    /// `(members, m, W, A)` of the current coalition.
-    type State = (Vec<bool>, usize, f64, f64);
-
-    fn initial_state(&self) -> Self::State {
-        (vec![false; self.isolated.len()], 0, 0.0, 0.0)
-    }
-
-    fn toggle(&self, (members, m, w, a): &mut Self::State, player: usize) -> f64 {
-        let cross: f64 = members
-            .iter()
-            .enumerate()
-            .filter(|&(j, &inside)| inside && j != player)
-            .map(|(j, _)| self.pair[player][j])
-            .sum();
-        if members[player] {
-            members[player] = false;
-            *m -= 1;
-            *w -= cross;
-            *a -= self.isolated[player];
-        } else {
-            members[player] = true;
-            *m += 1;
-            *w += cross;
-            *a += self.isolated[player];
-        }
-        let (p, q) = Self::coefficients(*m);
-        p * *w + q * *a
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::{exact_shapley, exact_shapley_fast};
+    use crate::exact::exact_shapley;
+    use crate::game::Replay;
 
     fn demo(n: usize, seed: u64) -> MatchingGame {
         // Small deterministic pseudo-random instance.
@@ -278,12 +247,13 @@ mod tests {
     }
 
     #[test]
-    fn delta_game_matches_direct_value() {
+    fn exact_solver_matches_per_mask_replay() {
         let g = demo(7, 3);
-        let fast = exact_shapley_fast(&g).unwrap();
-        let plain = exact_shapley(&g).unwrap();
+        let fast = exact_shapley(&g).unwrap();
+        let plain = exact_shapley(&Replay(g.clone())).unwrap();
+        let scale = g.value(&Coalition::grand(7)).abs();
         for (a, b) in fast.iter().zip(&plain) {
-            assert!((a - b).abs() < 1e-9);
+            assert!((a - b).abs() <= 1e-12 * scale, "{a} vs {b}");
         }
     }
 

@@ -1,9 +1,10 @@
 //! An incremental-max structure over time steps.
 //!
-//! The peak-demand game needs `max_t Σ_p demand[p][t]` after every player
-//! insertion or toggle. Maintaining the per-step sums and re-scanning the
-//! whole horizon (`sums.iter().fold(0.0, f64::max)`) costs `O(steps)` per
-//! update even when the player touches a handful of steps. [`MaxTree`] is
+//! Permutation replay of the peak-demand game needs
+//! `max_t Σ_p demand[p][t]` after every player insertion. Maintaining the
+//! per-step sums and re-scanning the whole horizon
+//! (`sums.iter().fold(0.0, f64::max)`) costs `O(steps)` per update even
+//! when the player touches a handful of steps. [`MaxTree`] is
 //! a flat segment tree holding the running sums in its leaves and the
 //! pairwise maximum in its internal nodes: a point update costs
 //! `O(log steps)` and the global maximum is read off the root in `O(1)`.

@@ -42,7 +42,7 @@
 //! *dual* feasible and the dual simplex reuses it. [`NetworkCarbonGame`]'s
 //! [`IncrementalGame`] state threads the previous basis through
 //! permutation replay. Its [`Game::fill_values`] override — the hook the
-//! exact solvers fill their value table through, one fixed aligned block
+//! exact solvers read every coalition through, one fixed aligned block
 //! at a time — chains each coalition off its parent `mask & (mask − 1)`
 //! when the parent lies in the block and was routed, and solves the rest
 //! cold: one cold solve per block plus one per unroutable parent.

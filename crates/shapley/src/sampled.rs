@@ -413,52 +413,6 @@ pub fn sampled_shapley_cached<G: IncrementalGame>(
     sampled_shapley(&cached, config, rng)
 }
 
-/// Estimates Shapley values by *position-stratified* sampling: each drawn
-/// permutation serves every stratum (coalition size) at once — the prefix
-/// of length `s` ending at a player is a random `s`-subset *conditioned on
-/// the permutation*, and each player lands in exactly one stratum per
-/// pass, so across passes every (player, size) pair is visited with equal
-/// frequency. This is the permutation-prefix form of Castro-style
-/// stratification, **not** independent uniform `s`-subset draws per
-/// stratum: within one pass the prefixes are nested, which trades
-/// per-stratum independence for `n` strata per game evaluation sweep.
-/// Unlike [`sampled_shapley`] it balances the budget across coalition
-/// sizes, which helps games whose marginals vary sharply with size (e.g.
-/// the matching game's odd/even alternation).
-///
-/// Cost is `O(n² · samples_per_stratum)` coalition evaluations, so it
-/// suits moderate `n` with expensive positional variance rather than
-/// very large games.
-///
-/// # Panics
-///
-/// Panics if the game has no players or `samples_per_stratum == 0`.
-pub fn stratified_shapley<G: IncrementalGame>(
-    game: &G,
-    samples_per_stratum: usize,
-    rng: &mut impl Rng,
-) -> Vec<f64> {
-    let n = game.player_count();
-    assert!(n > 0, "game must have at least one player");
-    assert!(
-        samples_per_stratum > 0,
-        "need at least one sample per stratum"
-    );
-    let mut moments = Moments::zero(n);
-    let mut counters = EvalCounters::default();
-    let mut scratch = SampleScratch::for_game(game);
-    for _ in 0..samples_per_stratum {
-        // One permutation covers every stratum; the reversed pass swaps
-        // every player's stratum (position i ↔ n−1−i), halving the
-        // positional imbalance per sample.
-        scratch.order.shuffle(rng);
-        scratch.replay_forward(game, &mut counters);
-        scratch.replay_reversed(game, &mut counters);
-        moments.record_pair(&scratch.forward, &scratch.reverse);
-    }
-    moments.values()
-}
-
 fn stderr(sum: f64, sum_sq: f64, k: usize) -> f64 {
     if k < 2 {
         return f64::INFINITY;
@@ -563,31 +517,6 @@ mod tests {
         );
         assert!(est.permutations < 100_000);
         assert!(est.max_std_error() <= 0.05);
-    }
-
-    #[test]
-    fn stratified_estimator_converges_and_is_efficient() {
-        let g = demo_game();
-        let exact = exact_shapley(&g).unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        let est = stratified_shapley(&g, 5_000, &mut rng);
-        for (e, s) in exact.iter().zip(&est) {
-            assert!((e - s).abs() < 0.05, "exact {e} stratified {s}");
-        }
-        // Telescoping marginals make every pass efficient.
-        use crate::coalition::Coalition;
-        use crate::game::Game;
-        let grand = g.value(&Coalition::grand(5));
-        let total: f64 = est.iter().sum();
-        assert!((total - grand).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sample")]
-    fn stratified_rejects_zero_samples() {
-        let g = demo_game();
-        let mut rng = StdRng::seed_from_u64(1);
-        let _ = stratified_shapley(&g, 0, &mut rng);
     }
 
     #[test]

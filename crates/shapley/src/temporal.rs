@@ -38,8 +38,8 @@
 //! in a reusable [`CascadeScratch`]. The original per-period pipeline is
 //! retained verbatim as [`TemporalShapley::attribute_per_period`]; the
 //! flat engine's lane-parallel kernels are closeness-pinned against it
-//! (bit-pinned on the weight-fallback cases, and against themselves
-//! across thread counts) by property tests in `tests/temporal_cascade.rs`.
+//! (bit-pinned on the weight-fallback cases) by property tests in
+//! `tests/temporal_cascade.rs`.
 
 use serde::{Deserialize, Serialize};
 
@@ -285,33 +285,15 @@ impl TemporalShapley {
         demand: &TimeSeries,
         total_carbon: f64,
     ) -> Result<TemporalAttribution, SeriesError> {
-        self.attribute_parallel(demand, total_carbon, 1)
-    }
-
-    /// [`TemporalShapley::attribute`] with the per-level Shapley splits
-    /// fanned out over `threads` workers (parents within a level are
-    /// independent). The in-order merge makes the result **bit-identical**
-    /// to the serial path at any thread count; `threads == 0` clamps to 1.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TemporalShapley::attribute`].
-    pub fn attribute_parallel(
-        &self,
-        demand: &TimeSeries,
-        total_carbon: f64,
-        threads: usize,
-    ) -> Result<TemporalAttribution, SeriesError> {
         let mut scratch = CascadeScratch::new();
-        run_cascade(&self.splits, demand, total_carbon, threads, &mut scratch)?;
+        run_cascade(&self.splits, demand, total_carbon, &mut scratch)?;
         Ok(scratch.into_attribution())
     }
 
     /// Runs the flat cascade into a caller-owned [`CascadeScratch`],
     /// reusing every buffer from the previous run — a repeated call on
-    /// same-shaped inputs performs **no heap allocation** (with
-    /// `threads <= 1`; the parallel path allocates small per-parent
-    /// buffers). Read the results through the scratch accessors
+    /// same-shaped inputs performs **no heap allocation**. Read the
+    /// results through the scratch accessors
     /// ([`CascadeScratch::leaf_intensity`],
     /// [`CascadeScratch::carbon_prefix`], …) or materialize a
     /// [`TemporalAttribution`] via [`CascadeScratch::to_attribution`].
@@ -324,10 +306,9 @@ impl TemporalShapley {
         &self,
         demand: &TimeSeries,
         total_carbon: f64,
-        threads: usize,
         scratch: &mut CascadeScratch,
     ) -> Result<(), SeriesError> {
-        run_cascade(&self.splits, demand, total_carbon, threads, scratch)
+        run_cascade(&self.splits, demand, total_carbon, scratch)
     }
 
     /// The original per-period pipeline, retained verbatim as the

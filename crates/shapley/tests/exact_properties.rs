@@ -1,22 +1,22 @@
 //! Property tests pinning the exact solvers against each other:
 //!
-//! * the Gray-code solver ([`exact_shapley_fast`]) agrees with plain
-//!   enumeration ([`exact_shapley`]) within 1e-9 on random table games
-//!   and random peak-demand games (n ≤ 10);
+//! * the peak-demand game's Gray-walk [`Game::fill_values`] agrees with
+//!   per-mask evaluation through the [`Replay`] adapter within
+//!   1e-12·v(N), on random table games and on random integer and
+//!   real-valued peak-demand games (n ≤ 10);
 //! * the parallel solver ([`parallel_exact_shapley`]) is **bit-identical**
 //!   to the serial one at 1, 2, 3, and 8 threads;
-//! * the default [`Game::fill_values`] table-fill hook equals per-mask
-//!   [`Game::value`] bitwise over arbitrary mask ranges, and both solvers
-//!   call it on the same aligned [`FILL_BLOCK_MASKS`] blocks at any
-//!   thread count.
+//! * every [`Game::fill_values`] equals per-mask [`Game::value`] over
+//!   arbitrary mask ranges — bitwise on integer values, within 1e-12·v(N)
+//!   on real-valued demands — a sub-range fill equals the same entries of
+//!   the whole-block fills, and both solvers call the hook on the same
+//!   aligned [`FILL_BLOCK_MASKS`] blocks at any thread count.
 
 use std::sync::Mutex;
 
 use fairco2_shapley::coalition::Coalition;
-use fairco2_shapley::exact::{
-    exact_shapley, exact_shapley_fast, parallel_exact_shapley, FILL_BLOCK_MASKS,
-};
-use fairco2_shapley::game::{Game, PeakDemandGame, ScanPeak, TableGame};
+use fairco2_shapley::exact::{exact_shapley, parallel_exact_shapley, FILL_BLOCK_MASKS};
+use fairco2_shapley::game::{Game, PeakDemandGame, Replay, TableGame};
 use proptest::prelude::*;
 
 /// Builds a table game over `n` players from a pool of integer values
@@ -36,38 +36,74 @@ fn table_game(n: usize, pool: &[i32]) -> TableGame {
 }
 
 /// Builds an `n`-player, `steps`-step peak-demand game from a pool of
-/// small non-negative integer demands.
-fn peak_game(n: usize, steps: usize, pool: &[u8]) -> PeakDemandGame {
+/// non-negative demands (small integers or reals).
+fn peak_game<T: Copy + Into<f64>>(n: usize, steps: usize, pool: &[T]) -> PeakDemandGame {
     let demand: Vec<Vec<f64>> = (0..n)
         .map(|p| {
             (0..steps)
-                .map(|t| pool[(p * steps + t) % pool.len()] as f64)
+                .map(|t| pool[(p * steps + t) % pool.len()].into())
                 .collect()
         })
         .collect();
     PeakDemandGame::new(demand)
 }
 
+/// `v(N)`, the scale of the closeness pins.
+fn grand_value<G: Game>(game: &G) -> f64 {
+    game.value(&Coalition::grand(game.player_count())).abs()
+}
+
 /// The first mask in `first_mask..first_mask + len` whose
-/// [`Game::fill_values`] entry differs from [`Game::value`] in any bit.
-fn fill_mismatch<G: Game>(game: &G, first_mask: u64, len: usize) -> Option<u64> {
+/// [`Game::fill_values`] entry differs from [`Game::value`] by more than
+/// `tol · v(N)` (`tol = 0` asks for the same bits), or whose entry
+/// differs in any bit from the same entry of the whole-block fills.
+fn fill_mismatch<G: Game>(game: &G, first_mask: u64, len: usize, tol: f64) -> Option<u64> {
     let n = game.player_count();
     let mut out = vec![f64::NAN; len];
     game.fill_values(first_mask, &mut out);
+    let block = FILL_BLOCK_MASKS.min(1 << n);
+    let lo = first_mask - first_mask % block;
+    let hi = (first_mask + len as u64).div_ceil(block) * block;
+    let mut whole = vec![f64::NAN; (hi - lo) as usize];
+    for (b, chunk) in whole.chunks_mut(block as usize).enumerate() {
+        game.fill_values(lo + b as u64 * block, chunk);
+    }
+    let scale = tol * grand_value(game);
     (first_mask..)
-        .zip(&out)
-        .find(|&(mask, v)| v.to_bits() != game.value(&Coalition::from_mask(n, mask)).to_bits())
+        .zip(out.iter().zip(&whole[(first_mask - lo) as usize..]))
+        .find(|&(mask, (v, w))| {
+            let want = game.value(&Coalition::from_mask(n, mask));
+            let off = if tol == 0.0 {
+                v.to_bits() != want.to_bits()
+            } else {
+                (v - want).abs() > scale
+            };
+            off || v.to_bits() != w.to_bits()
+        })
         .map(|(mask, _)| mask)
+}
+
+/// `exact_shapley` through the game's own fill against per-mask
+/// `value()` through [`Replay`], within `1e-12 · v(N)`.
+fn replay_gap<G: Game + Clone>(game: &G) -> Result<(), TestCaseError> {
+    let fast = exact_shapley(game).unwrap();
+    let plain = exact_shapley(&Replay(game.clone())).unwrap();
+    let tol = 1e-12 * grand_value(game);
+    for (a, b) in plain.iter().zip(&fast) {
+        prop_assert!((a - b).abs() <= tol, "per-mask {a} vs fill {b}");
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn default_fill_values_matches_value_per_mask(
+    fn fill_values_matches_value_per_mask(
         n in 1usize..=10,
         steps in 1usize..=5,
         peak_pool in prop::collection::vec(0u8..20, 4..32),
+        real_pool in prop::collection::vec(0.0f64..50.0, 4..32),
         table_pool in prop::collection::vec(-1000i32..1000, 8..64),
         start in 0u64..1024,
         len in 0usize..=1024,
@@ -75,8 +111,9 @@ proptest! {
         let size = 1u64 << n;
         let first = start % size;
         let len = len.min((size - first) as usize);
-        prop_assert_eq!(fill_mismatch(&peak_game(n, steps, &peak_pool), first, len), None);
-        prop_assert_eq!(fill_mismatch(&table_game(n, &table_pool), first, len), None);
+        prop_assert_eq!(fill_mismatch(&peak_game(n, steps, &peak_pool), first, len, 0.0), None);
+        prop_assert_eq!(fill_mismatch(&peak_game(n, steps, &real_pool), first, len, 1e-12), None);
+        prop_assert_eq!(fill_mismatch(&table_game(n, &table_pool), first, len, 0.0), None);
     }
 
     #[test]
@@ -84,12 +121,7 @@ proptest! {
         n in 1usize..=10,
         pool in prop::collection::vec(-1000i32..1000, 8..64),
     ) {
-        let g = table_game(n, &pool);
-        let plain = exact_shapley(&g).unwrap();
-        let fast = exact_shapley_fast(&g).unwrap();
-        for (a, b) in plain.iter().zip(&fast) {
-            prop_assert!((a - b).abs() <= 1e-9, "plain {a} vs gray {b}");
-        }
+        replay_gap(&table_game(n, &pool))?;
     }
 
     #[test]
@@ -97,19 +129,10 @@ proptest! {
         n in 1usize..=10,
         steps in 1usize..=6,
         pool in prop::collection::vec(0u8..20, 4..32),
+        real_pool in prop::collection::vec(0.0f64..50.0, 4..32),
     ) {
-        let g = peak_game(n, steps, &pool);
-        let plain = exact_shapley(&g).unwrap();
-        let fast = exact_shapley_fast(&g).unwrap();
-        for (a, b) in plain.iter().zip(&fast) {
-            prop_assert!((a - b).abs() <= 1e-9, "plain {a} vs gray {b}");
-        }
-        // The segment-tree toggle path must agree with the original dense
-        // re-scan path on the same game.
-        let scan = exact_shapley_fast(&ScanPeak(g)).unwrap();
-        for (a, b) in fast.iter().zip(&scan) {
-            prop_assert!((a - b).abs() <= 1e-9, "tree {a} vs scan {b}");
-        }
+        replay_gap(&peak_game(n, steps, &pool))?;
+        replay_gap(&peak_game(n, steps, &real_pool))?;
     }
 
     #[test]
@@ -145,10 +168,9 @@ proptest! {
     }
 }
 
-/// A single larger case where the table spans several per-worker fill
-/// ranges and accumulation blocks, exercising the seams that the small
-/// proptest cases cannot reach (2¹⁷ masks > one 2¹⁶-mask accumulation
-/// block, and four workers each own a 2¹⁵-mask fill range).
+/// A single larger case where the blocks span several per-worker runs,
+/// exercising the seams that the small proptest cases cannot reach
+/// (2¹⁷ masks = 512 blocks, split unevenly across 3 workers).
 #[test]
 fn parallel_exact_crosses_chunk_boundaries() {
     let n = 17;
@@ -161,9 +183,11 @@ fn parallel_exact_crosses_chunk_boundaries() {
         .collect();
     let g = PeakDemandGame::new(demand);
     let serial = exact_shapley(&g).unwrap();
-    let parallel = parallel_exact_shapley(&g, 4).unwrap();
-    for (a, b) in parallel.iter().zip(&serial) {
-        assert_eq!(a.to_bits(), b.to_bits());
+    for threads in [1usize, 2, 3, 8] {
+        let parallel = parallel_exact_shapley(&g, threads).unwrap();
+        for (a, b) in parallel.iter().zip(&serial) {
+            assert_eq!(a.to_bits(), b.to_bits(), "threads = {threads}");
+        }
     }
 }
 

@@ -17,7 +17,7 @@
 //! * Leaving (primal): minimum-ratio test, ties broken toward the lowest
 //!   basic *column id* (not slot), which is exactly the tie-break Bland's
 //!   rule requires.
-//! * **Bland's rule fallback**: after [`DEGENERATE_STREAK_LIMIT`]
+//! * **Bland's rule fallback**: after `DEGENERATE_STREAK_LIMIT` (40)
 //!   consecutive degenerate pivots the solve switches permanently to
 //!   Bland's rule (entering = lowest eligible index), which provably
 //!   cannot cycle. The switch is itself deterministic — a pure function
