@@ -4,9 +4,8 @@
 //! `table1`, `fig1`, `fig2`, `fig4`, `fig5`, `fig6`, `fig7`, `fig8`,
 //! `fig9`, `fig10`, `fig11`, `fig12`, `fig13` — that prints the rows or
 //! series the paper reports and writes a machine-readable copy to
-//! `results/<id>.json`. Criterion benches measuring the *performance*
-//! claims (Shapley scaling, Temporal Shapley hierarchy cost, method
-//! throughput) live in `benches/`.
+//! `results/<id>.json`. The repository benchmark (`benchmark/`) is the
+//! one harness that times the library.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +21,6 @@ pub mod surrogate;
 
 pub use args::Args;
 pub use dump::{DumpSpec, TrialDump};
-pub use netbench::{print_network, run_network, NetworkReport, NetworkStudy};
 pub use output::{results_dir, write_json};
 pub use resume::{exit_on_engine_error, study_options, CHECKPOINT_FLAGS, DEFAULT_CHECKPOINT_EVERY};
 pub use sampling::{print_report, sample_schedule, SamplingReport};

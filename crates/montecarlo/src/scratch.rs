@@ -107,8 +107,8 @@ pub struct NoScratch;
 
 impl EngineScratch for NoScratch {}
 
-/// Scratch-reuse counters, aggregated across workers by the engine and
-/// emitted in `results/BENCH_montecarlo.json`.
+/// Scratch-reuse counters, aggregated across workers by the engine into
+/// its [`EngineStats`](crate::EngineStats).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScratchStats {
     /// Trials executed.

@@ -130,6 +130,8 @@ proptest! {
             matches!(killed, Err(EngineError::Killed { writes }) if writes == kill),
             "kill failpoint did not fire: {killed:?}"
         );
+        // Resuming without a snapshot would silently start over.
+        prop_assert!(path.exists(), "the kill left no snapshot behind");
 
         let (resumed, _, stats) = stream_demand_study_resumable(
             &study,

@@ -18,7 +18,7 @@
 //!   batches shard over `run_parallel` worker threads with an in-order
 //!   merge.
 //! * [`load`] — the deterministic ingest + query load harness behind
-//!   the `serve` binary and `perf_report --section service`.
+//!   the `serve` binary.
 //!
 //! This crate deliberately does *not* carry
 //! `#![forbid(unsafe_code)]` like the solver crates: the lock-free

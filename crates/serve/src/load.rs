@@ -1,7 +1,6 @@
 //! A deterministic-demand load harness: one ingest thread racing tenant
-//! query threads against live epoch publication. Shared by the `serve`
-//! binary and `perf_report --section service` so the smoke test and the
-//! benchmark exercise the same code path.
+//! query threads against live epoch publication, behind the `serve`
+//! binary and its smoke test.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -61,7 +60,7 @@ impl Default for LoadOptions {
     }
 }
 
-/// What a load run did — the numbers behind `BENCH_service.json`.
+/// What a load run did — the numbers the `serve` binary reports.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct LoadReport {
     /// Samples ingested.

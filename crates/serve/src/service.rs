@@ -131,6 +131,9 @@ pub struct AttributionService {
     config: ServiceConfig,
     engine: IncrementalCascade,
     shared: Arc<Shared>,
+    /// A window the engine closed whose durable write failed: it is
+    /// published, at its own epoch, only once a retry persists it.
+    held: Option<WindowAttribution>,
 }
 
 /// A cheaply cloneable reader handle; queries never lock.
@@ -172,6 +175,7 @@ impl AttributionService {
             config,
             engine,
             shared,
+            held: None,
         })
     }
 
@@ -184,7 +188,14 @@ impl AttributionService {
 
     /// Ingests one demand sample. When the sample fills the current
     /// window, the window is closed, optionally persisted, and a new
-    /// epoch is published; the new epoch number is returned.
+    /// epoch is published. Returns the latest epoch number when this
+    /// call published one.
+    ///
+    /// A window whose durable write failed is held, not dropped: the
+    /// next call first retries its write and, once it lands, publishes
+    /// it at its own epoch before ingesting the new sample. Windows are
+    /// therefore never published out of position, and after every call
+    /// [`windows_closed`](Self::windows_closed) equals the latest epoch.
     ///
     /// # Errors
     ///
@@ -194,25 +205,42 @@ impl AttributionService {
     /// and the open window are unchanged and the writer can keep going.
     ///
     /// [`ServeError::Persist`] if the configured durable write fails —
-    /// the window is *not* published in that case (at-least-once
-    /// persistence: nothing is queryable that is not on disk).
+    /// the window is *not* published in that case (nothing is queryable
+    /// that is not on disk). When the failed write is this sample's own
+    /// window, the sample counts as ingested and the window is held. When
+    /// it is the retry of a held window, the sample is not ingested and,
+    /// as with `BadSample`, the service is unchanged.
     pub fn ingest(&mut self, value: f64) -> Result<Option<u64>, ServeError> {
         if !(0.0..f64::INFINITY).contains(&value) {
             return Err(ServeError::BadSample(value));
         }
+        let mut published = None;
+        if let Some(window) = self.held.take() {
+            published = Some(self.commit(window)?);
+        }
         let closed = self.engine.push(value);
         self.shared.ingested.fetch_add(1, Ordering::Relaxed);
-        if !closed {
-            return Ok(None);
+        if closed {
+            let window = self.engine.close_window(self.config.carbon_per_window);
+            published = Some(self.commit(window)?);
         }
-        let window_index = self.engine.windows_closed();
-        let window = self.engine.close_window(self.config.carbon_per_window);
+        Ok(published)
+    }
+
+    /// Persists `window`, the engine's most recently closed window (when
+    /// persistence is configured), then publishes it. If the durable
+    /// write fails the window is held for the next call to retry.
+    fn commit(&mut self, window: WindowAttribution) -> Result<u64, ServeError> {
         if let Some(dir) = &self.config.persist_dir {
             let text = serde_json::to_string(&window).expect("window attributions serialize");
-            let path = dir.join(format!("window-{window_index:08}.json"));
-            write_durable_atomic(&path, &text, WriteFault::None)?;
+            let index = self.engine.windows_closed() - 1;
+            let path = dir.join(format!("window-{index:08}.json"));
+            if let Err(e) = write_durable_atomic(&path, &text, WriteFault::None) {
+                self.held = Some(window);
+                return Err(e.into());
+            }
         }
-        Ok(Some(self.publish(window)))
+        Ok(self.publish(window))
     }
 
     /// Builds the next snapshot from the latest one plus the freshly
@@ -235,9 +263,10 @@ impl AttributionService {
         self.engine.filled()
     }
 
-    /// Windows closed (== the latest epoch number).
+    /// Windows closed and published (== the latest epoch number); a
+    /// held window is not counted until it is published.
     pub fn windows_closed(&self) -> u64 {
-        self.engine.windows_closed()
+        self.engine.windows_closed() - u64::from(self.held.is_some())
     }
 
     /// The streaming engine's primitive-operation counter (the

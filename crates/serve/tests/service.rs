@@ -1,7 +1,8 @@
 //! Service contracts: every published epoch answers billing queries
 //! bit-identical to a from-scratch rebuild of the same sample prefix,
-//! at any thread count, even while ingestion races the queries; and
-//! persisted windows survive a round trip bit for bit.
+//! at any thread count, even while ingestion races the queries;
+//! persisted windows survive a round trip bit for bit; and a failed
+//! persist never shifts a window out of position.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -372,6 +373,96 @@ fn persisted_windows_round_trip_bit_for_bit() {
         .filter(|n| !n.ends_with(".json"))
         .collect();
     assert!(leftovers.is_empty(), "stray files: {leftovers:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A window whose durable write fails is held, not dropped: while the
+/// persistence directory is replaced by a plain file, the window stays
+/// unpublished and later samples are refused untouched; once the
+/// directory is back, the held window is published at its own epoch and
+/// every epoch matches the rebuild oracle bit for bit.
+#[test]
+fn failed_persist_holds_the_window_in_position() {
+    let dir = std::env::temp_dir().join(format!("fairco2-serve-held-{}", std::process::id()));
+    let aside = dir.with_extension("aside");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&aside);
+    let config = ServiceConfig {
+        persist_dir: Some(dir.clone()),
+        ..test_config(vec![3, 2], 2)
+    };
+    let w = config.window_samples() as u64;
+    let seed = 31;
+    let total_windows = 5u64;
+    let mut service = AttributionService::start(config.clone()).unwrap();
+    let handle = service.handle();
+    let state = |service: &AttributionService| {
+        (
+            handle.ingested(),
+            service.open_window_fill(),
+            service.engine_ops(),
+            service.windows_closed(),
+        )
+    };
+
+    for i in 0..2 * w - 1 {
+        service.ingest(demand_sample(i, seed)).unwrap();
+    }
+    // A file where the directory was fails every write, even as root.
+    std::fs::rename(&dir, &aside).unwrap();
+    std::fs::write(&dir, b"not a directory").unwrap();
+
+    // Window 1's last sample is ingested, but its window is held.
+    match service.ingest(demand_sample(2 * w - 1, seed)) {
+        Err(ServeError::Persist(_)) => {}
+        other => panic!("window 1 persisted into a file: {other:?}"),
+    }
+    assert_eq!(handle.ingested(), 2 * w);
+    assert_eq!(service.windows_closed(), 1);
+    assert_eq!(handle.epoch().epoch, 1);
+    // The retry fails too, so the next sample is refused untouched.
+    let before = state(&service);
+    match service.ingest(demand_sample(2 * w, seed)) {
+        Err(ServeError::Persist(_)) => {}
+        other => panic!("sample ingested past a held window: {other:?}"),
+    }
+    assert_eq!(
+        state(&service),
+        before,
+        "a refused sample touched the service"
+    );
+    assert_eq!(handle.epoch().epoch, 1);
+
+    std::fs::remove_file(&dir).unwrap();
+    std::fs::rename(&aside, &dir).unwrap();
+    for i in 2 * w..total_windows * w {
+        let published = service.ingest(demand_sample(i, seed)).unwrap();
+        let snapshot = handle.epoch();
+        assert_eq!(service.windows_closed(), snapshot.epoch);
+        if let Some(epoch) = published {
+            assert_eq!(snapshot.epoch, epoch);
+            let rebuild = Rebuild::new(&config, epoch, seed);
+            for k in 0..=snapshot.samples() {
+                assert_eq!(
+                    snapshot.prefix_at(k).to_bits(),
+                    rebuild.prefix_at(k).to_bits(),
+                    "prefix_at({k}) diverged at epoch {epoch}"
+                );
+            }
+            for q in query_mix(&config, epoch, epoch) {
+                assert_eq!(
+                    snapshot.carbon(q).to_bits(),
+                    rebuild.carbon(q).to_bits(),
+                    "query {q:?} diverged at epoch {epoch}"
+                );
+            }
+        }
+    }
+    assert_eq!(handle.epoch().epoch, total_windows);
+    for k in 0..total_windows {
+        let path = dir.join(format!("window-{k:08}.json"));
+        assert!(path.exists(), "window {k} was not persisted");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

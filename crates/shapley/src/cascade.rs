@@ -304,19 +304,18 @@ fn ensure_levels<T: Default>(buffers: &mut Vec<T>, levels: usize) {
 ///
 /// This is a *semantic* constant, not a tuning knob: changing it
 /// changes which reassociated sum the lane kernels produce, so every
-/// pinned lane result (frozen-vs-streaming bit-identity, BENCH
-/// artifacts) would shift. Four lanes break the FP add latency chain
-/// (4-cycle latency, ≥1/cycle throughput on every x86-64 core we
-/// target) while keeping the per-leaf state small enough to live in
-/// registers.
+/// pinned lane result (frozen-vs-streaming bit-identity) would shift.
+/// Four lanes break the FP add latency chain (4-cycle latency,
+/// ≥1/cycle throughput on every x86-64 core we target) while keeping
+/// the per-leaf state small enough to live in registers.
 pub const CANONICAL_LANES: usize = 4;
 
-/// Block length of the blocked two-level prefix
-/// ([`prefix_blocked`](crate::kernels::prefix_blocked)). Part of the
-/// canonical reduction: the serial `acc += intensity · step` chain
-/// restarts at every multiple of this constant, and the inter-block
-/// carry is itself a serial sum of block totals. For signals no longer
-/// than one block the result is bit-identical to the scalar chain.
+/// Block length of the cascade's blocked two-level carbon prefix. Part
+/// of the canonical reduction: the serial `acc += intensity · step`
+/// chain restarts at every multiple of this constant, and the
+/// inter-block carry is itself a serial sum of block totals. For signals
+/// no longer than one block the result is bit-identical to the scalar
+/// chain.
 ///
 /// Like [`CANONICAL_LANES`], this is a *semantic* constant. Blocks are
 /// deliberately short: the whole local chain of one block fits inside
@@ -450,8 +449,8 @@ pub(crate) fn fill_level_sums_lanes(
 }
 
 /// The generic-`K` lane sweep behind [`fill_level_sums_lanes`] (the
-/// cascade always runs it at `K = CANONICAL_LANES`; tests and benches
-/// exercise other powers of two through [`crate::kernels`]).
+/// cascade always runs it at `K = CANONICAL_LANES`; the unit tests
+/// exercise other powers of two through the test-only `kernels` module).
 ///
 /// The canonical reduction, per leaf period:
 ///
@@ -624,8 +623,8 @@ pub(crate) fn fill_prefix_blocked(intensity: &[f64], step: f64, prefix: &mut Vec
 }
 
 /// The generic-`B` blocked prefix behind [`fill_prefix_blocked`] (the
-/// cascade always runs it at `B = PREFIX_BLOCK`; tests and benches
-/// exercise other block lengths through [`crate::kernels`]).
+/// cascade always runs it at `B = PREFIX_BLOCK`; the unit tests
+/// exercise other block lengths through the test-only `kernels` module).
 ///
 /// The canonical reduction:
 ///

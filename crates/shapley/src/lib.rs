@@ -76,7 +76,8 @@ pub mod coalition;
 pub mod exact;
 pub mod game;
 pub mod incremental;
-pub mod kernels;
+#[cfg(test)]
+mod kernels;
 pub mod matching;
 pub mod maxtree;
 pub mod netgame;

@@ -48,7 +48,7 @@
 //! cold: one cold solve per block plus one per unroutable parent.
 //! [`NetworkCarbonGame::fill_lattice_warm`] runs the same routine over the
 //! whole lattice as a single range while counting saved iterations — the
-//! statistic `perf_report --section network` reports.
+//! statistic behind the `lp` benchmark workload's `solver.warm_iterations`.
 
 use fairco2_solver::{
     certify, solve, solve_warm, Basis, Csc, LinearProgram, LpOutcome, Solution, SolveStats,

@@ -36,10 +36,9 @@
 //! the one shared demand buffer, peaks come from a sparse-table range
 //! max, integrals from a fused per-level sweep, and every buffer lives
 //! in a reusable [`CascadeScratch`]. The original per-period pipeline is
-//! retained verbatim as [`TemporalShapley::attribute_per_period`]; the
+//! kept only as a test oracle, in the test-only `per_period` module; the
 //! flat engine's lane-parallel kernels are closeness-pinned against it
-//! (bit-pinned on the weight-fallback cases) by property tests in
-//! `tests/temporal_cascade.rs`.
+//! (bit-pinned on the weight-fallback cases) by the property tests there.
 
 use serde::{Deserialize, Serialize};
 
@@ -48,6 +47,9 @@ use fairco2_trace::series::{SeriesError, TimeSeries};
 use crate::cascade::{run_cascade, BillingQuery, CascadeScratch, IntensityIndex};
 use crate::exact::exact_shapley;
 use crate::game::PeakDemandGame;
+
+#[cfg(test)]
+mod per_period;
 
 /// Exact Shapley values of the peak game `v(S) = max_{i∈S} peaks[i]`.
 ///
@@ -310,122 +312,6 @@ impl TemporalShapley {
     ) -> Result<(), SeriesError> {
         run_cascade(&self.splits, demand, total_carbon, scratch)
     }
-
-    /// The original per-period pipeline, retained verbatim as the
-    /// reference implementation: it clones the demand into owned
-    /// [`TimeSeries`] at every level and rescans each period for its peak
-    /// and integral. The flat cascade is closeness-pinned against this
-    /// path by the property tests in `tests/temporal_cascade.rs` and by
-    /// `perf_report`; keep using [`TemporalShapley::attribute`]
-    /// everywhere else.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying [`SeriesError`] if the hierarchy splits the
-    /// series below one sample per period.
-    pub fn attribute_per_period(
-        &self,
-        demand: &TimeSeries,
-        total_carbon: f64,
-    ) -> Result<TemporalAttribution, SeriesError> {
-        // Per-sample carbon assignment, refined level by level.
-        let mut carbon_per_period: Vec<(TimeSeries, f64)> = vec![(demand.clone(), total_carbon)];
-        let mut level_intensity = Vec::with_capacity(self.splits.len() + 1);
-        let mut naive = 0.0f64;
-        let mut ops = 0u64;
-        let mut stranded = 0.0f64;
-
-        level_intensity.push(intensity_signal(demand, &carbon_per_period, &mut stranded));
-
-        for &m in &self.splits {
-            let mut next: Vec<(TimeSeries, f64)> = Vec::with_capacity(carbon_per_period.len() * m);
-            for (period, carbon) in &carbon_per_period {
-                let parts = period.split(m)?;
-                let peaks: Vec<f64> = parts.iter().map(TimeSeries::peak).collect();
-                let phi = peak_shapley(&peaks);
-                ops += (m * m.ilog2().max(1) as usize) as u64;
-                naive += (m as f64) * 2f64.powi(m as i32);
-                let q: Vec<f64> = parts.iter().map(TimeSeries::integral).collect();
-                let weights = attribution_weights(&phi, &q, &parts);
-                for (part, w) in parts.into_iter().zip(weights) {
-                    next.push((part, carbon * w));
-                }
-            }
-            carbon_per_period = next;
-            let mut level_stranded = 0.0;
-            level_intensity.push(intensity_signal(
-                demand,
-                &carbon_per_period,
-                &mut level_stranded,
-            ));
-            stranded = level_stranded;
-        }
-
-        let carbon_prefix = {
-            let leaf = level_intensity
-                .last()
-                .expect("at least the root level exists");
-            let step = f64::from(leaf.step());
-            let mut carbon_prefix = Vec::with_capacity(leaf.len() + 1);
-            carbon_prefix.push(0.0);
-            let mut acc = 0.0;
-            for v in leaf.values() {
-                acc += v * step;
-                carbon_prefix.push(acc);
-            }
-            carbon_prefix
-        };
-        Ok(TemporalAttribution {
-            carbon_prefix,
-            level_intensity,
-            stranded_carbon: stranded,
-            naive_subset_evaluations: naive,
-            closed_form_operations: ops,
-        })
-    }
-}
-
-/// Shares of a period's carbon given to its children: φ·q-proportional
-/// (Eq. 5); falls back to q-proportional when every φ·q vanishes and to
-/// duration-proportional when even total demand is zero.
-fn attribution_weights(phi: &[f64], q: &[f64], parts: &[TimeSeries]) -> Vec<f64> {
-    let phi_q: Vec<f64> = phi.iter().zip(q).map(|(&p, &qi)| p * qi).collect();
-    let denom: f64 = phi_q.iter().sum();
-    if denom > 0.0 {
-        return phi_q.iter().map(|v| v / denom).collect();
-    }
-    let q_total: f64 = q.iter().sum();
-    if q_total > 0.0 {
-        return q.iter().map(|v| v / q_total).collect();
-    }
-    let d_total: f64 = parts.iter().map(TimeSeries::duration).sum();
-    parts.iter().map(|p| p.duration() / d_total).collect()
-}
-
-/// Expands a per-period carbon assignment to a per-sample intensity signal
-/// on the original grid. Zero-demand periods contribute zero intensity and
-/// their carbon is accumulated into `stranded`.
-fn intensity_signal(
-    demand: &TimeSeries,
-    periods: &[(TimeSeries, f64)],
-    stranded: &mut f64,
-) -> TimeSeries {
-    let mut values = vec![0.0f64; demand.len()];
-    let step = i64::from(demand.step());
-    for (period, carbon) in periods {
-        let q = period.integral();
-        if q <= 0.0 {
-            *stranded += carbon;
-            continue;
-        }
-        let intensity = carbon / q;
-        let first = ((period.start() - demand.start()) / step) as usize;
-        for k in 0..period.len() {
-            values[first + k] = intensity;
-        }
-    }
-    TimeSeries::from_values(demand.start(), demand.step(), values)
-        .expect("demand series is non-empty")
 }
 
 /// Reference implementation: exact Shapley of the peak game by subset

@@ -338,7 +338,7 @@ mod tests {
     fn streamed_demand_matches_collected_population_bitwise() {
         let cfg = small();
         let collected = cfg.collect_events(1).demand_series(300);
-        for threads in [1usize, 2, 5] {
+        for threads in [1usize, 2, 5, 8] {
             let streamed = cfg.demand_series(300, threads);
             assert_eq!(streamed.len(), collected.len());
             for (k, (a, b)) in streamed.values().iter().zip(collected.values()).enumerate() {
