@@ -72,13 +72,27 @@ impl Args {
     ///
     /// Panics if the value is present but not a valid `usize`.
     pub fn usize(&self, name: &str, default: usize) -> usize {
-        self.flags
-            .get(name)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{name} expects an integer, got {v:?}"))
-            })
-            .unwrap_or(default)
+        self.integer(name, default)
+    }
+
+    /// A `u32` flag with a default.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value is present but not a valid `u32` — one out
+    /// of range aborts rather than wrapping.
+    pub fn u32(&self, name: &str, default: u32) -> u32 {
+        self.integer(name, default)
+    }
+
+    /// An `i64` flag with a default.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value is present but not a valid `i64` — one out
+    /// of range aborts rather than wrapping.
+    pub fn i64(&self, name: &str, default: i64) -> i64 {
+        self.integer(name, default)
     }
 
     /// An `f64` flag with a default.
@@ -124,6 +138,12 @@ impl Args {
     ///
     /// Panics if the value is present but not a valid `u64`.
     pub fn u64(&self, name: &str, default: u64) -> u64 {
+        self.integer(name, default)
+    }
+
+    /// An integer flag parsed straight into its target type, so a value
+    /// that does not fit is refused like any other malformed integer.
+    fn integer<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
         self.flags
             .get(name)
             .map(|v| {
@@ -233,6 +253,36 @@ mod tests {
         // A bare flag stores "true"; numeric getters still refuse it.
         let a = args(&["--trials"]);
         let _ = a.usize("trials", 1);
+    }
+
+    /// The `serve` binary's grid flags.
+    fn grid(s: &[&str]) -> Args {
+        Args::parse_from(&["start", "step"], s.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn narrow_integers_parse_in_range_values_and_defaults() {
+        let a = grid(&["--step", "4294967295", "--start", "-1700000000"]);
+        assert_eq!(a.u32("step", 300), u32::MAX);
+        assert_eq!(a.i64("start", 0), -1_700_000_000);
+        let a = grid(&[]);
+        assert_eq!(a.u32("step", 300), 300);
+        assert_eq!(a.i64("start", 0), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "--step expects an integer, got \"4294967596\"")]
+    fn out_of_range_u32_panics_instead_of_wrapping() {
+        // 2^32 + 300: an `as u32` cast used to run this as a 300 s step.
+        let a = grid(&["--step", "4294967596"]);
+        let _ = a.u32("step", 300);
+    }
+
+    #[test]
+    #[should_panic(expected = "--start expects an integer")]
+    fn out_of_range_i64_panics_instead_of_wrapping() {
+        let a = grid(&["--start", "9223372036854775808"]);
+        let _ = a.i64("start", 0);
     }
 
     #[test]

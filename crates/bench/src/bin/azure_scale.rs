@@ -34,12 +34,14 @@ fn main() {
     known.extend_from_slice(CHECKPOINT_FLAGS);
     let args = Args::parse(&known);
     let defaults = AzureScaleStudy::default();
+    let default_slack = u32::try_from(defaults.slack_hours)
+        .expect("the default slack is a non-negative hour count");
     let study = AzureScaleStudy {
         vms: args.u64("vms", defaults.vms),
-        days: args.usize("days", defaults.days as usize) as u32,
+        days: args.u32("days", defaults.days),
         regions: args.usize("regions", defaults.regions),
         tenants: args.usize("tenants", defaults.tenants),
-        slack_hours: args.usize("slack-hours", defaults.slack_hours as usize) as i64,
+        slack_hours: i64::from(args.u32("slack-hours", default_slack)),
         deferrable_share: args.f64("deferrable-share", defaults.deferrable_share),
         migration: MigrationCost {
             data_gb: args.f64("migration-gb", defaults.migration.data_gb),

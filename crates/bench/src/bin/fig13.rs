@@ -42,7 +42,7 @@ const FLAGS: &[&str] = &["seed", "days"];
 fn main() {
     let args = Args::parse(FLAGS);
     let seed = args.u64("seed", 13);
-    let days = args.usize("days", 7) as u32;
+    let days = args.u32("days", 7);
 
     // Grid CI: a CAISO-like duck curve, hourly for one week.
     let grid = GridIntensityTrace::caiso_like(days, 3600, seed);

@@ -26,8 +26,8 @@ const FLAGS: &[&str] = &["seed", "train-days", "days"];
 fn main() {
     let args = Args::parse(FLAGS);
     let seed = args.u64("seed", 7);
-    let train_days = args.usize("train-days", 21) as u32;
-    let total_days = args.usize("days", 30) as u32;
+    let train_days = args.u32("train-days", 21);
+    let total_days = args.u32("days", 30);
 
     let trace = AzureLikeTrace::builder()
         .days(total_days)

@@ -46,8 +46,8 @@ fn main() {
         })
         .collect();
     let config = ServiceConfig {
-        start: args.u64("start", 0) as i64,
-        step: args.u64("step", 300) as u32,
+        start: args.i64("start", 0),
+        step: args.u32("step", 300),
         splits,
         leaf_samples: args.usize("leaf-samples", 4).max(1),
         carbon_per_window: args.f64("carbon-per-window", 1000.0),

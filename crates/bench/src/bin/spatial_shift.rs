@@ -40,9 +40,9 @@ const FLAGS: &[&str] = &["days", "jobs-per-day", "slack-hours"];
 
 fn main() {
     let args = Args::parse(FLAGS);
-    let days = args.usize("days", 7) as u32;
+    let days = args.u32("days", 7);
     let jobs_per_day = args.usize("jobs-per-day", 4);
-    let slack_h = args.usize("slack-hours", 12) as i64;
+    let slack_h = i64::from(args.u32("slack-hours", 12));
 
     let regions = vec![
         Region {

@@ -51,7 +51,7 @@ pub fn study_options(args: &Args, suffix: &str) -> StudyOptions {
     StudyOptions {
         checkpoint,
         resume: args.bool("resume", false),
-        retry_budget: args.usize("retries", 2) as u32,
+        retry_budget: args.u32("retries", 2),
         ..StudyOptions::default()
     }
 }

@@ -20,11 +20,13 @@
 //! * [`load`] — the deterministic ingest + query load harness behind
 //!   the `serve` binary.
 //!
-//! This crate deliberately does *not* carry
-//! `#![forbid(unsafe_code)]` like the solver crates: the lock-free
-//! reader needs exactly one audited `unsafe` dereference
-//! ([`ServiceHandle::epoch`]), made sound by never freeing published
-//! epochs while the service is alive.
+//! The crate denies `unsafe_code`, and exactly one function opts out:
+//! the lock-free reader's audited dereference in
+//! [`ServiceHandle::epoch`], made sound by never freeing published
+//! epochs while the service is alive. Everything else, the shared
+//! window log included, is safe code. The crate cannot
+//! `#![forbid(unsafe_code)]` like the solver crates until the reader
+//! gets its epochs without a raw pointer.
 //!
 //! # Example
 //!
@@ -46,12 +48,13 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod epoch;
 pub mod load;
 pub mod service;
 
-pub use epoch::{EpochSnapshot, WindowSegment};
+pub use epoch::{EpochSnapshot, WindowSegment, Windows};
 pub use load::{demand_sample, run_load, LoadOptions, LoadReport};
 pub use service::{
     read_persisted_window, AttributionService, ServeError, ServiceConfig, ServiceHandle,

@@ -42,7 +42,8 @@ pub struct LoadOptions {
     /// Billing queries per batch.
     pub batch: usize,
     /// Ingestion stops after this many windows (the query side keeps
-    /// running); bounds snapshot memory on unthrottled CPUs.
+    /// running); bounds the retained window attributions on unthrottled
+    /// CPUs.
     pub max_windows: u64,
     /// Demand / query randomness seed.
     pub seed: u64,

@@ -20,7 +20,11 @@
 //! is what makes the single unsafe dereference in
 //! [`ServiceHandle::epoch`] sound, and it doubles as the audit trail —
 //! any recorded `(epoch, query, answer)` triple can be re-checked later
-//! against the exact snapshot that produced it.
+//! against the exact snapshot that produced it. It stays linear in
+//! windows closed: a snapshot is a few fixed fields plus a view of the
+//! window log every epoch shares (see [`crate::epoch`]), and the logs
+//! that older snapshots still view — each half the length of the next —
+//! hold fewer than four slots per window in total.
 
 use std::fs;
 use std::path::PathBuf;
@@ -31,7 +35,7 @@ use fairco2_montecarlo::{write_durable_atomic, CheckpointError, WriteFault};
 use fairco2_shapley::incremental::{IncrementalCascade, WindowAttribution};
 use fairco2_trace::series::SeriesError;
 
-use crate::epoch::{extend_epoch, EpochSnapshot};
+use crate::epoch::{extend_epoch, EpochSnapshot, Windows};
 
 /// Static configuration of an attribution service.
 #[derive(Debug, Clone)]
@@ -163,7 +167,7 @@ impl AttributionService {
             start: config.start,
             step: config.step,
             window_samples: engine.window_samples(),
-            windows: Vec::new(),
+            windows: Windows::default(),
         });
         let ptr: *const EpochSnapshot = &*zero;
         let shared = Arc::new(Shared {
@@ -284,6 +288,7 @@ impl AttributionService {
 impl ServiceHandle {
     /// The latest published epoch. Lock-free: one `Acquire` load and a
     /// dereference.
+    #[allow(unsafe_code)]
     pub fn epoch(&self) -> &EpochSnapshot {
         let ptr = self.shared.latest.load(Ordering::Acquire);
         // SAFETY: `ptr` was produced from a `Box<EpochSnapshot>` that
@@ -294,7 +299,10 @@ impl ServiceHandle {
         // keeps the `Arc` — and therefore the snapshot — alive. The
         // `Acquire`/`Release` pair orders the snapshot's construction
         // before any read through this reference. Snapshots are never
-        // mutated after publication, so shared `&` access is race-free.
+        // mutated after publication, so shared `&` access is race-free;
+        // a later publish only fills a free slot of the window log a
+        // snapshot shares, through a `OnceLock` that synchronizes itself,
+        // and no snapshot reads past its own filled slots.
         unsafe { &*ptr }
     }
 

@@ -5,7 +5,7 @@
 //! persist never shifts a window out of position.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use fairco2_serve::{
     demand_sample, read_persisted_window, AttributionService, EpochSnapshot, ServeError,
@@ -152,6 +152,54 @@ fn every_epoch_matches_a_from_scratch_rebuild_bit_for_bit() {
         }
     }
     assert_eq!(handle.epoch().epoch, total_windows);
+}
+
+/// Every epoch shares one window log that later publishes append to and
+/// regrow. Holding epochs 0..=100 across those regrowths, each still
+/// answers exactly as its own rebuild after the last publish, and shares
+/// every window's attribution with the newest epoch.
+#[test]
+fn held_epochs_are_unchanged_by_later_publishes() {
+    let config = test_config(vec![2], 2);
+    let w = config.window_samples() as u64;
+    let seed = 53;
+    let total_windows = 100u64;
+    let mut service = AttributionService::start(config.clone()).unwrap();
+    let handle = service.handle();
+    let mut held = vec![handle.epoch()];
+    for i in 0..total_windows * w {
+        if service.ingest(demand_sample(i, seed)).unwrap().is_some() {
+            held.push(handle.epoch());
+        }
+    }
+    let newest = held[total_windows as usize];
+    assert_eq!(newest.epoch, total_windows);
+    for (epoch, snapshot) in held.iter().enumerate() {
+        let epoch = epoch as u64;
+        assert_eq!(snapshot.epoch, epoch);
+        assert_eq!(snapshot.windows.len() as u64, epoch);
+        for (k, segment) in snapshot.windows.iter().enumerate() {
+            assert!(
+                Arc::ptr_eq(&segment.attribution, &newest.windows[k].attribution),
+                "window {k} of epoch {epoch} is not the newest epoch's"
+            );
+        }
+        let rebuild = Rebuild::new(&config, epoch, seed);
+        for i in 0..=snapshot.samples() {
+            assert_eq!(
+                snapshot.prefix_at(i).to_bits(),
+                rebuild.prefix_at(i).to_bits(),
+                "prefix_at({i}) of epoch {epoch} changed"
+            );
+        }
+        for q in query_mix(&config, epoch.max(1), epoch) {
+            assert_eq!(
+                snapshot.carbon(q).to_bits(),
+                rebuild.carbon(q).to_bits(),
+                "query {q:?} on epoch {epoch} changed"
+            );
+        }
+    }
 }
 
 /// NaN, −1 and +∞ interleaved into a valid stream are each rejected with
