@@ -17,9 +17,9 @@ use fairco2_montecarlo::colocations::ColocationStudy;
 use fairco2_montecarlo::engine::{
     stream_colocation_study_resumable, stream_demand_study_resumable,
 };
-use fairco2_montecarlo::runner::default_threads;
 use fairco2_montecarlo::schedules::DemandStudy;
 use fairco2_montecarlo::EngineConfig;
+use fairco2_shapley::parallel::default_threads;
 use serde::Serialize;
 
 #[derive(Serialize)]

@@ -21,12 +21,12 @@ use fairco2_bench::{
     exit_on_engine_error, print_report, sample_schedule, study_options, write_json, Args,
     SamplingReport, TrialDump, CHECKPOINT_FLAGS,
 };
-use fairco2_montecarlo::runner::default_threads;
 use fairco2_montecarlo::schedules::DemandStudy;
 use fairco2_montecarlo::streaming::{DemandMethodSet, MethodStream, DEFAULT_BATCH_TRIALS};
 use fairco2_montecarlo::{
     stream_demand_study_resumable, stream_demand_study_with_sink, EngineConfig, EngineStats,
 };
+use fairco2_shapley::parallel::default_threads;
 use serde::Serialize;
 
 #[derive(Serialize)]

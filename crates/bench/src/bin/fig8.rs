@@ -20,13 +20,13 @@ use fairco2_bench::{
     SamplingReport, TrialDump, CHECKPOINT_FLAGS,
 };
 use fairco2_montecarlo::colocations::ColocationStudy;
-use fairco2_montecarlo::runner::default_threads;
 use fairco2_montecarlo::schedules::DemandStudy;
 use fairco2_montecarlo::streaming::{ColocationMethodSet, MethodStream, DEFAULT_BATCH_TRIALS};
 use fairco2_montecarlo::{
     stream_colocation_study_resumable, stream_colocation_study_with_sink, EngineConfig,
     EngineStats, StatStream,
 };
+use fairco2_shapley::parallel::default_threads;
 use serde::Serialize;
 
 #[derive(Serialize)]

@@ -11,9 +11,9 @@
 
 use fairco2_bench::{exit_on_engine_error, study_options, write_json, Args, CHECKPOINT_FLAGS};
 use fairco2_montecarlo::colocations::ColocationStudy;
-use fairco2_montecarlo::runner::default_threads;
 use fairco2_montecarlo::streaming::{KindEquity, DEFAULT_BATCH_TRIALS};
 use fairco2_montecarlo::{stream_colocation_study_resumable, EngineConfig, StatStream};
+use fairco2_shapley::parallel::default_threads;
 use serde::Serialize;
 
 #[derive(Serialize)]

@@ -13,7 +13,7 @@
 
 use fairco2_bench::surrogate::print_surrogate;
 use fairco2_bench::{run_surrogate, write_json, Args, SurrogateStudy};
-use fairco2_montecarlo::runner::default_threads;
+use fairco2_shapley::parallel::default_threads;
 
 /// Command-line flags this binary accepts.
 const FLAGS: &[&str] = &[

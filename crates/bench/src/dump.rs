@@ -11,6 +11,10 @@
 //! * `--dump-trials N` — stream the first `N` trials;
 //! * `--dump-path PATH` — write there instead of
 //!   `results/<name>_trials.jsonl`.
+//!
+//! A resumed run observes only the trials it executes after the restore
+//! point, so `--dump-trials` with `--resume` aborts instead of writing a
+//! partial dump.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -86,7 +90,9 @@ impl TrialDump {
     /// # Panics
     ///
     /// Panics when the dump file cannot be created — an audit artifact
-    /// that silently goes missing is worse than an abort.
+    /// that silently goes missing is worse than an abort — and when
+    /// `--dump-trials` is combined with `--resume`, whose dump would miss
+    /// every trial restored from the checkpoint.
     pub fn from_args(args: &Args, name: &str) -> Option<Self> {
         let spec = DumpSpec::from_args(args);
         if !spec.is_active() {
@@ -96,6 +102,10 @@ impl TrialDump {
             );
             return None;
         }
+        assert!(
+            !args.bool("resume", false),
+            "--dump-trials with --resume would miss the restored trials; rerun without --resume"
+        );
         let path = match args.str("dump-path") {
             Some(p) => PathBuf::from(p),
             None => {
@@ -155,7 +165,7 @@ mod tests {
 
     fn args(s: &[&str]) -> Args {
         Args::parse_from(
-            &["dump-trials", "dump-path"],
+            &["dump-trials", "dump-path", "resume"],
             s.iter().map(|s| s.to_string()),
         )
     }
@@ -181,6 +191,12 @@ mod tests {
     #[should_panic(expected = "expects `all` or an integer")]
     fn rejects_garbage_counts() {
         let _ = DumpSpec::from_args(&args(&["--dump-trials", "some"]));
+    }
+
+    #[test]
+    #[should_panic(expected = "--dump-trials with --resume")]
+    fn dump_with_resume_panics() {
+        let _ = TrialDump::from_args(&args(&["--dump-trials", "all", "--resume"]), "unused");
     }
 
     #[test]

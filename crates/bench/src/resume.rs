@@ -10,6 +10,9 @@
 //!   uninterrupted run);
 //! * `--retries <n>` — per-batch retry budget for failed/panicked
 //!   batches (default 2).
+//!
+//! `--checkpoint-every` and `--resume` do nothing without
+//! `--checkpoint`, so either one alone aborts the run.
 
 use std::path::PathBuf;
 
@@ -31,7 +34,20 @@ pub const CHECKPOINT_FLAGS: &[&str] = &["checkpoint", "checkpoint-every", "resum
 /// several studies (the convergence driver runs both): a non-empty
 /// suffix is appended to the `--checkpoint` path as an extra extension,
 /// e.g. `run.ckpt` → `run.ckpt.demand`.
+///
+/// # Panics
+///
+/// Panics when `--resume` or `--checkpoint-every` comes without
+/// `--checkpoint`: the run would silently start fresh or never snapshot.
 pub fn study_options(args: &Args, suffix: &str) -> StudyOptions {
+    if args.str("checkpoint").is_none() {
+        for flag in ["resume", "checkpoint-every"] {
+            assert!(
+                args.str(flag).is_none(),
+                "--{flag} without --checkpoint has no effect; pass --checkpoint <path>"
+            );
+        }
+    }
     let checkpoint = args.str("checkpoint").map(|p| {
         let mut path = PathBuf::from(p);
         if !suffix.is_empty() {
@@ -102,6 +118,18 @@ mod tests {
         assert_eq!(spec.every_batches, 3);
         assert!(opts.resume);
         assert_eq!(opts.retry_budget, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "--resume without --checkpoint has no effect")]
+    fn resume_without_checkpoint_panics() {
+        let _ = study_options(&args(&["--resume"]), "");
+    }
+
+    #[test]
+    #[should_panic(expected = "--checkpoint-every without --checkpoint has no effect")]
+    fn checkpoint_every_without_checkpoint_panics() {
+        let _ = study_options(&args(&["--checkpoint-every", "3"]), "");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! chunk-invariant per-VM tag, so any batching/threading of the bucket
 //! range folds bit-identical accumulators; the engine merges them in
 //! batch order, making the whole study — including checkpoint/resume
-//! through [`ScaleSnapshot`] — bit-identical to a serial run.
+//! through [`stream_study`] — bit-identical to a serial run.
 //!
 //! Attribution closes the loop the Fair-CO₂ way: for each scenario and
 //! region, the *realized* tenant demand is re-attributed with Temporal
@@ -24,12 +24,9 @@
 //! to both operational and embodied shares — not just the optimizer's
 //! internal price.
 
-use std::path::Path;
-
-use fairco2_montecarlo::engine::{stream_batches_resumable, ResumeState};
+use fairco2_montecarlo::checkpoint::fingerprint;
 use fairco2_montecarlo::{
-    read_envelope, write_envelope_atomic, CheckpointError, EngineConfig, EngineError, EngineStats,
-    FaultPlan, NoScratch, StudyOptions, WriteFault,
+    stream_study, EngineConfig, EngineError, EngineStats, FaultPlan, NoScratch, StudyOptions,
 };
 use fairco2_optimize::scaling::ResourcePricing;
 use fairco2_optimize::spatial::{job_carbon, BatchJob, MigrationCost, PlacementIndex, Region};
@@ -42,8 +39,9 @@ use serde::{Deserialize, Serialize};
 /// The three policies, in accumulator-scenario order.
 pub const SCENARIOS: [&str; 3] = ["baseline", "temporal", "spatio_temporal"];
 
-/// Configuration of the Azure-scale co-simulation.
-#[derive(Debug, Clone, PartialEq)]
+/// Configuration of the Azure-scale co-simulation. Every field is
+/// serialized into the checkpoint fingerprint.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AzureScaleStudy {
     /// Expected short-VM count over the horizon.
     pub vms: u64,
@@ -161,27 +159,6 @@ impl AzureScaleStudy {
     }
 }
 
-/// Configuration fingerprint binding checkpoints to one exact study.
-pub fn scale_fingerprint(study: &AzureScaleStudy, batch_buckets: usize) -> String {
-    let text = format!(
-        "azure_scale|vms={}|days={}|regions={}|tenants={}|slack={}|share={}|minlife={}|wpc={}|gbpc={}|mig={}x{}|embodied={}|seed={}|batch={batch_buckets}",
-        study.vms,
-        study.days,
-        study.regions,
-        study.tenants,
-        study.slack_hours,
-        study.deferrable_share,
-        study.min_deferrable_lifetime_s,
-        study.watts_per_core,
-        study.gb_per_core,
-        study.migration.data_gb,
-        study.migration.g_per_gb,
-        study.embodied_budget_g,
-        study.seed,
-    );
-    fairco2_montecarlo::checkpoint::fnv1a_hex(text.as_bytes())
-}
-
 /// The per-batch (and merged master) accumulator: realized demand per
 /// `(scenario, tenant, region, hour)` plus per-tenant carbon and shift
 /// counters. Merging is elementwise addition, performed by the engine in
@@ -268,63 +245,6 @@ impl ScaleAccumulator {
         addu(&mut self.deferrable_vms, &other.deferrable_vms);
         addu(&mut self.shifted, &other.shifted);
         addu(&mut self.migrated, &other.migrated);
-    }
-}
-
-/// One completed batch parked in the reorder buffer at checkpoint time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PendingScaleBatch {
-    /// Batch index (greater than the snapshot frontier).
-    pub batch: u64,
-    /// The batch's accumulator, merged without re-execution on resume.
-    pub acc: ScaleAccumulator,
-}
-
-/// Durable engine state of an Azure-scale run, in the same versioned,
-/// digest-guarded envelope as the built-in study snapshots.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ScaleSnapshot {
-    /// Fingerprint of the study + batch size that produced the snapshot.
-    pub fingerprint: String,
-    /// Batches `0..frontier` are folded into [`Self::acc`].
-    pub frontier: u64,
-    /// The merged master accumulator.
-    pub acc: ScaleAccumulator,
-    /// Completed batches beyond the frontier.
-    pub pending: Vec<PendingScaleBatch>,
-    /// Cumulative engine counters through the frontier.
-    pub stats: EngineStats,
-}
-
-impl ScaleSnapshot {
-    /// Atomically and durably writes the snapshot to `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Io`] on filesystem failures;
-    /// [`CheckpointError::WriteFailed`] when `fault` injects one.
-    pub fn save(&self, path: &Path, fault: WriteFault) -> Result<(), CheckpointError> {
-        let payload = serde_json::to_string(self).expect("snapshots serialize");
-        write_envelope_atomic(path, &payload, fault)
-    }
-
-    /// Loads and fully validates a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Every [`CheckpointError`] variant except `WriteFailed`; on any
-    /// error no state has been applied.
-    pub fn load(path: &Path, expected_fingerprint: &str) -> Result<Self, CheckpointError> {
-        let payload = read_envelope(path)?;
-        let snap = Self::deserialize(&payload)
-            .map_err(|e| CheckpointError::Malformed(format!("payload: {}", e.0)))?;
-        if snap.fingerprint != expected_fingerprint {
-            return Err(CheckpointError::ConfigMismatch {
-                expected: expected_fingerprint.to_owned(),
-                found: snap.fingerprint,
-            });
-        }
-        Ok(snap)
     }
 }
 
@@ -615,45 +535,16 @@ pub fn run_azure_scale(
         single: &single,
         pricing: ResourcePricing::paper_default(0.0),
     };
-    let fingerprint = scale_fingerprint(study, cfg.batch_trials);
     let buckets = vm_cfg.buckets() as usize;
     let hours = study.hours();
-    let mut master = ScaleAccumulator::new(hours, regions.len(), study.tenants);
-    let mut carried = EngineStats::default();
-    let mut resume_state: Option<ResumeState<ScaleAccumulator>> = None;
-    if opts.resume {
-        if let Some(spec) = &opts.checkpoint {
-            if spec.path.exists() {
-                let snap = ScaleSnapshot::load(&spec.path, &fingerprint)?;
-                master = snap.acc;
-                carried = snap.stats;
-                resume_state = Some(ResumeState {
-                    frontier: snap.frontier as usize,
-                    pending: snap
-                        .pending
-                        .into_iter()
-                        .map(|p| (p.batch as usize, p.acc))
-                        .collect(),
-                });
-            }
-        }
-    }
-    let batch_buckets = cfg.batch_trials.max(1);
-    let mut since_write = 0usize;
-    let mut writes = 0usize;
-    let mut write_attempts = 0usize;
-    let stats = stream_batches_resumable(
+    let (master, stats) = stream_study(
         buckets,
-        cfg.threads,
-        batch_buckets,
-        opts.retry_budget,
-        resume_state,
+        &fingerprint("azure_scale", study, cfg.batch_trials),
+        cfg,
+        opts,
+        ScaleAccumulator::new(hours, regions.len(), study.tenants),
         || NoScratch,
         |range, _scratch, attempt| {
-            let batch = range.start / batch_buckets;
-            if let Some(kind) = opts.faults.batch_fault(batch, attempt) {
-                FaultPlan::fire(kind, &format!("batch {batch}"))?;
-            }
             let mut acc = ScaleAccumulator::new(hours, regions.len(), study.tenants);
             if range.start == 0 {
                 // The horizon-spanning reserved VMs ride with batch 0 so
@@ -677,59 +568,10 @@ pub fn run_azure_scale(
             vm_cfg.for_each_vm_in(lo as u64, range.end as u64, |b, k, vm| {
                 ctx.fold_vm(&mut acc, vm_cfg.vm_tag(b, k), &vm, false);
             });
-            Ok(acc)
+            Ok((acc, ()))
         },
-        |mctx, acc| {
-            master.merge(&acc);
-            if let Some(spec) = &opts.checkpoint {
-                since_write += 1;
-                if since_write >= spec.every_batches.max(1) {
-                    since_write = 0;
-                    let snap = ScaleSnapshot {
-                        fingerprint: fingerprint.clone(),
-                        frontier: mctx.batch as u64 + 1,
-                        acc: master.clone(),
-                        pending: mctx
-                            .pending
-                            .iter()
-                            .map(|(b, a)| PendingScaleBatch {
-                                batch: *b as u64,
-                                acc: a.clone(),
-                            })
-                            .collect(),
-                        stats: EngineStats {
-                            trials: ((mctx.batch + 1) * batch_buckets).min(buckets) as u64,
-                            batches: mctx.batch as u64 + 1,
-                            threads: cfg.threads.max(1) as u64,
-                            scratch: carried.scratch,
-                            max_reorder_depth: carried.max_reorder_depth,
-                            retries: carried.retries + mctx.retries,
-                            requeued_batches: carried.requeued_batches + mctx.requeued_batches,
-                        },
-                    };
-                    let fault = if opts.faults.fail_checkpoint_write(write_attempts) {
-                        WriteFault::TornTmp
-                    } else {
-                        WriteFault::None
-                    };
-                    write_attempts += 1;
-                    snap.save(&spec.path, fault)?;
-                    writes += 1;
-                    if opts.faults.should_kill(writes) {
-                        return Err(EngineError::Killed { writes });
-                    }
-                }
-            }
-            Ok(())
-        },
+        |master, acc, _| master.merge(&acc),
     )?;
-    let mut stats = stats;
-    stats.trials = buckets as u64;
-    stats.batches = buckets.div_ceil(batch_buckets) as u64;
-    stats.retries += carried.retries;
-    stats.requeued_batches += carried.requeued_batches;
-    stats.scratch.merge(&carried.scratch);
-    stats.max_reorder_depth = stats.max_reorder_depth.max(carried.max_reorder_depth);
     Ok(finalize(study, &regions, &master, stats))
 }
 
@@ -970,7 +812,8 @@ mod tests {
         let a = small();
         let mut b = small();
         b.slack_hours = 6;
-        assert_ne!(scale_fingerprint(&a, 64), scale_fingerprint(&b, 64));
-        assert_ne!(scale_fingerprint(&a, 64), scale_fingerprint(&a, 128));
+        let scale = |s: &AzureScaleStudy, batch| fingerprint("azure_scale", s, batch);
+        assert_ne!(scale(&a, 64), scale(&b, 64));
+        assert_ne!(scale(&a, 64), scale(&a, 128));
     }
 }

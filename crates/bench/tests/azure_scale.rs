@@ -7,10 +7,12 @@
 
 use std::path::PathBuf;
 
-use fairco2_bench::scale::{run_azure_scale, scale_fingerprint, ScaleSnapshot};
+use fairco2_bench::scale::run_azure_scale;
 use fairco2_bench::AzureScaleStudy;
+use fairco2_montecarlo::checkpoint::fingerprint;
 use fairco2_montecarlo::{
-    CheckpointSpec, EngineConfig, EngineError, FaultKind, FaultPlan, StudyOptions, TrialFault,
+    CheckpointSpec, EngineConfig, EngineError, FaultKind, FaultPlan, Snapshot, StudyOptions,
+    TrialFault,
 };
 
 const BATCH: usize = 360;
@@ -74,8 +76,8 @@ fn killed_run_resumes_bit_identically() {
         "kill plan must stop the run: {killed:?}"
     );
     // The snapshot on disk validates against this exact study config.
-    let fingerprint = scale_fingerprint(&study, BATCH);
-    let snap = ScaleSnapshot::load(&path, &fingerprint).expect("snapshot validates");
+    let fingerprint = fingerprint("azure_scale", &study, BATCH);
+    let snap = Snapshot::load(&path, &fingerprint).expect("snapshot validates");
     assert!(snap.frontier >= 3, "three merges were checkpointed");
     let resumed = run_azure_scale(
         &study,
@@ -119,8 +121,8 @@ fn torn_checkpoint_write_leaves_the_previous_snapshot_intact() {
     );
     // The atomic rename protocol guarantees the prior snapshot survived
     // the torn attempt, so resuming from it completes bit-identically.
-    let fingerprint = scale_fingerprint(&study, BATCH);
-    ScaleSnapshot::load(&path, &fingerprint).expect("previous snapshot is intact");
+    let fingerprint = fingerprint("azure_scale", &study, BATCH);
+    Snapshot::load(&path, &fingerprint).expect("previous snapshot is intact");
     let resumed = run_azure_scale(
         &study,
         config(1),

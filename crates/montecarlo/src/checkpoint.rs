@@ -17,6 +17,8 @@
 //! { "version": 1, "digest": "<fnv1a-64 hex of payload text>", "payload": { … } }
 //! ```
 //!
+//! The payload is one [`Snapshot`] for every study, with its keys in
+//! field order: `fingerprint`, `frontier`, `summary`, `pending`, `stats`.
 //! The digest is computed over the compact serialization of `payload`.
 //! The vendored serde_json writer is byte-stable under parse → re-emit
 //! (floats always carry a float marker and round-trip bit-for-bit), so
@@ -38,10 +40,7 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize, Value};
 
-use crate::colocations::ColocationStudy;
 use crate::engine::EngineStats;
-use crate::schedules::DemandStudy;
-use crate::streaming::{ColocationStudySummary, DemandStudySummary};
 
 /// Current checkpoint format version. Bump on any payload shape change.
 pub const CHECKPOINT_VERSION: u64 = 1;
@@ -144,7 +143,7 @@ pub enum WriteFault {
 }
 
 /// FNV-1a 64-bit over `bytes`, as a fixed-width lowercase hex string.
-pub fn fnv1a_hex(bytes: &[u8]) -> String {
+fn fnv1a_hex(bytes: &[u8]) -> String {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = FNV_OFFSET;
@@ -155,73 +154,49 @@ pub fn fnv1a_hex(bytes: &[u8]) -> String {
     format!("{h:016x}")
 }
 
-/// Fingerprint of a demand study at a given batch size. Any change to
-/// the study parameters or batch boundaries produces a different
+/// Fingerprint of a `kind` study (`"demand"`, `"colocation"`,
+/// `"azure_scale"`) with configuration `config` at a given batch size.
+/// It covers every serialized field of the config, so any change to the
+/// study parameters or batch boundaries produces a different
 /// fingerprint, and checkpoints refuse to resume across it.
-pub fn demand_fingerprint(study: &DemandStudy, batch_trials: usize) -> String {
-    let cfg = serde_json::to_string(study).expect("study configs serialize");
-    fnv1a_hex(format!("demand|v{CHECKPOINT_VERSION}|{cfg}|batch={batch_trials}").as_bytes())
+pub fn fingerprint(kind: &str, config: &impl Serialize, batch_trials: usize) -> String {
+    let cfg = serde_json::to_string(config).expect("study configs serialize");
+    let batch = batch_trials.max(1);
+    fnv1a_hex(format!("{kind}|v{CHECKPOINT_VERSION}|{cfg}|batch={batch}").as_bytes())
 }
 
-/// Fingerprint of a colocation study at a given batch size; the
-/// colocation counterpart of [`demand_fingerprint`].
-pub fn colocation_fingerprint(study: &ColocationStudy, batch_trials: usize) -> String {
-    let cfg = serde_json::to_string(study).expect("study configs serialize");
-    fnv1a_hex(format!("colocation|v{CHECKPOINT_VERSION}|{cfg}|batch={batch_trials}").as_bytes())
-}
-
-/// A batch summary that finished ahead of the merge frontier (reorder
-/// buffer contents) for the demand study.
+/// A batch accumulator that finished ahead of the merge frontier
+/// (reorder-buffer contents).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PendingDemandBatch {
-    /// Batch index (strictly greater than the frontier).
+pub struct PendingBatch {
+    /// Batch index (at least the frontier).
     pub batch: u64,
-    /// The batch's summary accumulator, ready to merge in order.
-    pub summary: DemandStudySummary,
+    /// The batch's serialized accumulator, ready to merge in order.
+    pub summary: Value,
 }
 
-/// Reorder-buffer entry for the colocation study.
+/// Resumable state of a study run.
+///
+/// The accumulators are held as serialized [`Value`]s, so one snapshot
+/// type serves every study, and the payload bytes are exactly those of
+/// the accumulator's own serialization.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PendingColocationBatch {
-    /// Batch index (strictly greater than the frontier).
-    pub batch: u64,
-    /// The batch's summary accumulator, ready to merge in order.
-    pub summary: ColocationStudySummary,
-}
-
-/// Resumable state of a demand study run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DemandSnapshot {
-    /// [`demand_fingerprint`] of the study this snapshot belongs to.
+pub struct Snapshot {
+    /// [`fingerprint`] of the study this snapshot belongs to.
     pub fingerprint: String,
     /// Batches merged so far; resume continues from this batch index.
     pub frontier: u64,
-    /// The in-order-merged summary over batches `0..frontier`.
-    pub summary: DemandStudySummary,
+    /// The in-order-merged accumulator over batches `0..frontier`.
+    pub summary: Value,
     /// Completed batches still waiting in the reorder buffer.
-    pub pending: Vec<PendingDemandBatch>,
+    pub pending: Vec<PendingBatch>,
     /// Engine stats accumulated through the frontier. Scratch counters
     /// cover fully completed runs only (worker-local counters are not
     /// observable mid-run).
     pub stats: EngineStats,
 }
 
-/// Resumable state of a colocation study run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ColocationSnapshot {
-    /// [`colocation_fingerprint`] of the study this snapshot belongs to.
-    pub fingerprint: String,
-    /// Batches merged so far; resume continues from this batch index.
-    pub frontier: u64,
-    /// The in-order-merged summary over batches `0..frontier`.
-    pub summary: ColocationStudySummary,
-    /// Completed batches still waiting in the reorder buffer.
-    pub pending: Vec<PendingColocationBatch>,
-    /// Engine stats accumulated through the frontier.
-    pub stats: EngineStats,
-}
-
-impl DemandSnapshot {
+impl Snapshot {
     /// Atomically and durably writes the snapshot to `path`.
     ///
     /// # Errors
@@ -244,60 +219,19 @@ impl DemandSnapshot {
         let payload = read_envelope(path)?;
         let snap = Self::deserialize(&payload)
             .map_err(|e| CheckpointError::Malformed(format!("payload: {}", e.0)))?;
-        check_fingerprint(&snap.fingerprint, expected_fingerprint)?;
+        if snap.fingerprint != expected_fingerprint {
+            return Err(CheckpointError::ConfigMismatch {
+                expected: expected_fingerprint.to_owned(),
+                found: snap.fingerprint,
+            });
+        }
         Ok(snap)
-    }
-}
-
-impl ColocationSnapshot {
-    /// Atomically and durably writes the snapshot to `path`; see
-    /// [`DemandSnapshot::save`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`DemandSnapshot::save`].
-    pub fn save(&self, path: &Path, fault: WriteFault) -> Result<(), CheckpointError> {
-        let payload = serde_json::to_string(self).expect("snapshots serialize");
-        write_envelope_atomic(path, &payload, fault)
-    }
-
-    /// Loads and fully validates a snapshot; see
-    /// [`DemandSnapshot::load`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`DemandSnapshot::load`].
-    pub fn load(path: &Path, expected_fingerprint: &str) -> Result<Self, CheckpointError> {
-        let payload = read_envelope(path)?;
-        let snap = Self::deserialize(&payload)
-            .map_err(|e| CheckpointError::Malformed(format!("payload: {}", e.0)))?;
-        check_fingerprint(&snap.fingerprint, expected_fingerprint)?;
-        Ok(snap)
-    }
-}
-
-fn check_fingerprint(found: &str, expected: &str) -> Result<(), CheckpointError> {
-    if found == expected {
-        Ok(())
-    } else {
-        Err(CheckpointError::ConfigMismatch {
-            expected: expected.to_owned(),
-            found: found.to_owned(),
-        })
     }
 }
 
 /// Wraps `payload` (compact JSON text) in the versioned envelope and
 /// writes it via [`write_durable_atomic`].
-///
-/// Public so external snapshot types (the Azure-scale study's, in
-/// `fairco2-bench`) share the exact digest-guarded envelope format of
-/// the built-in snapshots.
-///
-/// # Errors
-///
-/// Propagates [`write_durable_atomic`]'s I/O errors.
-pub fn write_envelope_atomic(
+fn write_envelope_atomic(
     path: &Path,
     payload: &str,
     fault: WriteFault,
@@ -392,14 +326,7 @@ fn write_tmp(tmp: &Path, text: &str, inject_failure: bool) -> Result<(), Checkpo
 
 /// Reads the envelope at `path`, validating version and digest, and
 /// returns the payload value.
-///
-/// # Errors
-///
-/// [`CheckpointError::Io`] / [`CheckpointError::Malformed`] on unreadable
-/// or unparseable files, [`CheckpointError::VersionMismatch`] and
-/// [`CheckpointError::DigestMismatch`] when the envelope fails
-/// validation.
-pub fn read_envelope(path: &Path) -> Result<Value, CheckpointError> {
+fn read_envelope(path: &Path) -> Result<Value, CheckpointError> {
     let text = fs::read_to_string(path)
         .map_err(|e| CheckpointError::Io(format!("{}: {e}", path.display())))?;
     let envelope: Value =
@@ -439,6 +366,9 @@ pub fn read_envelope(path: &Path) -> Result<Value, CheckpointError> {
 mod tests {
     use super::*;
 
+    use crate::colocations::ColocationStudy;
+    use crate::schedules::DemandStudy;
+
     #[test]
     fn fingerprints_separate_studies_and_batch_sizes() {
         let a = DemandStudy::default();
@@ -446,12 +376,13 @@ mod tests {
             trials: 99,
             ..DemandStudy::default()
         };
-        assert_ne!(demand_fingerprint(&a, 64), demand_fingerprint(&b, 64));
-        assert_ne!(demand_fingerprint(&a, 64), demand_fingerprint(&a, 32));
-        assert_eq!(demand_fingerprint(&a, 64), demand_fingerprint(&a, 64));
+        let demand = |s: &DemandStudy, batch| fingerprint("demand", s, batch);
+        assert_ne!(demand(&a, 64), demand(&b, 64));
+        assert_ne!(demand(&a, 64), demand(&a, 32));
+        assert_eq!(demand(&a, 64), demand(&a, 64));
         // Demand and colocation fingerprints never collide by prefix.
         let c = ColocationStudy::default();
-        assert_ne!(demand_fingerprint(&a, 64), colocation_fingerprint(&c, 64));
+        assert_ne!(demand(&a, 64), fingerprint("colocation", &c, 64));
     }
 
     #[test]

@@ -28,6 +28,11 @@
 //! a complete description of progress. [`StudyOptions::checkpoint`]
 //! snapshots it every K merges; resuming re-runs nothing before the
 //! frontier and is bit-identical to an uninterrupted run.
+//!
+//! [`stream_study`] is the one function that restores, snapshots, fires
+//! failpoints and totals stats around the batch engine; the demand and
+//! colocation studies here, and the Azure-scale co-simulation in
+//! `fairco2-bench`, supply only their per-batch fold.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -35,11 +40,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 use fairco2_shapley::parallel::panic_message;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::checkpoint::{
-    colocation_fingerprint, demand_fingerprint, CheckpointError, CheckpointSpec,
-    ColocationSnapshot, DemandSnapshot, PendingColocationBatch, PendingDemandBatch, WriteFault,
+    fingerprint, CheckpointError, CheckpointSpec, PendingBatch, Snapshot, WriteFault,
 };
 use crate::colocations::{ColocationStudy, ColocationTrial};
 use crate::faults::FaultPlan;
@@ -176,7 +180,7 @@ impl From<CheckpointError> for EngineError {
 /// checkpoint cut mid-drain can park the frontier batch itself here;
 /// anything below it has already been merged).
 #[derive(Debug, Clone)]
-pub struct ResumeState<A> {
+pub(crate) struct ResumeState<A> {
     /// Batches `0..frontier` are merged; execution restarts here.
     pub frontier: usize,
     /// Completed `(batch, accumulator)` pairs beyond the frontier; they
@@ -186,7 +190,7 @@ pub struct ResumeState<A> {
 
 /// What the in-order merge callback can observe at each merge point —
 /// enough to cut a complete checkpoint.
-pub struct MergeCtx<'a, A> {
+pub(crate) struct MergeCtx<'a, A> {
     /// The batch being merged; after this call the frontier is
     /// `batch + 1`.
     pub batch: usize,
@@ -225,7 +229,7 @@ pub struct MergeCtx<'a, A> {
 /// Panics if a resume state is inconsistent with the batch count (a
 /// checkpoint for a different study passed validation — a caller bug).
 #[allow(clippy::too_many_arguments)]
-pub fn stream_batches_resumable<A, C, S, F, M>(
+pub(crate) fn stream_batches_resumable<A, C, S, F, M>(
     trials: usize,
     threads: usize,
     batch_trials: usize,
@@ -445,47 +449,6 @@ fn prefer_error(cur: EngineError, new: EngineError) -> EngineError {
     }
 }
 
-/// [`stream_batches_resumable`] with the pre-fault-tolerance contract:
-/// no retries, no resume, and worker failures surface as panics.
-///
-/// # Panics
-///
-/// Propagates panics from worker threads (message contains
-/// `"study worker panicked"`).
-pub fn stream_batches<A, C, S, F, M>(
-    trials: usize,
-    threads: usize,
-    batch_trials: usize,
-    make_scratch: S,
-    run_batch: F,
-    mut merge: M,
-) -> EngineStats
-where
-    A: Send,
-    C: EngineScratch,
-    S: Fn() -> C + Sync,
-    F: Fn(Range<usize>, &mut C) -> A + Sync,
-    M: FnMut(usize, A),
-{
-    let result = stream_batches_resumable(
-        trials,
-        threads,
-        batch_trials,
-        0,
-        None,
-        make_scratch,
-        |range, scratch, _attempt| Ok(run_batch(range, scratch)),
-        |ctx, acc| {
-            merge(ctx.batch, acc);
-            Ok(())
-        },
-    );
-    match result {
-        Ok(stats) => stats,
-        Err(e) => panic!("study worker panicked: {e}"),
-    }
-}
-
 /// Fault-tolerance and checkpointing knobs for a study run.
 #[derive(Debug, Clone, Default)]
 pub struct StudyOptions {
@@ -511,8 +474,154 @@ impl StudyOptions {
     }
 }
 
-type DemandAcc = (DemandStudySummary, Option<Vec<DemandTrial>>);
-type ColocationAcc = (ColocationStudySummary, Option<Vec<ColocationTrial>>);
+/// Runs a resumable study of `items` work items: the one entry point behind
+/// the demand, colocation and Azure-scale studies.
+///
+/// `run_batch` folds one batch of item indices through the worker's
+/// scratch into a fresh accumulator `A`, plus per-batch output `X` that
+/// is never checkpointed (such as the trials a sink observes). It
+/// receives the 0-based attempt number so per-item failpoints can key
+/// off it. `on_merge(master, acc, x)` folds each batch into `master` on
+/// the calling thread, strictly in batch order; batches restored from a
+/// snapshot's reorder buffer arrive with `x = None`.
+///
+/// Everything around that fold happens here: restoring from
+/// [`StudyOptions::checkpoint`] when [`StudyOptions::resume`] is set and
+/// the file exists (a missing file starts fresh), firing
+/// [`FaultPlan::batch_fault`] failpoints, writing a [`Snapshot`] every
+/// [`CheckpointSpec::every_batches`] merges (under the write and kill
+/// failpoints), and folding the restored and live stats into
+/// whole-study totals. The merged accumulator is bit-identical at any
+/// thread count and across any checkpoint/resume boundary, because
+/// batch boundaries depend only on [`EngineConfig::batch_trials`].
+///
+/// # Errors
+///
+/// [`EngineError::Checkpoint`] for invalid checkpoints or failed writes,
+/// [`EngineError::BatchAbandoned`] when faults exceed the retry budget,
+/// and [`EngineError::Killed`] from a kill failpoint.
+#[allow(clippy::too_many_arguments)]
+pub fn stream_study<A, X, C>(
+    items: usize,
+    fingerprint: &str,
+    cfg: EngineConfig,
+    opts: &StudyOptions,
+    empty: A,
+    make_scratch: impl Fn() -> C + Sync,
+    run_batch: impl Fn(Range<usize>, &mut C, u32) -> Result<(A, X), BatchFailure> + Sync,
+    mut on_merge: impl FnMut(&mut A, A, Option<X>),
+) -> Result<(A, EngineStats), EngineError>
+where
+    A: Send + Serialize + Deserialize,
+    X: Send,
+    C: EngineScratch,
+{
+    let batch_trials = cfg.batch_trials.max(1);
+    let faults = &opts.faults;
+    let mut master = empty;
+    let mut carried = EngineStats::default();
+    let mut resume = None;
+    let restorable = opts
+        .checkpoint
+        .as_ref()
+        .filter(|s| opts.resume && s.path.exists());
+    if let Some(spec) = restorable {
+        let snap = Snapshot::load(&spec.path, fingerprint)?;
+        master = restore(&snap.summary)?;
+        let pending = snap
+            .pending
+            .iter()
+            .map(|p| Ok((p.batch as usize, (restore(&p.summary)?, None))))
+            .collect::<Result<_, CheckpointError>>()?;
+        carried = snap.stats;
+        resume = Some(ResumeState {
+            frontier: snap.frontier as usize,
+            pending,
+        });
+    }
+
+    let mut since_write = 0usize;
+    let mut write_attempts = 0usize;
+    let mut writes = 0usize;
+    let mut stats = stream_batches_resumable(
+        items,
+        cfg.threads,
+        batch_trials,
+        opts.retry_budget,
+        resume,
+        make_scratch,
+        |range, scratch, attempt| {
+            let batch = range.start / batch_trials;
+            if let Some(kind) = faults.batch_fault(batch, attempt) {
+                FaultPlan::fire(kind, &format!("batch {batch}"))?;
+            }
+            let (acc, x) = run_batch(range, scratch, attempt)?;
+            Ok((acc, Some(x)))
+        },
+        |ctx, (acc, x)| {
+            on_merge(&mut master, acc, x);
+            let Some(spec) = &opts.checkpoint else {
+                return Ok(());
+            };
+            since_write += 1;
+            if since_write < spec.every_batches.max(1) {
+                return Ok(());
+            }
+            since_write = 0;
+            // Cumulative through the frontier; scratch counters are
+            // carried from completed runs only (live worker counters are
+            // not observable mid-run).
+            let snap = Snapshot {
+                fingerprint: fingerprint.to_owned(),
+                frontier: ctx.batch as u64 + 1,
+                summary: master.serialize(),
+                pending: ctx
+                    .pending
+                    .iter()
+                    .map(|(b, (acc, _))| PendingBatch {
+                        batch: *b as u64,
+                        summary: acc.serialize(),
+                    })
+                    .collect(),
+                stats: EngineStats {
+                    trials: ((ctx.batch + 1) * batch_trials).min(items) as u64,
+                    batches: ctx.batch as u64 + 1,
+                    threads: cfg.threads.max(1) as u64,
+                    scratch: carried.scratch,
+                    max_reorder_depth: carried.max_reorder_depth,
+                    retries: carried.retries + ctx.retries,
+                    requeued_batches: carried.requeued_batches + ctx.requeued_batches,
+                },
+            };
+            let fault = if faults.fail_checkpoint_write(write_attempts) {
+                WriteFault::TornTmp
+            } else {
+                WriteFault::None
+            };
+            write_attempts += 1;
+            snap.save(&spec.path, fault)?;
+            writes += 1;
+            if faults.should_kill(writes) {
+                return Err(EngineError::Killed { writes });
+            }
+            Ok(())
+        },
+    )?;
+    // Whole-study totals: every item is merged by now, including the
+    // restored prefix and reorder-buffer batches this run never executed.
+    stats.trials = items as u64;
+    stats.batches = items.div_ceil(batch_trials) as u64;
+    stats.retries += carried.retries;
+    stats.requeued_batches += carried.requeued_batches;
+    stats.scratch.merge(&carried.scratch);
+    stats.max_reorder_depth = stats.max_reorder_depth.max(carried.max_reorder_depth);
+    Ok((master, stats))
+}
+
+/// Rebuilds a checkpointed accumulator.
+fn restore<A: Deserialize>(value: &Value) -> Result<A, CheckpointError> {
+    A::deserialize(value).map_err(|e| CheckpointError::Malformed(format!("summary: {}", e.0)))
+}
 
 /// Streams the demand study with fault containment, checkpointing, and
 /// resume; `on_progress(trials_so_far, &summary)` fires after every
@@ -528,9 +637,7 @@ type ColocationAcc = (ColocationStudySummary, Option<Vec<ColocationTrial>>);
 ///
 /// # Errors
 ///
-/// [`EngineError::Checkpoint`] for invalid checkpoints or failed writes,
-/// [`EngineError::BatchAbandoned`] when faults exceed the retry budget,
-/// and [`EngineError::Killed`] from a kill failpoint.
+/// Same contract as [`stream_study`].
 pub fn stream_demand_study_resumable(
     study: &DemandStudy,
     cfg: EngineConfig,
@@ -575,110 +682,43 @@ fn demand_study_impl(
     mut sink: Option<&mut dyn FnMut(&DemandTrial)>,
 ) -> Result<(DemandStudySummary, Option<Vec<DemandTrial>>, EngineStats), EngineError> {
     let keep_trials = cfg.collect_trials || sink.is_some();
-    let batch_trials = cfg.batch_trials.max(1);
-    let n_batches = study.trials.div_ceil(batch_trials);
-    let fingerprint = demand_fingerprint(study, batch_trials);
-    let mut master = DemandStudySummary::empty(study);
     let mut dump: Option<Vec<DemandTrial>> = cfg.collect_trials.then(Vec::new);
-    let mut carried = EngineStats::default();
-    let mut resume_state: Option<ResumeState<DemandAcc>> = None;
-    if opts.resume {
-        if let Some(spec) = &opts.checkpoint {
-            if spec.path.exists() {
-                let snap = DemandSnapshot::load(&spec.path, &fingerprint)?;
-                master = snap.summary;
-                carried = snap.stats;
-                resume_state = Some(ResumeState {
-                    frontier: snap.frontier as usize,
-                    pending: snap
-                        .pending
-                        .into_iter()
-                        .map(|p| (p.batch as usize, (p.summary, None)))
-                        .collect(),
-                });
-            }
-        }
-    }
-
-    let faults = &opts.faults;
-    let mut since_write = 0usize;
-    let mut write_attempts = 0usize;
-    let mut writes = 0usize;
-    let stats = stream_batches_resumable(
+    let (summary, stats) = stream_study(
         study.trials,
-        cfg.threads,
-        batch_trials,
-        opts.retry_budget,
-        resume_state,
+        &fingerprint("demand", study, cfg.batch_trials),
+        cfg,
+        opts,
+        DemandStudySummary::empty(study),
         || TrialScratch::for_demand(study),
         |range, scratch, attempt| {
-            let batch = range.start / batch_trials;
-            if let Some(kind) = faults.batch_fault(batch, attempt) {
-                FaultPlan::fire(kind, &format!("batch {batch}"))?;
-            }
             let mut acc = DemandStudySummary::empty(study);
-            let mut kept = keep_trials.then(|| Vec::with_capacity(range.len()));
+            let mut kept = Vec::with_capacity(if keep_trials { range.len() } else { 0 });
             for t in range {
-                if let Some(kind) = faults.trial_fault(t, attempt) {
+                if let Some(kind) = opts.faults.trial_fault(t, attempt) {
                     FaultPlan::fire(kind, &format!("trial {t}"))?;
                 }
                 let trial = study.run_trial_with_scratch(t, scratch);
                 acc.record(&trial);
-                if let Some(k) = &mut kept {
-                    k.push(trial);
+                if keep_trials {
+                    kept.push(trial);
                 }
             }
             Ok((acc, kept))
         },
-        |ctx, (acc, kept): DemandAcc| {
+        |master, acc, kept| {
             master.merge(&acc);
-            if let Some(k) = kept {
+            for trial in kept.into_iter().flatten() {
                 if let Some(observe) = sink.as_deref_mut() {
-                    for trial in &k {
-                        observe(trial);
-                    }
+                    observe(&trial);
                 }
                 if let Some(d) = &mut dump {
-                    d.extend(k);
+                    d.push(trial);
                 }
             }
-            on_progress(master.trials, &master);
-            if let Some(spec) = &opts.checkpoint {
-                since_write += 1;
-                if since_write >= spec.every_batches.max(1) {
-                    since_write = 0;
-                    let snap = DemandSnapshot {
-                        fingerprint: fingerprint.clone(),
-                        frontier: ctx.batch as u64 + 1,
-                        summary: master.clone(),
-                        pending: ctx
-                            .pending
-                            .iter()
-                            .map(|(b, (s, _))| PendingDemandBatch {
-                                batch: *b as u64,
-                                summary: s.clone(),
-                            })
-                            .collect(),
-                        stats: checkpoint_stats(&carried, &ctx, master.trials, cfg.threads),
-                    };
-                    let fault = if faults.fail_checkpoint_write(write_attempts) {
-                        WriteFault::TornTmp
-                    } else {
-                        WriteFault::None
-                    };
-                    write_attempts += 1;
-                    snap.save(&spec.path, fault)?;
-                    writes += 1;
-                    if faults.should_kill(writes) {
-                        return Err(EngineError::Killed { writes });
-                    }
-                }
-            }
-            Ok(())
+            on_progress(master.trials, master);
         },
     )?;
-    let stats = total_stats(stats, &carried, n_batches, master.trials);
-    Ok((master, dump, stats))
+    Ok((summary, dump, stats))
 }
 
 /// Streams the colocation study with fault containment, checkpointing,
@@ -738,207 +778,70 @@ fn colocation_study_impl(
     EngineError,
 > {
     let keep_trials = cfg.collect_trials || sink.is_some();
-    let batch_trials = cfg.batch_trials.max(1);
-    let n_batches = study.trials.div_ceil(batch_trials);
-    let fingerprint = colocation_fingerprint(study, batch_trials);
-    let mut master = ColocationStudySummary::empty(study);
     let mut dump: Option<Vec<ColocationTrial>> = cfg.collect_trials.then(Vec::new);
-    let mut carried = EngineStats::default();
-    let mut resume_state: Option<ResumeState<ColocationAcc>> = None;
-    if opts.resume {
-        if let Some(spec) = &opts.checkpoint {
-            if spec.path.exists() {
-                let snap = ColocationSnapshot::load(&spec.path, &fingerprint)?;
-                master = snap.summary;
-                carried = snap.stats;
-                resume_state = Some(ResumeState {
-                    frontier: snap.frontier as usize,
-                    pending: snap
-                        .pending
-                        .into_iter()
-                        .map(|p| (p.batch as usize, (p.summary, None)))
-                        .collect(),
-                });
-            }
-        }
-    }
-
-    let faults = &opts.faults;
-    let mut since_write = 0usize;
-    let mut write_attempts = 0usize;
-    let mut writes = 0usize;
-    let stats = stream_batches_resumable(
+    let (summary, stats) = stream_study(
         study.trials,
-        cfg.threads,
-        batch_trials,
-        opts.retry_budget,
-        resume_state,
+        &fingerprint("colocation", study, cfg.batch_trials),
+        cfg,
+        opts,
+        ColocationStudySummary::empty(study),
         TrialScratch::new,
         |range, scratch, attempt| {
-            let batch = range.start / batch_trials;
-            if let Some(kind) = faults.batch_fault(batch, attempt) {
-                FaultPlan::fire(kind, &format!("batch {batch}"))?;
-            }
             let mut acc = ColocationStudySummary::empty(study);
-            let mut kept = keep_trials.then(|| Vec::with_capacity(range.len()));
+            let mut kept = Vec::with_capacity(if keep_trials { range.len() } else { 0 });
             for t in range {
-                if let Some(kind) = faults.trial_fault(t, attempt) {
+                if let Some(kind) = opts.faults.trial_fault(t, attempt) {
                     FaultPlan::fire(kind, &format!("trial {t}"))?;
                 }
                 let trial = study.run_trial_with_scratch(t, scratch);
                 acc.record(&trial);
-                if let Some(k) = &mut kept {
-                    k.push(trial);
+                if keep_trials {
+                    kept.push(trial);
                 }
             }
             Ok((acc, kept))
         },
-        |ctx, (acc, kept): ColocationAcc| {
+        |master, acc, kept| {
             master.merge(&acc);
-            if let Some(k) = kept {
+            for trial in kept.into_iter().flatten() {
                 if let Some(observe) = sink.as_deref_mut() {
-                    for trial in &k {
-                        observe(trial);
-                    }
+                    observe(&trial);
                 }
                 if let Some(d) = &mut dump {
-                    d.extend(k);
+                    d.push(trial);
                 }
             }
-            on_progress(master.trials, &master);
-            if let Some(spec) = &opts.checkpoint {
-                since_write += 1;
-                if since_write >= spec.every_batches.max(1) {
-                    since_write = 0;
-                    let snap = ColocationSnapshot {
-                        fingerprint: fingerprint.clone(),
-                        frontier: ctx.batch as u64 + 1,
-                        summary: master.clone(),
-                        pending: ctx
-                            .pending
-                            .iter()
-                            .map(|(b, (s, _))| PendingColocationBatch {
-                                batch: *b as u64,
-                                summary: s.clone(),
-                            })
-                            .collect(),
-                        stats: checkpoint_stats(&carried, &ctx, master.trials, cfg.threads),
-                    };
-                    let fault = if faults.fail_checkpoint_write(write_attempts) {
-                        WriteFault::TornTmp
-                    } else {
-                        WriteFault::None
-                    };
-                    write_attempts += 1;
-                    snap.save(&spec.path, fault)?;
-                    writes += 1;
-                    if faults.should_kill(writes) {
-                        return Err(EngineError::Killed { writes });
-                    }
-                }
-            }
-            Ok(())
+            on_progress(master.trials, master);
         },
     )?;
-    let stats = total_stats(stats, &carried, n_batches, master.trials);
-    Ok((master, dump, stats))
+    Ok((summary, dump, stats))
 }
 
-/// The stats to embed in a checkpoint cut at `ctx`: cumulative through
-/// the frontier, with scratch counters carried from completed runs only
-/// (live worker counters are not observable mid-run).
-fn checkpoint_stats<A>(
-    carried: &EngineStats,
-    ctx: &MergeCtx<'_, A>,
-    merged_trials: u64,
-    threads: usize,
-) -> EngineStats {
-    EngineStats {
-        trials: merged_trials,
-        batches: ctx.batch as u64 + 1,
-        threads: threads.max(1) as u64,
-        scratch: carried.scratch,
-        max_reorder_depth: carried.max_reorder_depth,
-        retries: carried.retries + ctx.retries,
-        requeued_batches: carried.requeued_batches + ctx.requeued_batches,
-    }
-}
-
-/// Folds a run's stats with the checkpointed stats it resumed from into
-/// whole-study totals. `merged_trials` (the master summary's count) is
-/// authoritative for `trials`: it covers executed, carried, *and*
-/// reorder-buffer batches merged straight from the checkpoint.
-fn total_stats(
-    mut stats: EngineStats,
-    carried: &EngineStats,
-    n_batches: usize,
-    merged_trials: u64,
-) -> EngineStats {
-    stats.trials = merged_trials;
-    stats.batches = n_batches as u64;
-    stats.retries += carried.retries;
-    stats.requeued_batches += carried.requeued_batches;
-    stats.scratch.merge(&carried.scratch);
-    stats.max_reorder_depth = stats.max_reorder_depth.max(carried.max_reorder_depth);
-    stats
-}
-
-/// Streams the demand study: per-worker arenas, in-order batch merges,
-/// `on_progress(trials_so_far, &summary)` after every merge (for
-/// convergence checkpoints and progress display).
+/// Streams the demand study with no retry budget and no checkpointing:
+/// [`stream_demand_study_resumable`] under default [`StudyOptions`].
 ///
 /// Returns the summary, the per-trial dump when
-/// [`EngineConfig::collect_trials`] is set, and the engine stats. The
-/// summary is bit-identical to
-/// [`DemandStudySummary::from_trials`] over the serially collected trials
-/// at the same batch size, at any thread count.
+/// [`EngineConfig::collect_trials`] is set, and the engine stats.
 ///
 /// # Panics
 ///
-/// Propagates panics from worker threads (no retry budget on this
-/// legacy path; see [`stream_demand_study_resumable`]).
-pub fn stream_demand_study_observed(
-    study: &DemandStudy,
-    cfg: EngineConfig,
-    on_progress: impl FnMut(u64, &DemandStudySummary),
-) -> (DemandStudySummary, Option<Vec<DemandTrial>>, EngineStats) {
-    match stream_demand_study_resumable(study, cfg, &StudyOptions::default(), on_progress) {
-        Ok(out) => out,
-        Err(e) => panic!("study worker panicked: {e}"),
-    }
-}
-
-/// [`stream_demand_study_observed`] without a progress callback.
+/// Propagates a failed batch as a panic whose message contains
+/// `"study worker panicked"`.
 pub fn stream_demand_study(
     study: &DemandStudy,
     cfg: EngineConfig,
 ) -> (DemandStudySummary, Option<Vec<DemandTrial>>, EngineStats) {
-    stream_demand_study_observed(study, cfg, |_, _| {})
+    stream_demand_study_resumable(study, cfg, &StudyOptions::default(), |_, _| {})
+        .unwrap_or_else(|e| panic!("study worker panicked: {e}"))
 }
 
 /// Streams the colocation study; the colocation counterpart of
-/// [`stream_demand_study_observed`].
+/// [`stream_demand_study`].
 ///
 /// # Panics
 ///
-/// Propagates panics from worker threads (no retry budget on this
-/// legacy path; see [`stream_colocation_study_resumable`]).
-pub fn stream_colocation_study_observed(
-    study: &ColocationStudy,
-    cfg: EngineConfig,
-    on_progress: impl FnMut(u64, &ColocationStudySummary),
-) -> (
-    ColocationStudySummary,
-    Option<Vec<ColocationTrial>>,
-    EngineStats,
-) {
-    match stream_colocation_study_resumable(study, cfg, &StudyOptions::default(), on_progress) {
-        Ok(out) => out,
-        Err(e) => panic!("study worker panicked: {e}"),
-    }
-}
-
-/// [`stream_colocation_study_observed`] without a progress callback.
+/// Propagates a failed batch as a panic whose message contains
+/// `"study worker panicked"`.
 pub fn stream_colocation_study(
     study: &ColocationStudy,
     cfg: EngineConfig,
@@ -947,7 +850,8 @@ pub fn stream_colocation_study(
     Option<Vec<ColocationTrial>>,
     EngineStats,
 ) {
-    stream_colocation_study_observed(study, cfg, |_, _| {})
+    stream_colocation_study_resumable(study, cfg, &StudyOptions::default(), |_, _| {})
+        .unwrap_or_else(|e| panic!("study worker panicked: {e}"))
 }
 
 #[cfg(test)]
@@ -999,7 +903,10 @@ mod tests {
             collect_trials: false,
         };
         let (summary, dump, _) =
-            stream_demand_study_observed(&study, cfg, |n, s| seen.push((n, s.trials)));
+            stream_demand_study_resumable(&study, cfg, &StudyOptions::default(), |n, s| {
+                seen.push((n, s.trials))
+            })
+            .expect("fault-free run");
         assert!(dump.is_none());
         assert_eq!(seen, vec![(10, 10), (20, 20), (30, 30), (37, 37)]);
         assert_eq!(summary.trials, 37);

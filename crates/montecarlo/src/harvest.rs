@@ -9,8 +9,8 @@
 //! [`HarvestRecord`] per trial — the `(workload features, schedule
 //! features) → Shapley share` rows the surrogate ridge model trains on.
 //!
-//! Harvests stream through the same batched engine as the studies
-//! ([`crate::engine::stream_batches`]): workers fan out over batches with
+//! Harvests stream through the same batched engine as the studies, with
+//! no checkpoint and no retry budget: workers fan out over batches with
 //! per-worker scratch arenas, and records are observed strictly in trial
 //! order on the merge thread. The emitted JSONL is therefore
 //! **byte-identical at any thread count** — the property the
@@ -27,7 +27,7 @@ use fairco2_shapley::surrogate::{
     player_features_into, SurrogateModel, SurrogateScratch, SurrogateTrainer, SURROGATE_FEATURES,
 };
 
-use crate::engine::{stream_batches, EngineStats};
+use crate::engine::{stream_batches_resumable, EngineStats};
 use crate::schedules::DemandStudy;
 use crate::scratch::{EngineScratch, ScratchStats, TrialScratch};
 
@@ -134,28 +134,35 @@ pub fn harvest_demand_trial(
 /// `threads` workers and hands each record to `on_record` **in ascending
 /// trial order** (the engine's in-order merge makes the observed stream
 /// thread-count invariant). Returns the engine stats.
+///
+/// # Panics
+///
+/// Propagates a panicking trial as a panic whose message contains
+/// `"study worker panicked"`.
 pub fn harvest_demand_study_with(
     study: &DemandStudy,
     threads: usize,
     batch_trials: usize,
     mut on_record: impl FnMut(&HarvestRecord),
 ) -> EngineStats {
-    stream_batches(
+    stream_batches_resumable(
         study.trials,
         threads,
         batch_trials,
+        0,
+        None,
         || HarvestScratch::for_study(study),
-        |range, scratch: &mut HarvestScratch| {
-            range
+        |range, scratch: &mut HarvestScratch, _attempt| {
+            Ok(range
                 .map(|t| harvest_demand_trial(study, t, scratch))
-                .collect::<Vec<_>>()
+                .collect::<Vec<_>>())
         },
-        |_batch, records: Vec<HarvestRecord>| {
-            for r in &records {
-                on_record(r);
-            }
+        |_ctx, records: Vec<HarvestRecord>| {
+            records.iter().for_each(&mut on_record);
+            Ok(())
         },
     )
+    .unwrap_or_else(|e| panic!("study worker panicked: {e}"))
 }
 
 /// What a JSONL harvest did.

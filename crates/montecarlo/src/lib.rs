@@ -16,12 +16,9 @@
 //!   method are compared against the exact matching-game Shapley
 //!   (Figures 8 and 9).
 //!
-//! [`runner`] executes trials across threads deterministically: trial `k`
-//! always uses seed `base_seed + k`, so results are reproducible at any
-//! parallelism.
-//!
-//! Full-scale runs go through the streaming study engine instead of
-//! collecting trials:
+//! Trial `k` always uses seed `base_seed + k`, so results are
+//! reproducible at any parallelism. Full-scale runs go through the
+//! streaming study engine instead of collecting trials:
 //!
 //! * [`scratch`] — per-worker [`TrialScratch`] arenas (exact-solver φ
 //!   buffer, share vectors, generation buffers), so a 10,000-trial run
@@ -33,7 +30,10 @@
 //!   in batch order, and the resulting summaries are bit-identical to the
 //!   collect-then-summarize path at any thread count. Studies can also
 //!   attach a streaming per-trial sink (the `--dump-trials` JSONL path)
-//!   that observes every trial in trial order without `O(trials)` memory;
+//!   that observes every trial in trial order without `O(trials)` memory.
+//!   [`stream_study`] is the one resumable entry point: every study, including
+//!   the Azure-scale co-simulation in `fairco2-bench`, checkpoints and
+//!   resumes through it with one [`Snapshot`] type;
 //! * [`harvest`] — the surrogate training-set pipeline: replays each
 //!   trial's schedule into `(workload features, exact Shapley share)`
 //!   rows and streams them to JSONL, byte-identical at any thread count.
@@ -46,20 +46,18 @@ pub mod colocations;
 pub mod engine;
 pub mod faults;
 pub mod harvest;
-pub mod runner;
 pub mod schedules;
 pub mod scratch;
 pub mod streaming;
 
 pub use checkpoint::{
-    read_envelope, write_durable_atomic, write_envelope_atomic, CheckpointError, CheckpointSpec,
-    ColocationSnapshot, DemandSnapshot, WriteFault, CHECKPOINT_VERSION,
+    write_durable_atomic, CheckpointError, CheckpointSpec, Snapshot, WriteFault, CHECKPOINT_VERSION,
 };
 pub use colocations::{ColocationStudy, ColocationTrial};
 pub use engine::{
     stream_colocation_study, stream_colocation_study_resumable, stream_colocation_study_with_sink,
     stream_demand_study, stream_demand_study_resumable, stream_demand_study_with_sink,
-    BatchFailure, EngineConfig, EngineError, EngineStats, StudyOptions,
+    stream_study, BatchFailure, EngineConfig, EngineError, EngineStats, StudyOptions,
 };
 pub use faults::{BatchFault, FaultKind, FaultPlan, TrialFault};
 pub use harvest::{

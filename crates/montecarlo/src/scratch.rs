@@ -83,10 +83,10 @@ impl TrialScratch {
 /// (the `make_scratch` closure) and retirement counters when a worker
 /// finishes or an arena is discarded after a failed batch. Implementing
 /// this trait lets any study — the built-in demand/colocation studies
-/// with [`TrialScratch`], or external ones like the Azure-scale
-/// co-simulation in `fairco2-bench` — stream through
-/// [`crate::engine::stream_batches_resumable`] with its own reusable
-/// buffers.
+/// with [`TrialScratch`], the harvest with its own arena, or external
+/// ones like the Azure-scale co-simulation in `fairco2-bench` with
+/// [`NoScratch`] — stream through [`crate::engine::stream_study`] with
+/// its own reusable buffers.
 pub trait EngineScratch {
     /// Reuse/allocation counters retired with this arena; the default is
     /// all-zero for scratch types that don't track any.

@@ -3,22 +3,23 @@
 //! The contract under test: a study interrupted at *any* checkpoint
 //! boundary — including with batches parked in the reorder buffer — and
 //! then resumed produces a summary **bit-for-bit** identical to an
-//! uninterrupted run, at any thread count; and a checkpoint file that is
-//! stale, torn, corrupted, or from another study is rejected with a
-//! typed error before any state is applied.
+//! uninterrupted run, at any thread count, executing only the trials the
+//! snapshot does not hold; a checkpoint file that is stale, torn,
+//! corrupted, or from another study is rejected with a typed error before
+//! any state is applied; and the on-disk format does not move.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use fairco2_montecarlo::checkpoint::demand_fingerprint;
-use fairco2_montecarlo::checkpoint::PendingDemandBatch;
+use fairco2_montecarlo::checkpoint::{fingerprint, PendingBatch};
 use fairco2_montecarlo::streaming::{ColocationStudySummary, DemandStudySummary};
 use fairco2_montecarlo::{
     stream_colocation_study_resumable, stream_demand_study_resumable, CheckpointError,
-    CheckpointSpec, ColocationStudy, DemandSnapshot, DemandStudy, EngineConfig, EngineError,
-    EngineStats, FaultPlan, StudyOptions, WriteFault,
+    CheckpointSpec, ColocationStudy, DemandStudy, EngineConfig, EngineError, EngineStats,
+    FaultPlan, Snapshot, StudyOptions, WriteFault,
 };
 use proptest::prelude::*;
+use serde::Serialize;
 
 const BATCH: usize = 4;
 const THREAD_CHOICES: [usize; 3] = [1, 2, 8];
@@ -63,6 +64,21 @@ fn demand_bits(s: &DemandStudySummary) -> String {
 
 fn colocation_bits(s: &ColocationStudySummary) -> String {
     serde_json::to_string(s).expect("summaries serialize")
+}
+
+/// Trials a run resumed from `snap` must execute: all of them except the
+/// merged prefix and the batches parked in the reorder buffer.
+fn unfinished_trials(snap: &Snapshot, trials: usize, batch_trials: usize) -> u64 {
+    let merged = (snap.frontier as usize * batch_trials).min(trials);
+    let parked: usize = snap
+        .pending
+        .iter()
+        .map(|p| {
+            let start = p.batch as usize * batch_trials;
+            (start + batch_trials).min(trials) - start
+        })
+        .sum();
+    (trials - merged - parked) as u64
 }
 
 /// Uninterrupted single-thread reference for [`small_demand`], computed
@@ -132,6 +148,7 @@ proptest! {
         );
         // Resuming without a snapshot would silently start over.
         prop_assert!(path.exists(), "the kill left no snapshot behind");
+        let snap = Snapshot::load(&path, &fingerprint("demand", &study, BATCH)).expect("valid");
 
         let (resumed, _, stats) = stream_demand_study_resumable(
             &study,
@@ -146,6 +163,7 @@ proptest! {
         .expect("resume completes");
         prop_assert_eq!(stats.trials, study.trials as u64);
         prop_assert_eq!(stats.batches, 9);
+        prop_assert_eq!(stats.scratch.trials, unfinished_trials(&snap, study.trials, BATCH));
         prop_assert_eq!(&resumed, demand_reference());
         prop_assert_eq!(demand_bits(&resumed), demand_bits(demand_reference()));
         let _ = std::fs::remove_file(&path);
@@ -176,6 +194,7 @@ proptest! {
             |_, _| {},
         );
         prop_assert!(matches!(killed, Err(EngineError::Killed { .. })));
+        let snap = Snapshot::load(&path, &fingerprint("colocation", &study, 5)).expect("valid");
 
         let (resumed, _, stats) = stream_colocation_study_resumable(
             &study,
@@ -189,6 +208,7 @@ proptest! {
         )
         .expect("resume completes");
         prop_assert_eq!(stats.trials, study.trials as u64);
+        prop_assert_eq!(stats.scratch.trials, unfinished_trials(&snap, study.trials, 5));
         prop_assert_eq!(&resumed, colocation_reference());
         prop_assert_eq!(
             colocation_bits(&resumed),
@@ -207,13 +227,13 @@ fn resume_consumes_reorder_buffer_batches_without_reexecution() {
     let trials: Vec<_> = (0..study.trials).map(|t| study.run_trial(t)).collect();
     // Frontier after batches {0, 1}; batch 3 finished early and sits in
     // the reorder buffer; batch 2 was in flight when the run died.
-    let snap = DemandSnapshot {
-        fingerprint: demand_fingerprint(&study, BATCH),
+    let snap = Snapshot {
+        fingerprint: fingerprint("demand", &study, BATCH),
         frontier: 2,
-        summary: DemandStudySummary::from_trials(&study, &trials[0..8], BATCH),
-        pending: vec![PendingDemandBatch {
+        summary: DemandStudySummary::from_trials(&study, &trials[0..8], BATCH).serialize(),
+        pending: vec![PendingBatch {
             batch: 3,
-            summary: DemandStudySummary::from_trials(&study, &trials[12..16], BATCH),
+            summary: DemandStudySummary::from_trials(&study, &trials[12..16], BATCH).serialize(),
         }],
         stats: EngineStats {
             trials: 8,
@@ -239,6 +259,12 @@ fn resume_consumes_reorder_buffer_batches_without_reexecution() {
         .expect("resume completes");
         assert_eq!(demand_bits(&resumed), demand_bits(demand_reference()));
         assert_eq!(stats.trials, study.trials as u64);
+        // Batches 0, 1 and 3 came from the snapshot; only 2 and 4..=8 ran.
+        assert_eq!(
+            stats.scratch.trials,
+            unfinished_trials(&snap, study.trials, BATCH)
+        );
+        assert_eq!(stats.scratch.trials, 21);
         // Re-save for the next thread count (the resumed run overwrote
         // the checkpoint as it progressed).
         snap.save(&path, WriteFault::None).expect("save");
@@ -271,10 +297,10 @@ fn resume_with_missing_file_starts_fresh() {
 fn saved_snapshot(name: &str) -> (PathBuf, DemandStudy) {
     let study = small_demand();
     let trials: Vec<_> = (0..8).map(|t| study.run_trial(t)).collect();
-    let snap = DemandSnapshot {
-        fingerprint: demand_fingerprint(&study, BATCH),
+    let snap = Snapshot {
+        fingerprint: fingerprint("demand", &study, BATCH),
         frontier: 2,
-        summary: DemandStudySummary::from_trials(&study, &trials, BATCH),
+        summary: DemandStudySummary::from_trials(&study, &trials, BATCH).serialize(),
         pending: Vec::new(),
         stats: EngineStats {
             trials: 8,
@@ -301,7 +327,7 @@ fn version_mismatch_is_rejected() {
         text.replacen("{\"version\":1,", "{\"version\":2,", 1),
     )
     .unwrap();
-    let err = DemandSnapshot::load(&path, &demand_fingerprint(&study, BATCH)).unwrap_err();
+    let err = Snapshot::load(&path, &fingerprint("demand", &study, BATCH)).unwrap_err();
     assert_eq!(
         err,
         CheckpointError::VersionMismatch {
@@ -323,7 +349,7 @@ fn flipped_digest_is_rejected() {
     let mut tampered = text.clone();
     tampered.replace_range(at..at + 1, &flipped.to_string());
     std::fs::write(&path, tampered).unwrap();
-    let err = DemandSnapshot::load(&path, &demand_fingerprint(&study, BATCH)).unwrap_err();
+    let err = Snapshot::load(&path, &fingerprint("demand", &study, BATCH)).unwrap_err();
     assert!(
         matches!(err, CheckpointError::DigestMismatch { .. }),
         "{err:?}"
@@ -341,7 +367,7 @@ fn corrupted_payload_is_rejected_by_the_digest() {
     let tampered = text.replacen(marker, "\"frontier\":3", 1);
     assert_ne!(tampered, text, "tamper point not found");
     std::fs::write(&path, tampered).unwrap();
-    let err = DemandSnapshot::load(&path, &demand_fingerprint(&study, BATCH)).unwrap_err();
+    let err = Snapshot::load(&path, &fingerprint("demand", &study, BATCH)).unwrap_err();
     assert!(
         matches!(err, CheckpointError::DigestMismatch { .. }),
         "{err:?}"
@@ -354,7 +380,7 @@ fn truncated_file_is_rejected() {
     let (path, study) = saved_snapshot("truncated");
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::write(&path, &text[..text.len() / 2]).unwrap();
-    let err = DemandSnapshot::load(&path, &demand_fingerprint(&study, BATCH)).unwrap_err();
+    let err = Snapshot::load(&path, &fingerprint("demand", &study, BATCH)).unwrap_err();
     assert!(matches!(err, CheckpointError::Malformed(_)), "{err:?}");
     let _ = std::fs::remove_file(&path);
 }
@@ -368,7 +394,7 @@ fn config_fingerprint_mismatch_is_rejected() {
         trials: 99,
         ..study
     };
-    let err = DemandSnapshot::load(&path, &demand_fingerprint(&other, BATCH)).unwrap_err();
+    let err = Snapshot::load(&path, &fingerprint("demand", &other, BATCH)).unwrap_err();
     assert!(
         matches!(err, CheckpointError::ConfigMismatch { .. }),
         "{err:?}"
@@ -394,7 +420,7 @@ fn config_fingerprint_mismatch_is_rejected() {
         "{resumed:?}"
     );
     // Batch-size changes move batch boundaries, so they refuse too.
-    let err = DemandSnapshot::load(&path, &demand_fingerprint(&study, BATCH * 2)).unwrap_err();
+    let err = Snapshot::load(&path, &fingerprint("demand", &study, BATCH * 2)).unwrap_err();
     assert!(
         matches!(err, CheckpointError::ConfigMismatch { .. }),
         "{err:?}"
@@ -405,12 +431,12 @@ fn config_fingerprint_mismatch_is_rejected() {
 #[test]
 fn failed_write_leaves_no_torn_file() {
     let (path, study) = saved_snapshot("atomic-write");
-    let fingerprint = demand_fingerprint(&study, BATCH);
-    let before = DemandSnapshot::load(&path, &fingerprint).expect("intact");
+    let fingerprint = fingerprint("demand", &study, BATCH);
+    let before = Snapshot::load(&path, &fingerprint).expect("intact");
 
     // An injected mid-write crash on the *next* snapshot must leave the
     // previous checkpoint byte-for-byte intact and no .tmp behind.
-    let newer = DemandSnapshot {
+    let newer = Snapshot {
         frontier: 4,
         ..before.clone()
     };
@@ -422,7 +448,7 @@ fn failed_write_leaves_no_torn_file() {
         !path.with_file_name(tmp_name).exists(),
         "torn temporary left behind"
     );
-    let after = DemandSnapshot::load(&path, &fingerprint).expect("still intact");
+    let after = Snapshot::load(&path, &fingerprint).expect("still intact");
     assert_eq!(after, before);
     assert_eq!(after.frontier, 2);
     let _ = std::fs::remove_file(&path);
@@ -435,10 +461,10 @@ fn failed_write_leaves_no_torn_file() {
 #[test]
 fn failed_directory_sync_surfaces_after_rename() {
     let (path, study) = saved_snapshot("dir-sync-failure");
-    let fingerprint = demand_fingerprint(&study, BATCH);
-    let before = DemandSnapshot::load(&path, &fingerprint).expect("intact");
+    let fingerprint = fingerprint("demand", &study, BATCH);
+    let before = Snapshot::load(&path, &fingerprint).expect("intact");
 
-    let newer = DemandSnapshot {
+    let newer = Snapshot {
         frontier: 4,
         ..before.clone()
     };
@@ -456,12 +482,12 @@ fn failed_directory_sync_surfaces_after_rename() {
     );
     // The rename preceded the failed fsync, so the file content is the
     // *new* snapshot — intact, just not guaranteed durable.
-    let after = DemandSnapshot::load(&path, &fingerprint).expect("well-formed");
+    let after = Snapshot::load(&path, &fingerprint).expect("well-formed");
     assert_eq!(after.frontier, 4);
     // A retried save with no fault succeeds and is then durable.
     newer.save(&path, WriteFault::None).expect("retry");
     assert_eq!(
-        DemandSnapshot::load(&path, &fingerprint)
+        Snapshot::load(&path, &fingerprint)
             .expect("durable")
             .frontier,
         4
@@ -500,7 +526,7 @@ fn engine_survives_injected_checkpoint_write_failure() {
         "{failed:?}"
     );
     // The first write landed and is loadable: frontier 1.
-    let snap = DemandSnapshot::load(&path, &demand_fingerprint(&study, BATCH)).expect("good");
+    let snap = Snapshot::load(&path, &fingerprint("demand", &study, BATCH)).expect("good");
     assert_eq!(snap.frontier, 1);
 
     let (resumed, _, _) = stream_demand_study_resumable(
@@ -515,5 +541,70 @@ fn engine_survives_injected_checkpoint_write_failure() {
     )
     .expect("resume completes");
     assert_eq!(demand_bits(&resumed), demand_bits(demand_reference()));
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Fingerprints of the established format, read from checkpoints that
+/// `fig7` and `fig8` wrote at `--trials 40 --batch 4`: checkpoints written
+/// before the studies shared `stream_study` still resume.
+#[test]
+fn fingerprints_match_the_established_format() {
+    let demand = DemandStudy {
+        trials: 40,
+        ..DemandStudy::default()
+    };
+    assert_eq!(fingerprint("demand", &demand, 4), "a13ebceea1825052");
+    let colocation = ColocationStudy {
+        trials: 40,
+        ..ColocationStudy::default()
+    };
+    assert_eq!(
+        fingerprint("colocation", &colocation, 4),
+        "6c2d62423d34678e"
+    );
+}
+
+/// The payload keeps its key order and embeds each accumulator's own
+/// serialization verbatim, so checkpoint bytes do not move.
+#[test]
+fn payload_keys_keep_their_order() {
+    let study = small_demand();
+    let trials: Vec<_> = (0..16).map(|t| study.run_trial(t)).collect();
+    let summary = DemandStudySummary::from_trials(&study, &trials[0..8], BATCH);
+    let parked = DemandStudySummary::from_trials(&study, &trials[12..16], BATCH);
+    let stats = EngineStats {
+        trials: 8,
+        batches: 2,
+        threads: 1,
+        ..EngineStats::default()
+    };
+    let snap = Snapshot {
+        fingerprint: fingerprint("demand", &study, BATCH),
+        frontier: 2,
+        summary: summary.serialize(),
+        pending: vec![PendingBatch {
+            batch: 3,
+            summary: parked.serialize(),
+        }],
+        stats,
+    };
+    let path = tmp("key-order");
+    snap.save(&path, WriteFault::None).expect("save");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let payload = format!(
+        "{{\"fingerprint\":\"{}\",\"frontier\":2,\"summary\":{},\"pending\":[{{\"batch\":3,\"summary\":{}}}],\"stats\":{}}}",
+        fingerprint("demand", &study, BATCH),
+        demand_bits(&summary),
+        demand_bits(&parked),
+        serde_json::to_string(&stats).unwrap(),
+    );
+    assert!(
+        text.starts_with("{\"version\":1,\"digest\":\""),
+        "envelope changed shape"
+    );
+    assert!(
+        text.ends_with(&format!(",\"payload\":{payload}}}")),
+        "payload changed shape"
+    );
     let _ = std::fs::remove_file(&path);
 }

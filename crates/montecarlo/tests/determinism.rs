@@ -3,8 +3,8 @@
 //! actually change the scenarios.
 
 use fairco2_montecarlo::colocations::ColocationStudy;
-use fairco2_montecarlo::runner::run_parallel;
 use fairco2_montecarlo::schedules::DemandStudy;
+use fairco2_shapley::parallel::run_parallel;
 
 #[test]
 fn demand_study_is_bit_identical_across_thread_counts() {

@@ -1,32 +1,35 @@
-//! Fault injection for LP-valued coalition work under
-//! [`run_parallel_retrying`] — the coverage gap called out in PR 10.
+//! Fault injection for LP-valued coalition work under the study engine's
+//! containment layer ([`stream_study`]).
 //!
-//! Earlier fault suites only exercised the study engines' containment
-//! layer with cheap synthetic trial bodies. Here the work inside each
-//! retried item is a batch of **real network-LP coalition solves**
-//! ([`NetworkCarbonGame`]), and the contract under test is:
+//! The other fault suites exercise that layer with Monte Carlo trial
+//! bodies. Here the work inside each engine batch is a batch of **real
+//! network-LP coalition solves** ([`NetworkCarbonGame`]), and the
+//! contract under test is:
 //!
 //! * an LP solve that panics (or errors) mid-batch is caught, the batch
 //!   is requeued, and the completed run's per-coalition values are
 //!   **bit-identical** to a fault-free run at 1, 2, and 8 threads;
 //! * the retry counters account for exactly the injected failures;
 //! * a fault that outlives the retry budget surfaces the typed
-//!   [`ItemAbandoned`] — never a hang, never a silently short lattice.
+//!   [`EngineError::BatchAbandoned`] — never a hang, never a silently
+//!   short lattice.
 //!
-//! Fault choreography reuses the [`FaultPlan`] machinery from the study
-//! engines so the same plans drive both containment layers.
+//! Fault choreography uses the study engines' [`FaultPlan`] machinery.
 
 use std::sync::OnceLock;
 
-use fairco2_montecarlo::{BatchFault, FaultKind, FaultPlan};
+use fairco2_montecarlo::{
+    stream_study, BatchFault, EngineConfig, EngineError, EngineStats, FaultKind, FaultPlan,
+    NoScratch, StudyOptions,
+};
 use fairco2_shapley::coalition::Coalition;
 use fairco2_shapley::netgame::{Link, Network, NetworkCarbonGame};
-use fairco2_shapley::parallel::{panic_message, run_parallel_retrying};
+use fairco2_shapley::parallel::panic_message;
 use proptest::prelude::*;
 
 /// Tenants in the fixture game; the lattice has `1 << TENANTS` masks.
 const TENANTS: usize = 8;
-/// Coalition masks solved per retryable item.
+/// Coalition masks solved per engine batch.
 const MASKS_PER_BATCH: usize = 16;
 const BATCHES: usize = (1 << TENANTS) / MASKS_PER_BATCH;
 const THREAD_CHOICES: [usize; 3] = [1, 2, 8];
@@ -108,28 +111,35 @@ fn solve_batch(game: &NetworkCarbonGame, batch: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Runs the whole lattice through [`run_parallel_retrying`] under
-/// `plan`, firing faults *between LP solves inside* the designated
-/// batch — after the first solve, so a failed attempt has already done
-/// (and discards) real solver work.
+/// Runs the whole lattice through [`stream_study`], one engine batch per
+/// coalition batch and no checkpoint, firing `plan`'s faults *between
+/// LP solves inside* the designated batch — after the first solve, so a
+/// failed attempt has already done (and discards) real solver work.
 fn run_lattice(
     plan: &FaultPlan,
     threads: usize,
     retry_budget: u32,
-) -> Result<
-    (Vec<f64>, fairco2_shapley::parallel::RetryCounters),
-    fairco2_shapley::parallel::ItemAbandoned,
-> {
+) -> Result<(Vec<f64>, EngineStats), EngineError> {
     let game = fixture_game();
-    let (batches, counters) =
-        run_parallel_retrying(BATCHES, threads, retry_budget, |batch, attempt| {
-            let start = batch * MASKS_PER_BATCH;
+    let cfg = EngineConfig {
+        threads,
+        batch_trials: MASKS_PER_BATCH,
+        collect_trials: false,
+    };
+    stream_study(
+        1 << TENANTS,
+        "lp-lattice",
+        cfg,
+        &StudyOptions::retrying(retry_budget),
+        Vec::new(),
+        || NoScratch,
+        |masks, _scratch, attempt| {
+            let batch = masks.start / MASKS_PER_BATCH;
             let mut values = Vec::with_capacity(MASKS_PER_BATCH);
-            for (k, mask) in (start..start + MASKS_PER_BATCH).enumerate() {
+            for (k, mask) in masks.enumerate() {
                 if k == 1 {
                     if let Some(kind) = plan.batch_fault(batch, attempt) {
-                        FaultPlan::fire(kind, &format!("lp solve in coalition batch {batch}"))
-                            .map_err(|e| e.message().to_string())?;
+                        FaultPlan::fire(kind, &format!("lp solve in coalition batch {batch}"))?;
                     }
                 }
                 values.push(
@@ -137,9 +147,10 @@ fn run_lattice(
                         .carbon(),
                 );
             }
-            Ok(values)
-        })?;
-    Ok((batches.into_iter().flatten().collect(), counters))
+            Ok((values, ()))
+        },
+        |lattice: &mut Vec<f64>, values, _| lattice.extend(values),
+    )
 }
 
 /// The fault-free lattice, solved serially once.
@@ -152,7 +163,7 @@ fn reference_lattice() -> &'static Vec<f64> {
 }
 
 /// Silences the default panic hook for the panics this suite injects on
-/// purpose (the retry harness catches them; the hook would still print).
+/// purpose (the engine catches them; the hook would still print).
 fn quiet_injected_panics() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
@@ -188,7 +199,7 @@ proptest! {
             }],
             ..FaultPlan::default()
         };
-        let (values, counters) = run_lattice(&plan, THREAD_CHOICES[threads_sel], 2)
+        let (values, stats) = run_lattice(&plan, THREAD_CHOICES[threads_sel], 2)
             .expect("faults stay under the retry budget");
         let want = reference_lattice();
         prop_assert_eq!(values.len(), want.len());
@@ -202,8 +213,8 @@ proptest! {
                 expect
             );
         }
-        prop_assert_eq!(counters.retries, times as u64);
-        prop_assert_eq!(counters.requeued_items, 1);
+        prop_assert_eq!(stats.retries, times as u64);
+        prop_assert_eq!(stats.requeued_batches, 1);
     }
 
     /// A fault that outlives the budget abandons its batch with the
@@ -227,25 +238,28 @@ proptest! {
         };
         let err = run_lattice(&plan, THREAD_CHOICES[threads_sel], 2)
             .expect_err("budget must be exceeded");
-        prop_assert_eq!(err.item, fault_batch);
-        prop_assert_eq!(err.attempts, 3);
+        let EngineError::BatchAbandoned { batch, attempts, last_error } = err else {
+            panic!("expected a typed abandonment, got {err:?}");
+        };
+        prop_assert_eq!(batch, fault_batch);
+        prop_assert_eq!(attempts, 3);
         prop_assert!(
-            err.message.contains("injected fault"),
+            last_error.contains("injected fault"),
             "unexpected abandonment message: {}",
-            err.message
+            last_error
         );
     }
 }
 
-/// Fault-free sanity at every thread count: the parallel harness itself
-/// (chunked work stealing, no faults) must not perturb LP values.
+/// Fault-free sanity at every thread count: the engine itself (batch
+/// fan-out, in-order merge, no faults) must not perturb LP values.
 #[test]
 fn fault_free_lattice_is_bit_identical_across_thread_counts() {
     for threads in THREAD_CHOICES {
-        let (values, counters) =
+        let (values, stats) =
             run_lattice(&FaultPlan::default(), threads, 0).expect("fault-free run");
-        assert_eq!(counters.retries, 0);
-        assert_eq!(counters.requeued_items, 0);
+        assert_eq!(stats.retries, 0);
+        assert_eq!(stats.requeued_batches, 0);
         for (mask, (got, expect)) in values.iter().zip(reference_lattice()).enumerate() {
             assert_eq!(
                 got.to_bits(),

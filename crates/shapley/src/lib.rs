@@ -101,8 +101,8 @@ pub use matching::{shapley_from_moments, MatchingGame};
 pub use maxtree::MaxTree;
 pub use netgame::{CoalitionValue, LatticeStats, Link, Network, NetworkCarbonGame};
 pub use parallel::{
-    default_threads, panic_message, parallel_sampled_shapley, run_parallel, run_parallel_retrying,
-    ConvergenceTrace, ItemAbandoned, ParallelConfig, ParallelEstimate, RetryCounters, TracePoint,
+    default_threads, panic_message, parallel_sampled_shapley, run_parallel, ConvergenceTrace,
+    ParallelConfig, ParallelEstimate, TracePoint,
 };
 pub use sampled::{
     sampled_shapley, sampled_shapley_cached, sampled_shapley_with_scratch, Moments, SampleConfig,

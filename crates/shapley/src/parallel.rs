@@ -95,141 +95,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Retry accounting from [`run_parallel_retrying`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetryCounters {
-    /// Failed attempts that were re-executed.
-    pub retries: u64,
-    /// Distinct items that failed at least once.
-    pub requeued_items: u64,
-}
-
-/// An item that kept failing after its retry budget was spent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ItemAbandoned {
-    /// The item's index.
-    pub item: usize,
-    /// Attempts made (budget + 1).
-    pub attempts: u32,
-    /// Message of the final failure (panic text or returned error).
-    pub message: String,
-}
-
-impl std::fmt::Display for ItemAbandoned {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "item {} abandoned after {} attempts: {}",
-            self.item, self.attempts, self.message
-        )
-    }
-}
-
-impl std::error::Error for ItemAbandoned {}
-
-/// [`run_parallel`] with per-item fault containment: a panicking or
-/// `Err`-returning item is caught and re-run up to `retry_budget` more
-/// times before the whole call gives up.
-///
-/// `run` receives `(item, attempt)` with `attempt` starting at 0, so
-/// deterministic fault injection can key off the attempt number. Results
-/// still come back in item order and — because each item is a pure
-/// function of its index — are bit-identical to a fault-free
-/// [`run_parallel`] run whenever every item eventually succeeds.
-///
-/// # Errors
-///
-/// Returns the abandoned item with the **lowest index** (deterministic
-/// regardless of thread timing) when any item exhausts its budget; no
-/// partial results escape.
-pub fn run_parallel_retrying<T, F>(
-    trials: usize,
-    threads: usize,
-    retry_budget: u32,
-    run: F,
-) -> Result<(Vec<T>, RetryCounters), ItemAbandoned>
-where
-    T: Send,
-    F: Fn(usize, u32) -> Result<T, String> + Sync,
-{
-    if trials == 0 {
-        return Ok((Vec::new(), RetryCounters::default()));
-    }
-    let threads = threads.clamp(1, trials);
-    let chunk_len = trials.div_ceil(threads);
-    let mut slots: Vec<Result<T, ItemAbandoned>> = (0..trials).map(|_| Err(unfilled(0))).collect();
-    let counters = std::sync::Mutex::new(RetryCounters::default());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for (worker, chunk) in slots.chunks_mut(chunk_len).enumerate() {
-            let run = &run;
-            let counters = &counters;
-            let base = worker * chunk_len;
-            handles.push(scope.spawn(move || {
-                let mut local = RetryCounters::default();
-                for (offset, slot) in chunk.iter_mut().enumerate() {
-                    let item = base + offset;
-                    *slot = attempt_item(item, retry_budget, run, &mut local);
-                }
-                let mut total = counters.lock().expect("counter lock");
-                total.retries += local.retries;
-                total.requeued_items += local.requeued_items;
-            }));
-        }
-        for h in handles {
-            // Workers catch item panics themselves; a join failure here
-            // would be a bug in this function, not in `run`.
-            h.join().expect("retrying worker infrastructure panicked");
-        }
-    });
-    let mut out = Vec::with_capacity(trials);
-    for slot in slots {
-        out.push(slot?);
-    }
-    let counters = counters.into_inner().expect("counter lock");
-    Ok((out, counters))
-}
-
-fn unfilled(item: usize) -> ItemAbandoned {
-    ItemAbandoned {
-        item,
-        attempts: 0,
-        message: "slot never executed".to_owned(),
-    }
-}
-
-fn attempt_item<T, F>(
-    item: usize,
-    retry_budget: u32,
-    run: &F,
-    counters: &mut RetryCounters,
-) -> Result<T, ItemAbandoned>
-where
-    F: Fn(usize, u32) -> Result<T, String> + Sync,
-{
-    let mut attempt = 0u32;
-    loop {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(item, attempt)));
-        let message = match outcome {
-            Ok(Ok(value)) => return Ok(value),
-            Ok(Err(message)) => message,
-            Err(payload) => panic_message(payload.as_ref()),
-        };
-        if attempt == 0 {
-            counters.requeued_items += 1;
-        }
-        if attempt >= retry_budget {
-            return Err(ItemAbandoned {
-                item,
-                attempts: attempt + 1,
-                message,
-            });
-        }
-        counters.retries += 1;
-        attempt += 1;
-    }
-}
-
 /// A sensible default worker count: the available parallelism, capped so
 /// laptop-scale machines stay responsive.
 pub fn default_threads() -> usize {
@@ -479,71 +344,6 @@ mod tests {
     fn zero_trials_yield_empty_results() {
         let out: Vec<usize> = run_parallel(0, 4, |t| t);
         assert!(out.is_empty());
-    }
-
-    /// Silences the default panic hook for tests that inject panics on
-    /// purpose, keeping `cargo test` output readable. Installed once per
-    /// test binary; real (uninjected) panics still print.
-    fn quiet_injected_panics() {
-        static ONCE: std::sync::Once = std::sync::Once::new();
-        ONCE.call_once(|| {
-            let default = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                if !panic_message(info.payload()).contains("injected") {
-                    default(info);
-                }
-            }));
-        });
-    }
-
-    #[test]
-    fn retrying_matches_fault_free_results_bitwise() {
-        quiet_injected_panics();
-        let clean = run_parallel(23, 3, |t| (t as f64).sqrt());
-        for threads in [1, 2, 8] {
-            let (out, counters) = run_parallel_retrying(23, threads, 2, |t, attempt| {
-                // Item 7 panics twice, item 11 errors once; both then
-                // succeed within the budget of 2 retries.
-                if t == 7 && attempt < 2 {
-                    panic!("injected panic at item {t}");
-                }
-                if t == 11 && attempt < 1 {
-                    return Err(format!("injected error at item {t}"));
-                }
-                Ok((t as f64).sqrt())
-            })
-            .expect("all items recover within budget");
-            assert_eq!(out.len(), clean.len());
-            for (a, b) in out.iter().zip(&clean) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads = {threads}");
-            }
-            assert_eq!(counters.retries, 3, "threads = {threads}");
-            assert_eq!(counters.requeued_items, 2, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn exhausted_budget_reports_the_lowest_abandoned_item() {
-        quiet_injected_panics();
-        let err = run_parallel_retrying(16, 4, 1, |t, _attempt| {
-            if t == 5 || t == 12 {
-                return Err::<u64, _>(format!("injected error at item {t}"));
-            }
-            Ok(t as u64)
-        })
-        .unwrap_err();
-        // Both 5 and 12 exceed the budget; the report is deterministic.
-        assert_eq!(err.item, 5);
-        assert_eq!(err.attempts, 2);
-        assert!(err.message.contains("item 5"), "{err}");
-    }
-
-    #[test]
-    fn fault_free_runs_count_no_retries() {
-        let (out, counters) =
-            run_parallel_retrying(9, 2, 3, |t, _| Ok::<_, String>(t * 2)).unwrap();
-        assert_eq!(out, (0..9).map(|t| t * 2).collect::<Vec<_>>());
-        assert_eq!(counters, RetryCounters::default());
     }
 
     #[test]
