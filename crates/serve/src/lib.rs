@@ -6,12 +6,15 @@
 //! crate turns the frozen Temporal Shapley cascade into a service:
 //!
 //! * [`service`] — the single-writer [`AttributionService`]: samples
-//!   stream into the [`IncrementalCascade`](fairco2_shapley::incremental)
-//!   at amortized `O(log n)` per sample; every closed window publishes
+//!   stream into the [`IncrementalCascade`](fairco2_shapley::incremental),
+//!   which closes each full window through the frozen cascade at
+//!   amortized `O(levels)` per sample; every closed window publishes
 //!   an immutable epoch snapshot via one atomic pointer swap, so
-//!   readers never take a lock. Closed windows are optionally persisted
-//!   through the checkpoint layer's durable-write helper (tmp + fsync +
-//!   rename + parent-directory fsync).
+//!   readers never take a lock. A negative or non-finite carbon per
+//!   window is refused at start, as a bad sample is at ingest. Closed
+//!   windows are optionally persisted through the checkpoint layer's
+//!   durable-write helper (tmp + fsync + rename + parent-directory
+//!   fsync).
 //! * [`epoch`] — the read side: [`EpochSnapshot`] answers billing
 //!   queries over a segmented carbon prefix, bit-identical to a
 //!   from-scratch rebuild of the same windows at any thread count;

@@ -78,8 +78,8 @@ pub struct LoadReport {
     pub queries_per_sec: f64,
     /// 99th-percentile per-batch latency, microseconds.
     pub p99_batch_latency_us: f64,
-    /// Engine primitive operations per ingested sample (the amortized
-    /// O(log n) gauge, independent of machine speed).
+    /// Engine primitive operations per ingested sample (amortized
+    /// `O(levels)`, independent of machine speed).
     pub ops_per_sample: f64,
     /// Final epoch number.
     pub final_epoch: u64,

@@ -1,7 +1,8 @@
 //! The always-on service: single-writer ingestion, lock-free readers.
 //!
 //! One writer owns the [`IncrementalCascade`] and pushes 5-minute demand
-//! samples as they arrive; any number of reader threads hold cloned
+//! samples as they arrive; each full window is attributed by the same
+//! cascade a frozen rebuild runs. Any number of reader threads hold cloned
 //! [`ServiceHandle`]s and query concurrently. The two sides meet at a
 //! single `AtomicPtr` holding the latest [`EpochSnapshot`]:
 //!
@@ -90,6 +91,9 @@ pub enum ServeError {
     Persist(CheckpointError),
     /// A demand sample was negative or non-finite; it was not ingested.
     BadSample(f64),
+    /// The configured carbon per window was negative or non-finite; the
+    /// service did not start.
+    BadCarbon(f64),
 }
 
 impl std::fmt::Display for ServeError {
@@ -101,6 +105,12 @@ impl std::fmt::Display for ServeError {
                 write!(
                     f,
                     "demand sample {v} rejected: must be finite and non-negative"
+                )
+            }
+            ServeError::BadCarbon(v) => {
+                write!(
+                    f,
+                    "carbon per window {v} rejected: must be finite and non-negative"
                 )
             }
         }
@@ -147,17 +157,23 @@ pub struct ServiceHandle {
 }
 
 impl AttributionService {
-    /// Starts a service: validates the hierarchy, publishes the empty
-    /// epoch 0, and creates the persistence directory if configured.
+    /// Starts a service: validates the hierarchy and the carbon per
+    /// window, publishes the empty epoch 0, and creates the persistence
+    /// directory if configured.
     ///
     /// # Errors
     ///
     /// [`ServeError::Config`] for a degenerate hierarchy or step;
-    /// [`ServeError::Persist`] if the persistence directory cannot be
-    /// created.
+    /// [`ServeError::BadCarbon`] for a negative or non-finite
+    /// `carbon_per_window` (zero is valid); [`ServeError::Persist`] if
+    /// the persistence directory cannot be created. Nothing is created
+    /// on disk unless the configuration is valid.
     pub fn start(config: ServiceConfig) -> Result<Self, ServeError> {
         let engine = IncrementalCascade::new(&config.splits, config.leaf_samples, config.step)
             .map_err(ServeError::Config)?;
+        if !(0.0..f64::INFINITY).contains(&config.carbon_per_window) {
+            return Err(ServeError::BadCarbon(config.carbon_per_window));
+        }
         if let Some(dir) = &config.persist_dir {
             fs::create_dir_all(dir)
                 .map_err(|e| CheckpointError::Io(format!("create {}: {e}", dir.display())))?;
@@ -273,8 +289,8 @@ impl AttributionService {
         self.engine.windows_closed() - u64::from(self.held.is_some())
     }
 
-    /// The streaming engine's primitive-operation counter (the
-    /// amortized-O(log n) pin; see [`IncrementalCascade::ops`]).
+    /// The streaming engine's primitive-operation counter (amortized
+    /// `O(levels)` per sample; see [`IncrementalCascade::ops`]).
     pub fn engine_ops(&self) -> u64 {
         self.engine.ops()
     }

@@ -514,6 +514,44 @@ fn failed_persist_holds_the_window_in_position() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A NaN, infinite or negative carbon per window is refused with a typed
+/// error before the persistence directory is created, so no window with
+/// `null` or negative charges is ever written; zero carbon stays valid
+/// and bills nothing.
+#[test]
+fn bad_carbon_per_window_is_refused_before_anything_persists() {
+    let dir = std::env::temp_dir().join(format!("fairco2-serve-carbon-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1000.0] {
+        let config = ServiceConfig {
+            carbon_per_window: bad,
+            persist_dir: Some(dir.clone()),
+            ..test_config(vec![3, 2], 2)
+        };
+        match AttributionService::start(config).err() {
+            Some(ServeError::BadCarbon(v)) => assert_eq!(v.to_bits(), bad.to_bits()),
+            other => panic!("carbon per window {bad} was not refused: {other:?}"),
+        }
+        assert!(!dir.exists(), "carbon per window {bad} created {dir:?}");
+    }
+
+    let config = ServiceConfig {
+        carbon_per_window: 0.0,
+        ..test_config(vec![3, 2], 2)
+    };
+    let w = config.window_samples() as u64;
+    let mut service = AttributionService::start(config.clone()).unwrap();
+    let handle = service.handle();
+    for i in 0..w {
+        service.ingest(demand_sample(i, 3)).unwrap();
+    }
+    let epoch = handle.epoch();
+    assert_eq!(epoch.epoch, 1);
+    for q in query_mix(&config, 1, 3) {
+        assert_eq!(epoch.carbon(q), 0.0, "query {q:?}");
+    }
+}
+
 #[test]
 fn empty_epoch_answers_zero_everywhere() {
     let config = test_config(vec![2], 2);

@@ -1,13 +1,10 @@
 //! The flat, zero-copy Temporal Shapley cascade.
 //!
+//! This is the one implementation of the hierarchy split:
 //! [`TemporalShapley::attribute`](crate::temporal::TemporalShapley::attribute)
-//! originally materialized every hierarchy period as an owned
-//! [`TimeSeries`]: each level cloned the whole demand buffer into
-//! per-period series, rescanned every period for its peak and its
-//! integral, and allocated a fresh per-sample intensity vector —
-//! `O(samples · levels)` copies and ~`Σ periods` heap allocations per
-//! call. This module replaces that pipeline with a flat engine in which
-//! a *period is an index range* over the one shared demand slice:
+//! runs it over a frozen trace, and the streaming engine in
+//! [`crate::incremental`] runs it over each closed window. A *period is
+//! an index range* over the one shared demand slice:
 //!
 //! * **Period bounds** are plain `usize` offsets, derived level by level
 //!   with the same remainder rule as
@@ -20,29 +17,21 @@
 //!   `O(periods)` maxes total instead of a rescan of the samples per
 //!   level. `f64::max` over finite samples is associative and selects
 //!   one of its operands bit-for-bit, so folding peaks of contiguous
-//!   child groups equals the old left-to-right
+//!   child groups equals a left-to-right
 //!   `fold(NEG_INFINITY, f64::max)` scan over the raw samples exactly
 //!   (the one exception — a tie between `+0.0` and `-0.0` — cannot
-//!   arise for non-negative demand). A [`RangeMax`] sparse table over
-//!   the leaf peaks is exported alongside for `O(1)` *arbitrary*-window
-//!   peak queries.
-//! * **Integrals** come from one fused sweep over the demand slice that
-//!   accumulates every level's per-period sums simultaneously, under
-//!   the documented *canonical lane reduction*: within every leaf
-//!   period, lane `j ∈ 0..CANONICAL_LANES` sums the samples at
-//!   within-leaf offsets `≡ j (mod CANONICAL_LANES)`; each leaf's lane
-//!   vector collapses to one leaf sum through the fixed adjacent-pair
-//!   tree of [`combine_lanes`], and every level's period sum is the
-//!   left-to-right sum of its leaves' sums. The lane count, the combine
-//!   order, and the leaf-sum order are all constants of the hierarchy
-//!   shape — independent of the demand values — so the reduction is
-//!   deterministic and reproducible by the streaming engine
-//!   ([`crate::incremental`]) bit-for-bit. It *reassociates* addition
-//!   relative to [`TimeSeries::integral`]'s left-to-right fold, so
-//!   period sums match the per-period reference only to a documented
-//!   ulp bound (see DESIGN.md §8). Peaks are unaffected: `f64::max` is
-//!   associative and operand-selecting, so lane-split peaks stay
-//!   bit-identical.
+//!   arise for non-negative demand).
+//! * **Integrals** come from the same sweep, under a fixed *lane
+//!   reduction*: within every leaf period, four lanes sum the samples by
+//!   within-leaf offset mod 4 and collapse through a fixed pair tree into
+//!   one leaf sum, and every level's period sum is the left-to-right sum
+//!   of its leaves' sums. The order depends on the hierarchy shape alone,
+//!   never on the demand values, so the result is a deterministic
+//!   function of the input. It *reassociates* addition relative to
+//!   [`TimeSeries::integral`]'s left-to-right fold, so period sums match
+//!   the per-period reference only to a documented ulp bound (see
+//!   DESIGN.md §8). Peaks are unaffected: `f64::max` is associative and
+//!   operand-selecting, so lane-split peaks stay bit-identical.
 //! * **Scratch reuse**: all bounds, sums, carbon, intensity, and solver
 //!   buffers live in a [`CascadeScratch`]; a repeated
 //!   [`attribute_with_scratch`](crate::temporal::TemporalShapley::attribute_with_scratch)
@@ -57,86 +46,6 @@
 use fairco2_trace::series::{SeriesError, TimeSeries};
 
 use crate::temporal::peak_shapley_into;
-
-/// A sparse table answering `max(values[lo..hi])` in `O(1)` after an
-/// `O(n log n)` build.
-///
-/// Internal nodes combine with [`f64::max`], the operator the original
-/// per-period peak scan used; since `max` over finite floats is
-/// associative and always returns one of its operands, every query is
-/// bit-identical to a left-to-right fold over the same range. The table
-/// owns its buffers and [`RangeMax::build`] reuses them, so rebuilding
-/// over a same-length slice allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct RangeMax {
-    len: usize,
-    /// `levels[k][i] = max(values[i .. i + 2^k])`; `levels[0]` mirrors
-    /// the input.
-    levels: Vec<Vec<f64>>,
-}
-
-impl RangeMax {
-    /// An empty table; call [`RangeMax::build`] before querying.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// (Re)builds the table over `values`, reusing prior allocations.
-    pub fn build(&mut self, values: &[f64]) {
-        let n = values.len();
-        self.len = n;
-        let height = if n <= 1 { 1 } else { n.ilog2() as usize + 1 };
-        self.levels.truncate(height);
-        while self.levels.len() < height {
-            self.levels.push(Vec::new());
-        }
-        self.levels[0].clear();
-        self.levels[0].extend_from_slice(values);
-        for k in 1..height {
-            let half = 1usize << (k - 1);
-            let entries = n - (1usize << k) + 1;
-            let (below, level) = {
-                let (a, b) = self.levels.split_at_mut(k);
-                (&a[k - 1], &mut b[0])
-            };
-            level.clear();
-            level.extend((0..entries).map(|i| f64::max(below[i], below[i + half])));
-        }
-    }
-
-    /// Number of values the table was built over.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the table is empty (never built, or built over nothing).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The values the table was built over (row 0, unchanged).
-    pub fn leaves(&self) -> &[f64] {
-        self.levels.first().map_or(&[], Vec::as_slice)
-    }
-
-    /// `max(values[lo..hi])`, bit-identical to folding that range
-    /// left-to-right with `f64::max` from `NEG_INFINITY`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or `hi > len` — a peak over an empty range
-    /// is undefined.
-    #[inline]
-    pub fn query(&self, lo: usize, hi: usize) -> f64 {
-        assert!(
-            lo < hi && hi <= self.len,
-            "range [{lo}, {hi}) out of bounds"
-        );
-        let k = (hi - lo).ilog2() as usize;
-        let level = &self.levels[k];
-        f64::max(level[lo], level[hi - (1usize << k)])
-    }
-}
 
 /// Reusable state for the flat cascade: period bounds, per-period sums
 /// and carbon, per-level intensity buffers, the MaxTree of per-level
@@ -232,6 +141,18 @@ impl CascadeScratch {
         &self.prefix
     }
 
+    /// Moves the leaf intensity and the carbon prefix out of the
+    /// scratch, leaving the next run to refill them, for callers that
+    /// keep only the leaf outputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no attribution has been run yet.
+    pub(crate) fn take_leaf_outputs(&mut self) -> (Vec<f64>, Vec<f64>) {
+        let leaf = self.intensity.last_mut().expect("attribution has been run");
+        (std::mem::take(leaf), std::mem::take(&mut self.prefix))
+    }
+
     /// Materializes the scratch into an owned
     /// [`TemporalAttribution`](crate::temporal::TemporalAttribution)
     /// (this clones the per-level signals; keep reading the scratch
@@ -299,16 +220,15 @@ fn ensure_levels<T: Default>(buffers: &mut Vec<T>, levels: usize) {
     }
 }
 
-/// Lane count of the canonical lane reduction used by the cascade's
-/// sweep and [`crate::incremental::IncrementalCascade`].
+/// Lane count of the lane reduction in the cascade's sweep.
 ///
 /// This is a *semantic* constant, not a tuning knob: changing it
-/// changes which reassociated sum the lane kernels produce, so every
-/// pinned lane result (frozen-vs-streaming bit-identity) would shift.
+/// changes which reassociated sum every attribution carries, so windows
+/// persisted before the change would no longer match a rebuild.
 /// Four lanes break the FP add latency chain (4-cycle latency,
 /// ≥1/cycle throughput on every x86-64 core we target) while keeping
 /// the per-leaf state small enough to live in registers.
-pub const CANONICAL_LANES: usize = 4;
+const CANONICAL_LANES: usize = 4;
 
 /// Block length of the cascade's blocked two-level carbon prefix. Part
 /// of the canonical reduction: the serial `acc += intensity · step`
@@ -325,13 +245,12 @@ pub const CANONICAL_LANES: usize = 4;
 /// Wide blocks would not — each block's chain would be as long as the
 /// machine's reorder capacity, serializing the kernel back to chain
 /// latency.
-pub const PREFIX_BLOCK: usize = 8;
+const PREFIX_BLOCK: usize = 8;
 
 /// Folds a lane vector into one sum with the fixed adjacent-pair tree:
 /// `((l0 + l1) + (l2 + l3))` for `K = 4`, recursively for larger `K`.
-/// This combine order is *the* canonical — it never depends on how many
-/// samples each lane received, so any two code paths that partition the
-/// same samples into the same lanes produce bit-identical sums.
+/// The combine order never depends on how many samples each lane
+/// received.
 ///
 /// Unfilled lanes must hold `0.0`, the additive identity.
 ///
@@ -340,7 +259,7 @@ pub const PREFIX_BLOCK: usize = 8;
 /// Panics if `K` is not a power of two (the pair tree would silently
 /// drop lanes).
 #[inline]
-pub fn combine_lanes<const K: usize>(lanes: [f64; K]) -> f64 {
+fn combine_lanes<const K: usize>(lanes: [f64; K]) -> f64 {
     assert!(K.is_power_of_two(), "lane count must be a power of two");
     let mut tmp = lanes;
     let mut width = K;
@@ -366,7 +285,7 @@ pub fn combine_lanes<const K: usize>(lanes: [f64; K]) -> f64 {
 ///
 /// Panics if `K` is not a power of two.
 #[inline]
-pub fn combine_lanes_max<const K: usize>(lanes: [f64; K]) -> f64 {
+fn combine_lanes_max<const K: usize>(lanes: [f64; K]) -> f64 {
     assert!(K.is_power_of_two(), "lane count must be a power of two");
     let mut tmp = lanes;
     let mut width = K;
@@ -426,7 +345,7 @@ pub(crate) fn fill_bounds(
 /// `K = CANONICAL_LANES`. One `O(samples)` pass replaces per-level
 /// rescans; `acc` and `next` are the per-level running sums and
 /// next-boundary cursors, reused across calls.
-pub(crate) fn fill_level_sums_lanes(
+fn fill_level_sums_lanes(
     values: &[f64],
     step: f64,
     bounds: &[Vec<usize>],
@@ -468,12 +387,9 @@ pub(crate) fn fill_level_sums_lanes(
 ///
 /// The lane assignment (within-leaf offset mod `K`), the combine tree,
 /// and the leaf-sum accumulation order all depend only on the hierarchy
-/// shape — never on the demand values or on how the samples arrived —
-/// so the streaming engine ([`crate::incremental`]) reproduces these
-/// sums bit-for-bit by maintaining the same lanes sample-by-sample.
-/// Leaf peaks use the identical partition with `f64::max`
-/// ([`combine_lanes_max`]), which keeps them bit-identical to a serial
-/// left-to-right fold.
+/// shape — never on the demand values. Leaf peaks use the identical
+/// partition with `f64::max` ([`combine_lanes_max`]), which keeps them
+/// bit-identical to a serial left-to-right fold.
 pub(crate) fn lane_sweep<const K: usize>(
     values: &[f64],
     step: f64,
@@ -534,9 +450,7 @@ pub(crate) fn lane_sweep<const K: usize>(
 /// cascade. The `m` child carbon shares are **appended** to `shares`
 /// (so a serial level loop can accumulate straight into the level
 /// buffer); the caller supplies every buffer, so this is
-/// allocation-free. Shared with the streaming engine in
-/// [`crate::incremental`], which must split carbon with bit-identical
-/// arithmetic.
+/// allocation-free.
 ///
 /// # Panics
 ///
@@ -544,7 +458,7 @@ pub(crate) fn lane_sweep<const K: usize>(
 /// [`peak_shapley`](crate::temporal::peak_shapley) — if a child peak is
 /// negative or non-finite.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn split_parent(
+fn split_parent(
     child_bounds: &[usize],
     child_q: &[f64],
     child_peaks: &[f64],
@@ -593,7 +507,7 @@ pub(crate) fn split_parent(
 /// Expands one level's per-period carbon into the per-sample intensity
 /// buffer, accumulating carbon of zero-demand periods into `stranded` —
 /// the flat equivalent of the reference `intensity_signal`.
-pub(crate) fn fill_intensity(
+fn fill_intensity(
     bounds: &[usize],
     q: &[f64],
     carbon: &[f64],
@@ -618,7 +532,7 @@ pub(crate) fn fill_intensity(
 
 /// The leaf carbon prefix `prefix[k] = Σ_{i<k} intensity[i] · step`
 /// under the canonical blocked reduction with `B = PREFIX_BLOCK`.
-pub(crate) fn fill_prefix_blocked(intensity: &[f64], step: f64, prefix: &mut Vec<f64>) {
+fn fill_prefix_blocked(intensity: &[f64], step: f64, prefix: &mut Vec<f64>) {
     fill_prefix_blocked_sized::<PREFIX_BLOCK>(intensity, step, prefix);
 }
 
@@ -642,11 +556,10 @@ pub(crate) fn fill_prefix_blocked(intensity: &[f64], step: f64, prefix: &mut Vec
 ///    output is written exactly once.
 ///
 /// Block boundaries sit at fixed multiples of `B`, never at
-/// data-dependent positions, so the reduction is deterministic and the
-/// streaming engine reproduces it bit-for-bit. For `n <= B` there is a
-/// single block whose carry is `0.0`: the local chain never produces a
-/// `-0.0` (it starts at `+0.0`), so `local + 0.0` is bit-identical to
-/// the scalar chain. For `n > B` each element differs from the scalar
+/// data-dependent positions, so the reduction is deterministic. For
+/// `n <= B` there is a single block whose carry is `0.0`: the local
+/// chain never produces a `-0.0` (it starts at `+0.0`), so
+/// `local + 0.0` is bit-identical to the scalar chain. For `n > B` each element differs from the scalar
 /// prefix only by the one reassociation `local + carry`, giving the
 /// ≤ 1-ulp-per-element relative bound documented in DESIGN.md §8.
 pub(crate) fn fill_prefix_blocked_sized<const B: usize>(
@@ -690,9 +603,8 @@ pub(crate) fn fill_prefix_blocked_sized<const B: usize>(
     }
 }
 
-/// Runs the flat cascade for `splits` over `demand`, filling `scratch`;
-/// the result is bit-identical to the streaming engine's canonical lane
-/// reduction.
+/// Runs the flat cascade for `splits` over the demand `values` sampled
+/// every `step` seconds from `start`, filling `scratch`.
 ///
 /// # Errors
 ///
@@ -700,17 +612,18 @@ pub(crate) fn fill_prefix_blocked_sized<const B: usize>(
 /// series below one sample per period.
 pub(crate) fn run_cascade(
     splits: &[usize],
-    demand: &TimeSeries,
+    start: i64,
+    step: u32,
+    values: &[f64],
     total_carbon: f64,
     scratch: &mut CascadeScratch,
 ) -> Result<(), SeriesError> {
-    let samples = demand.len();
-    let values = demand.values();
-    let step = f64::from(demand.step());
+    let samples = values.len();
     let same_shape =
         scratch.samples == samples && scratch.splits_cache == splits && !scratch.bounds.is_empty();
-    scratch.start = demand.start();
-    scratch.step = demand.step();
+    scratch.start = start;
+    scratch.step = step;
+    let step = f64::from(step);
     scratch.samples = samples;
     scratch.stranded = 0.0;
     scratch.naive = 0.0;
@@ -829,6 +742,24 @@ pub(crate) fn run_cascade(
     Ok(())
 }
 
+/// Float operations one [`run_cascade`] over `samples` samples performs
+/// under `splits`, counted from the shape alone: per sample, the sweep's
+/// add and max, one intensity fill per level, and the prefix's multiply
+/// and add; per parent of `m` children, the split pass's
+/// `m·log2(m) + 3m`; per leaf, the two lane collapses and the leaf sum's
+/// add into every level.
+pub(crate) fn cascade_ops(samples: usize, splits: &[usize]) -> u64 {
+    let levels = splits.len() as u64 + 1;
+    let mut ops = (levels + 4) * samples as u64;
+    let mut periods = 1u64;
+    for &m in splits {
+        let m = m as u64;
+        ops += periods * (m * u64::from(m.ilog2().max(1)) + 3 * m);
+        periods *= m;
+    }
+    ops + periods * (2 * (CANONICAL_LANES as u64 - 1) + levels)
+}
+
 /// A billing query: attribute carbon for `allocation` resource units
 /// held over `[t0, t1)` (UNIX seconds).
 pub type BillingQuery = (i64, i64, f64);
@@ -938,46 +869,6 @@ mod tests {
     use crate::kernels::level_sums_scalar;
 
     #[test]
-    fn range_max_matches_fold_on_every_window() {
-        let values: Vec<f64> = (0..37)
-            .map(|i| ((i * 7919 + 13) % 97) as f64 / 3.0)
-            .collect();
-        let mut table = RangeMax::new();
-        table.build(&values);
-        assert_eq!(table.len(), 37);
-        for lo in 0..values.len() {
-            for hi in lo + 1..=values.len() {
-                let fold = values[lo..hi]
-                    .iter()
-                    .copied()
-                    .fold(f64::NEG_INFINITY, f64::max);
-                assert_eq!(table.query(lo, hi).to_bits(), fold.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn range_max_rebuild_reuses_buffers() {
-        let mut table = RangeMax::new();
-        table.build(&[1.0, 5.0, 2.0, 4.0]);
-        assert_eq!(table.query(0, 4), 5.0);
-        table.build(&[3.0, 1.0, 7.0, 0.0]);
-        assert_eq!(table.query(0, 4), 7.0);
-        assert_eq!(table.query(3, 4), 0.0);
-        table.build(&[2.0]);
-        assert_eq!(table.len(), 1);
-        assert_eq!(table.query(0, 1), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn range_max_rejects_empty_ranges() {
-        let mut table = RangeMax::new();
-        table.build(&[1.0, 2.0]);
-        let _ = table.query(1, 1);
-    }
-
-    #[test]
     fn bounds_follow_the_split_remainder_rule() {
         let mut bounds = Vec::new();
         fill_bounds(&mut bounds, 7, &[3]).unwrap();
@@ -1006,20 +897,22 @@ mod tests {
                 );
             }
         }
-        // Leaf peaks equal the per-leaf TimeSeries::peak fold, and a
-        // range-max over them reproduces any upper period's peak.
+        // Leaf peaks equal the per-leaf TimeSeries::peak fold, and
+        // folding them reproduces any upper period's peak.
         let leaf_bounds = bounds.last().unwrap();
         assert_eq!(leaf_peaks.len(), leaf_bounds.len() - 1);
         for (p, w) in leaf_bounds.windows(2).enumerate() {
             let part = TimeSeries::from_values(0, 300, values[w[0]..w[1]].to_vec()).unwrap();
             assert_eq!(leaf_peaks[p].to_bits(), part.peak().to_bits(), "leaf {p}");
         }
-        let mut table = RangeMax::new();
-        table.build(&leaf_peaks);
         // Level-1 period 0 spans leaves 0..3 (leaf_span = 3).
         let level1 =
             TimeSeries::from_values(0, 300, values[bounds[1][0]..bounds[1][1]].to_vec()).unwrap();
-        assert_eq!(table.query(0, 3).to_bits(), level1.peak().to_bits());
+        let folded = leaf_peaks[0..3]
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max);
+        assert_eq!(folded.to_bits(), level1.peak().to_bits());
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! Test-only entry points for the lane-parallel inner-loop kernels, and
 //! the property pins that hold them to serial reference loops.
 //!
-//! The cascade ([`crate::cascade`]) runs its kernels at the frozen
-//! canonical parameters —
-//! [`CANONICAL_LANES`](crate::cascade::CANONICAL_LANES) accumulator
-//! lanes and [`PREFIX_BLOCK`](crate::cascade::PREFIX_BLOCK)-sample
-//! prefix blocks — because those constants *are* part of the pinned
-//! reduction: changing them changes which reassociated sum every
-//! consumer (the streaming engine, the service) reproduces. This module
-//! re-exposes the same kernels with the lane count and block length as
-//! const generics, so the proptests below can pin the kernels' contracts
-//! at *other* parameters — the awkward lengths `0`, `1`, `K−1`, `K`,
-//! `K+1`, non-multiples of `K` — without touching the canonical paths.
+//! The cascade ([`crate::cascade`]) runs its kernels at fixed
+//! parameters — four accumulator lanes and eight-sample prefix blocks —
+//! because those constants are part of the result: changing them
+//! changes which reassociated sum every attribution, and every persisted
+//! service window, carries. This module re-exposes the same kernels
+//! with the lane count and block length as const generics, so the
+//! proptests below can pin the kernels' contracts at *other* parameters
+//! — the awkward lengths `0`, `1`, `K−1`, `K`, `K+1`, non-multiples of
+//! `K` — without touching the canonical paths.
 //!
 //! [`level_sums_scalar`] and [`prefix_scalar`] are plain serial
 //! reference loops: the cascade never runs them, but the lane kernels
@@ -104,12 +102,10 @@ fn reset_level_sums(
 
 /// The lane-parallel sweep at an arbitrary power-of-two lane count `K`:
 /// within each leaf, lane `j` accumulates the samples at within-leaf
-/// offsets `≡ j (mod K)`, the lane vector collapses through
-/// [`combine_lanes`](crate::cascade::combine_lanes) /
-/// [`combine_lanes_max`](crate::cascade::combine_lanes_max), and every
-/// level accumulates whole leaf sums left-to-right. At
-/// `K = `[`CANONICAL_LANES`](crate::cascade::CANONICAL_LANES) this is
-/// exactly the cascade's default kernel.
+/// offsets `≡ j (mod K)`, the lane vector collapses through the fixed
+/// pair trees of the cascade's lane collapse (sum and `max`), and every
+/// level accumulates whole leaf sums left-to-right. At `K = 4` this is
+/// exactly the cascade's kernel.
 ///
 /// # Panics
 ///
@@ -149,8 +145,7 @@ pub fn prefix_scalar(intensity: &[f64], step: f64, prefix: &mut Vec<f64>) {
 /// running carry folded in at the store (`out = local + carry`) in a
 /// single pass over the signal. Bit-identical to [`prefix_scalar`] when
 /// `intensity.len() ≤ B`; one `local + carry` reassociation per element
-/// beyond that. At `B = `[`PREFIX_BLOCK`](crate::cascade::PREFIX_BLOCK)
-/// this is exactly the cascade's default kernel.
+/// beyond that. At `B = 8` this is exactly the cascade's kernel.
 ///
 /// # Panics
 ///

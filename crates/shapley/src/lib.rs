@@ -39,13 +39,13 @@
 //!   dynamic embodied-carbon-intensity signal (Eq. 5).
 //! * [`cascade`] — the flat, zero-copy engine behind the temporal
 //!   hierarchy: index-range periods over one shared demand buffer,
-//!   sparse-table range-max peaks, a reusable
-//!   [`cascade::CascadeScratch`] for allocation-free repeats, and the
-//!   [`cascade::IntensityIndex`] answering batched billing queries.
+//!   MaxTree-folded peaks, a reusable [`cascade::CascadeScratch`] for
+//!   allocation-free repeats, and the [`cascade::IntensityIndex`]
+//!   answering batched billing queries.
 //! * [`incremental`] — the streaming engine behind the always-on
-//!   attribution service: fixed windows ingested one sample at a time
-//!   at amortized `O(levels)` per sample, each closed window
-//!   bit-identical to the frozen cascade on the same slice.
+//!   attribution service: fixed windows ingested one sample at a time,
+//!   each closed through the same cascade at amortized `O(levels)` per
+//!   sample.
 //! * [`surrogate`] — learned ridge surrogate serving peak-demand
 //!   attributions in `O(features)` per workload, with an efficiency-gap
 //!   residual bound and a deterministic error-bounded fallback to
@@ -89,8 +89,7 @@ pub mod unit_time;
 
 pub use axioms::{AxiomAudit, AxiomCheck};
 pub use cache::{CachedGame, CoalitionCache};
-pub use cascade::{combine_lanes, combine_lanes_max, CANONICAL_LANES, PREFIX_BLOCK};
-pub use cascade::{BillingQuery, CascadeScratch, IntensityIndex, RangeMax};
+pub use cascade::{BillingQuery, CascadeScratch, IntensityIndex};
 pub use coalition::Coalition;
 pub use exact::{
     exact_shapley, exact_shapley_fast_with_scratch, parallel_exact_shapley, ExactScratch,

@@ -33,20 +33,19 @@
 //!
 //! [`TemporalShapley::attribute`] runs the hierarchy through the
 //! zero-copy engine in [`crate::cascade`]: periods are index ranges over
-//! the one shared demand buffer, peaks come from a sparse-table range
-//! max, integrals from a fused per-level sweep, and every buffer lives
-//! in a reusable [`CascadeScratch`]. The original per-period pipeline is
-//! kept only as a test oracle, in the test-only `per_period` module; the
-//! flat engine's lane-parallel kernels are closeness-pinned against it
-//! (bit-pinned on the weight-fallback cases) by the property tests there.
+//! the one shared demand buffer, peaks fold bottom-up from the leaf
+//! peaks, integrals come from a fused per-level sweep, and every buffer
+//! lives in a reusable [`CascadeScratch`]. The original per-period
+//! pipeline is kept only as a test oracle, in the test-only
+//! `per_period` module; the flat engine's lane-parallel kernels are
+//! closeness-pinned against it (bit-pinned on the weight-fallback
+//! cases) by the property tests there.
 
 use serde::{Deserialize, Serialize};
 
 use fairco2_trace::series::{SeriesError, TimeSeries};
 
 use crate::cascade::{run_cascade, BillingQuery, CascadeScratch, IntensityIndex};
-use crate::exact::exact_shapley;
-use crate::game::PeakDemandGame;
 
 #[cfg(test)]
 mod per_period;
@@ -288,7 +287,7 @@ impl TemporalShapley {
         total_carbon: f64,
     ) -> Result<TemporalAttribution, SeriesError> {
         let mut scratch = CascadeScratch::new();
-        run_cascade(&self.splits, demand, total_carbon, &mut scratch)?;
+        self.attribute_with_scratch(demand, total_carbon, &mut scratch)?;
         Ok(scratch.into_attribution())
     }
 
@@ -310,34 +309,37 @@ impl TemporalShapley {
         total_carbon: f64,
         scratch: &mut CascadeScratch,
     ) -> Result<(), SeriesError> {
-        run_cascade(&self.splits, demand, total_carbon, scratch)
+        run_cascade(
+            &self.splits,
+            demand.start(),
+            demand.step(),
+            demand.values(),
+            total_carbon,
+            scratch,
+        )
     }
-}
-
-/// Reference implementation: exact Shapley of the peak game by subset
-/// enumeration — used to validate [`peak_shapley`] and exposed for tests
-/// and benchmarks of the "ground truth" cost.
-///
-/// # Errors
-///
-/// Propagates [`crate::exact::ExactError`] converted to a panic-free
-/// result via the underlying solver.
-pub fn peak_shapley_enumerated(peaks: &[f64]) -> Result<Vec<f64>, crate::exact::ExactError> {
-    // One time step per player where only that player is active ⇒ the
-    // coalition value is exactly the max of member peaks.
-    let matrix: Vec<Vec<f64>> = (0..peaks.len())
-        .map(|i| {
-            let mut row = vec![0.0; peaks.len()];
-            row[i] = peaks[i];
-            row
-        })
-        .collect();
-    exact_shapley(&PeakDemandGame::new(matrix))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact::exact_shapley;
+    use crate::game::PeakDemandGame;
+
+    /// Exact Shapley of the peak game by subset enumeration, the oracle
+    /// for [`peak_shapley`].
+    fn peak_shapley_enumerated(peaks: &[f64]) -> Result<Vec<f64>, crate::exact::ExactError> {
+        // One time step per player where only that player is active ⇒ the
+        // coalition value is exactly the max of member peaks.
+        let matrix: Vec<Vec<f64>> = (0..peaks.len())
+            .map(|i| {
+                let mut row = vec![0.0; peaks.len()];
+                row[i] = peaks[i];
+                row
+            })
+            .collect();
+        exact_shapley(&PeakDemandGame::new(matrix))
+    }
 
     #[test]
     fn closed_form_matches_enumeration() {

@@ -90,13 +90,17 @@ fn assert_stream_matches_frozen(splits: &[usize], leaf_samples: usize, windows: 
 #[test]
 fn streamed_windows_match_the_frozen_cascade_bit_for_bit() {
     // Shapes cover: root-only, one split, uneven two-level, deep
-    // hierarchy, and wide fan-out (ties in wide peak games).
+    // hierarchy, and wide fan-out (ties in wide peak games), plus the
+    // two production shapes: the billing benchmark's daily window (24
+    // hours of 12 five-minute leaves) and the `serve` CLI default.
     assert_stream_matches_frozen(&[], 5, 4, 1);
     assert_stream_matches_frozen(&[2], 3, 4, 2);
     assert_stream_matches_frozen(&[3, 2], 2, 5, 3);
     assert_stream_matches_frozen(&[2, 3, 2], 2, 3, 4);
     assert_stream_matches_frozen(&[7], 4, 3, 5);
     assert_stream_matches_frozen(&[2, 2, 2, 2], 1, 3, 6);
+    assert_stream_matches_frozen(&[24, 12], 1, 3, 7);
+    assert_stream_matches_frozen(&[4, 3], 4, 3, 8);
 }
 
 #[test]
@@ -163,16 +167,18 @@ fn operation_count_is_amortized_constant_per_sample() {
     assert_eq!(engine.ops(), per_window[0] * 6);
 
     // And that constant is O(levels), not O(window): generously bounded
-    // by a small multiple of levels plus the per-window close. Under the
-    // lane canonical a plain push is 2 ops and each leaf boundary pays a
-    // ≤ 3·levels + 6 collapse burst (see the push-cost test below), so
-    // n·(3·levels + 8) over-covers the push side. With levels = 4 and
-    // n = 120 this asserts ~O(log n) per sample, far below the O(n) a
-    // rescan-per-sample implementation would show.
+    // by a small multiple of levels plus the per-window close. A push is
+    // one op; the close counts levels + 4 ops per sample (sweep,
+    // intensity fills, prefix) and levels + 6 per leaf (lane collapses,
+    // leaf-sum adds). With at most one leaf per sample a window costs at
+    // most n·(2·levels + 11) plus the split passes, inside the budget
+    // below. With levels = 4 and n = 120 this asserts ~O(log n) per
+    // sample, far below the O(n) a rescan-per-sample implementation
+    // would show.
     let levels = (splits.len() + 1) as u64;
     let close_cost: u64 = {
-        // split passes: per parent m·log2(m)+3m ops, plus the leaf fill
-        // and blocked prefix (counted as 3 ops per sample).
+        // split passes: per parent m·log2(m)+3m ops, plus 3 ops per
+        // sample of the close's fill and prefix work.
         let mut cost = 3 * n + 1;
         let mut parents = 1u64;
         for &m in &splits {
@@ -208,16 +214,12 @@ proptest! {
     }
 }
 
-/// Pushing one sample performs O(levels) work in the worst case — the
-/// tail repair never walks more than the hierarchy height.
+/// Pushing one sample performs O(levels) work in the worst case.
 ///
-/// Re-derived for the lane canonical (this bound was `3·levels + 1`
-/// when every push replayed `levels` scalar adds): a plain push is now
-/// 2 ops (one lane add, one lane max); the worst push also closes a
-/// leaf, paying the lane collapse — `2·(CANONICAL_LANES − 1) = 6` ops
-/// for the two pair trees — plus ≤ `levels − 2` tail-repair maxes,
-/// `levels` leaf-sum adds, and ≤ `levels` integral closes:
-/// `2 + 6 + (levels − 2) + 2·levels = 3·levels + 6`.
+/// Re-derived for the buffered engine: a push only appends the sample
+/// (one op) and all cascade work happens in `close_window`, so the
+/// bound, set when a push still maintained per-level sums, holds with
+/// room at every height.
 #[test]
 fn single_push_cost_is_bounded_by_the_hierarchy_height() {
     let splits = [2, 2, 2];

@@ -6,9 +6,9 @@ use fair_co2::attribution::demand::{
 };
 use fair_co2::attribution::schedule::{Schedule, ScheduledWorkload};
 use fair_co2::shapley::axioms::{check_efficiency, check_linearity};
-use fair_co2::shapley::exact::exact_shapley;
+use fair_co2::shapley::exact::{exact_shapley, ExactError};
 use fair_co2::shapley::game::{Game, PeakDemandGame, Replay};
-use fair_co2::shapley::temporal::{peak_shapley, peak_shapley_enumerated, TemporalShapley};
+use fair_co2::shapley::temporal::{peak_shapley, TemporalShapley};
 use fair_co2::shapley::{Coalition, MatchingGame};
 use fair_co2::trace::TimeSeries;
 use proptest::prelude::*;
@@ -18,6 +18,20 @@ fn demand_matrix(players: usize, steps: usize) -> impl Strategy<Value = Vec<Vec<
         prop::collection::vec(0.0f64..100.0, steps..=steps),
         players..=players,
     )
+}
+
+/// Exact Shapley of the peak game `v(S) = max_{i∈S} peaks[i]` by subset
+/// enumeration: one time step per player, on which only that player is
+/// active, so a coalition's peak demand is the max of its members' peaks.
+fn peak_shapley_enumerated(peaks: &[f64]) -> Result<Vec<f64>, ExactError> {
+    let matrix: Vec<Vec<f64>> = (0..peaks.len())
+        .map(|i| {
+            let mut row = vec![0.0; peaks.len()];
+            row[i] = peaks[i];
+            row
+        })
+        .collect();
+    exact_shapley(&PeakDemandGame::new(matrix))
 }
 
 proptest! {
