@@ -1,13 +1,13 @@
-//! **Surrogate attribution benchmark** — trains the ridge surrogate on an
+//! **Surrogate attribution study** — trains the ridge surrogate on an
 //! out-of-sample harvest, asserts the serving gates (efficiency axiom,
 //! zero-tolerance collapse, thread invariance, audited accuracy budget),
-//! sweeps the tolerance → (fallback rate, error, throughput) frontier,
-//! and times the surrogate pipeline against the streaming engine on the
-//! full evaluation study.
+//! sweeps the tolerance → (fallback rate, error) frontier, and records
+//! the fallback rate over the full evaluation study. It records outcomes;
+//! the benchmark's `surrogate` workload times the pipeline.
 //!
 //! Defaults to the paper's 10,000-trial demand study. Tune with
 //! `--trials N --train N --audit N --max-workloads N --tolerance X
-//! --budget X --lambda X --seed N --threads N --reps N`. Writes
+//! --budget X --lambda X --seed N --threads N`. Writes
 //! `results/BENCH_surrogate.json`; `gates_passed` in that JSON is the
 //! machine-checkable contract (CI asserts it on a reduced study).
 
@@ -26,7 +26,6 @@ const FLAGS: &[&str] = &[
     "lambda",
     "seed",
     "threads",
-    "reps",
 ];
 
 fn main() {
@@ -42,12 +41,11 @@ fn main() {
         accuracy_budget: args.f64("budget", defaults.accuracy_budget),
         lambda: args.f64("lambda", defaults.lambda),
         seed: args.u64("seed", defaults.seed),
-        reps: args.usize("reps", defaults.reps),
         ..defaults
     };
 
     eprintln!(
-        "surrogate benchmark: {} eval trials, {} train, {} audited (≤{} workloads, tol {})…",
+        "surrogate study: {} eval trials, {} train, {} audited (≤{} workloads, tol {})…",
         study.trials, study.train_trials, study.audit_trials, study.max_workloads, study.tolerance
     );
     let report = run_surrogate(&study);

@@ -1,33 +1,29 @@
-//! Surrogate-accelerated attribution benchmark: harvest → fit → serve,
-//! with the accuracy gates asserted in-binary before any timing runs.
+//! Surrogate-accelerated attribution study: harvest → fit → serve, with
+//! the accuracy gates asserted in-binary.
 //!
-//! The study attributes the Figure-7 demand schedules three ways:
+//! The study attributes the Figure-7 demand schedules two ways:
 //!
-//! 1. **Streaming engine** (the baseline): exact ground truth plus all
-//!    method deviations per trial, through the batched study engine.
-//! 2. **Surrogate**: a ridge model harvested from an *out-of-sample*
+//! 1. **Surrogate**: a ridge model harvested from an *out-of-sample*
 //!    training study serves normalized Shapley shares in `O(features)`
-//!    per workload, falling back to the sampled solver whenever the
-//!    residual bound exceeds the tolerance.
-//! 3. **Exact audit**: a subset of trials re-solved exactly to measure
+//!    per workload, falling back to the sampled solver (2,000
+//!    permutations) whenever the residual bound exceeds the tolerance.
+//! 2. **Exact audit**: a subset of trials re-solved exactly to measure
 //!    the surrogate pipeline's true share error.
 //!
-//! Gates (all asserted before timing, recorded in `gates_passed`):
-//! served outcomes satisfy the efficiency axiom to 1e-9; zero tolerance
-//! collapses bit-for-bit to `sampled_shapley_cached`; fallback decisions
-//! and served values are bit-identical at 1/2/8 threads; and the audited
-//! max normalized share error stays within the accuracy budget. The
-//! tolerance → (fallback rate, error, throughput) frontier is swept and
-//! recorded alongside the headline speedup.
-
-use std::time::Instant;
+//! Gates (all asserted, recorded in `gates_passed`): served outcomes
+//! satisfy the efficiency axiom to 1e-9; zero tolerance collapses
+//! bit-for-bit to the fallback's sampled estimate; fallback decisions and
+//! served values are bit-identical at 1/2/8 threads; and the audited max
+//! normalized share error stays within the accuracy budget. The tolerance
+//! → (fallback rate, error) frontier is swept over the audit subset. The
+//! report records outcomes, not timings: the benchmark's `surrogate`
+//! workload times this pipeline.
 
 use serde::Serialize;
 
 use fairco2_montecarlo::harvest::{fit_surrogate, harvest_demand_study_with, HarvestRecord};
 use fairco2_montecarlo::schedules::DemandStudy;
 use fairco2_montecarlo::scratch::TrialScratch;
-use fairco2_montecarlo::{stream_demand_study, EngineConfig};
 use fairco2_shapley::axioms::check_efficiency;
 use fairco2_shapley::exact::{exact_shapley_fast_with_scratch, ExactScratch};
 use fairco2_shapley::game::PeakDemandGame;
@@ -40,7 +36,7 @@ pub const TRAIN_SEED_SALT: u64 = 0x7261_494E;
 /// Configuration of the surrogate benchmark.
 #[derive(Debug, Clone)]
 pub struct SurrogateStudy {
-    /// Evaluation trials attributed end to end (the timed study).
+    /// Evaluation trials attributed end to end.
     pub trials: usize,
     /// Out-of-sample training trials harvested with exact ground truth.
     pub train_trials: usize,
@@ -48,10 +44,10 @@ pub struct SurrogateStudy {
     pub audit_trials: usize,
     /// Workload cap of both studies (the paper's 22).
     pub max_workloads: usize,
-    /// Worker threads for the harvest (timing runs are single-threaded).
+    /// Worker threads for the harvest.
     pub threads: usize,
     /// Serving tolerance on the residual bound (the pinned operating
-    /// point the headline speedup is measured at).
+    /// point).
     pub tolerance: f64,
     /// Accuracy budget: the audited max normalized share error
     /// (`|φ̂_p − φ_p| / v(N)`) must stay below this for the gate to pass.
@@ -62,11 +58,6 @@ pub struct SurrogateStudy {
     pub lambda: f64,
     /// Evaluation-study base seed (the Figure-7 default).
     pub seed: u64,
-    /// Timing repetitions per measured path (best wall-clock wins).
-    pub reps: usize,
-    /// Headline target: surrogate attribution throughput over streaming
-    /// baseline throughput (the ≥10× claim).
-    pub speedup_target: f64,
 }
 
 impl Default for SurrogateStudy {
@@ -82,8 +73,6 @@ impl Default for SurrogateStudy {
             tolerances: vec![0.005, 0.01, 0.02, 0.05, 0.1],
             lambda: 1e-6,
             seed: DemandStudy::default().base_seed,
-            reps: 1,
-            speedup_target: 10.0,
         }
     }
 }
@@ -110,8 +99,8 @@ impl SurrogateStudy {
     }
 }
 
-/// One point of the tolerance → accuracy/throughput frontier, measured
-/// over the audit subset.
+/// One point of the tolerance → accuracy frontier, measured over the
+/// audit subset.
 #[derive(Debug, Clone, Serialize)]
 pub struct Tolerancepoint {
     /// Residual-bound tolerance of this point.
@@ -122,16 +111,13 @@ pub struct Tolerancepoint {
     pub max_share_error: f64,
     /// Audited mean (per-trial max) normalized share error.
     pub mean_share_error: f64,
-    /// End-to-end attribution throughput at this tolerance (fallbacks
-    /// executed), trials per second.
-    pub trials_per_sec: f64,
 }
 
-/// Machine-readable surrogate benchmark results
+/// Machine-readable surrogate study outcomes
 /// (`results/BENCH_surrogate.json`).
 #[derive(Debug, Clone, Serialize)]
 pub struct SurrogateReport {
-    /// Evaluation trials timed end to end.
+    /// Evaluation trials attributed end to end.
     pub trials: usize,
     /// Out-of-sample training trials harvested.
     pub train_trials: usize,
@@ -141,17 +127,18 @@ pub struct SurrogateReport {
     pub audit_trials: usize,
     /// Workload cap of both studies.
     pub max_workloads: usize,
-    /// Pinned serving tolerance of the headline measurement.
+    /// Pinned serving tolerance.
     pub tolerance: f64,
     /// Accuracy budget the audit gate enforces.
     pub accuracy_budget: f64,
     /// Ridge regularization.
     pub lambda: f64,
-    /// Every gate below held (asserted before timing; recorded).
+    /// Every gate below held (asserted; recorded).
     pub gates_passed: bool,
     /// Served outcomes satisfied the efficiency axiom to 1e-9.
     pub gate_efficiency: bool,
-    /// Tolerance 0 collapsed bit-for-bit to `sampled_shapley_cached`.
+    /// Tolerance 0 collapsed bit-for-bit to the fallback's sampled
+    /// estimate.
     pub gate_zero_tolerance_collapse: bool,
     /// Fallback decisions and values bit-identical at 1/2/8 threads.
     pub gate_thread_invariant: bool,
@@ -163,40 +150,8 @@ pub struct SurrogateReport {
     pub mean_share_error: f64,
     /// Fallback rate at the pinned tolerance over the full evaluation.
     pub fallback_rate: f64,
-    /// Harvest wall time (training-study trials with exact truth).
-    pub harvest_secs: f64,
-    /// Ridge fit wall time (shared-Gram Cholesky, all targets).
-    pub fit_secs: f64,
-    /// Streaming-engine baseline over the evaluation study (1 thread).
-    pub streaming_secs: f64,
-    /// Baseline trials per second.
-    pub streaming_trials_per_sec: f64,
-    /// Surrogate pipeline over the same trials (1 thread, fallbacks
-    /// executed).
-    pub surrogate_secs: f64,
-    /// Surrogate trials per second.
-    pub surrogate_trials_per_sec: f64,
-    /// Headline: streaming wall time over surrogate wall time.
-    pub speedup: f64,
-    /// Speedup with harvest + fit amortized into the surrogate side.
-    pub amortized_speedup: f64,
-    /// Headline target (the ≥10× claim) and whether this run met it.
-    pub speedup_target: f64,
-    /// Whether `speedup >= speedup_target` in this run.
-    pub meets_speedup_target: bool,
-    /// The tolerance → (fallback, error, throughput) frontier.
+    /// The tolerance → (fallback, error) frontier.
     pub frontier: Vec<Tolerancepoint>,
-}
-
-/// Best wall-clock over `reps` runs of `f`.
-fn best_secs<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
 }
 
 /// Reusable buffers for one evaluation pass.
@@ -292,14 +247,14 @@ fn thread_invariant(study: &DemandStudy, attributor: &SurrogateAttributor, trial
     [2usize, 8].iter().all(|&t| collect(t) == reference)
 }
 
-/// Runs the full surrogate benchmark: harvest, fit, gates, frontier,
-/// and the headline streaming-vs-surrogate timing.
+/// Runs the full surrogate study: harvest, fit, gates, frontier, and the
+/// fallback rate over the whole evaluation study.
 ///
 /// # Panics
 ///
-/// Panics when any gate fails — the speedup of a wrong answer is not a
-/// result. Gate outcomes are also recorded in the report so downstream
-/// tooling can assert `gates_passed` from the JSON alone.
+/// Panics when any gate fails. Gate outcomes are also recorded in the
+/// report so downstream tooling can assert `gates_passed` from the JSON
+/// alone.
 pub fn run_surrogate(study: &SurrogateStudy) -> SurrogateReport {
     let eval = study.eval_study();
     let train = study.train_study();
@@ -309,20 +264,16 @@ pub fn run_surrogate(study: &SurrogateStudy) -> SurrogateReport {
     );
 
     // --- Harvest the out-of-sample training set, then fit. ---
-    let start = Instant::now();
     let mut records: Vec<HarvestRecord> = Vec::with_capacity(train.trials);
     harvest_demand_study_with(&train, study.threads, 64, |r| records.push(r.clone()));
-    let harvest_secs = start.elapsed().as_secs_f64();
     let train_rows: usize = records.iter().map(|r| r.workloads).sum();
-    let start = Instant::now();
     let model: SurrogateModel = fit_surrogate(&records, study.lambda).expect("harvest fits");
-    let fit_secs = start.elapsed().as_secs_f64();
     drop(records);
 
     let attributor = SurrogateAttributor::new(model.clone(), study.tolerance);
     let mut scratch = EvalScratch::new();
 
-    // --- Gates, before any timing. ---
+    // --- Gates. ---
     let gate_trials = study.audit_trials.clamp(1, 200);
 
     // Efficiency: every served outcome satisfies the axiom to 1e-9.
@@ -354,7 +305,7 @@ pub fn run_surrogate(study: &SurrogateStudy) -> SurrogateReport {
     }
     assert!(
         gate_zero,
-        "tolerance 0 must collapse to sampled_shapley_cached"
+        "tolerance 0 must collapse to the sampled fallback"
     );
 
     // Fallback decisions and served bits are thread-invariant.
@@ -365,7 +316,7 @@ pub fn run_surrogate(study: &SurrogateStudy) -> SurrogateReport {
     );
 
     // Accuracy audit at the pinned tolerance.
-    let (audit_fallbacks, max_share_error, mean_share_error) =
+    let (_, max_share_error, mean_share_error) =
         audit(&eval, &attributor, study.audit_trials, &mut scratch);
     let gate_accuracy = max_share_error <= study.accuracy_budget;
     assert!(
@@ -380,40 +331,19 @@ pub fn run_surrogate(study: &SurrogateStudy) -> SurrogateReport {
     for &tol in &study.tolerances {
         let a = SurrogateAttributor::new(model.clone(), tol);
         let (fallbacks, max_err, mean_err) = audit(&eval, &a, study.audit_trials, &mut scratch);
-        let secs = best_secs(study.reps, || {
-            for t in 0..study.audit_trials {
-                std::hint::black_box(attribute_trial(&eval, &a, t, &mut scratch));
-            }
-        });
         frontier.push(Tolerancepoint {
             tolerance: tol,
             fallback_rate: fallbacks as f64 / study.audit_trials.max(1) as f64,
             max_share_error: max_err,
             mean_share_error: mean_err,
-            trials_per_sec: study.audit_trials as f64 / secs,
         });
     }
 
-    // --- Headline timing: streaming engine vs surrogate, 1 thread. ---
-    let cfg = EngineConfig {
-        threads: 1,
-        batch_trials: 64,
-        collect_trials: false,
-    };
-    let streaming_secs = best_secs(study.reps, || stream_demand_study(&eval, cfg));
-    let mut fallbacks = 0usize;
-    let surrogate_secs = best_secs(study.reps, || {
-        fallbacks = 0;
-        for t in 0..eval.trials {
-            let outcome = attribute_trial(&eval, &attributor, t, &mut scratch);
-            fallbacks += usize::from(outcome.fell_back);
-            std::hint::black_box(&outcome);
-        }
-    });
-    let speedup = streaming_secs / surrogate_secs;
-    let amortized_speedup = streaming_secs / (surrogate_secs + harvest_secs + fit_secs);
+    // --- Fallback rate over the whole evaluation study. ---
+    let fallbacks = (0..eval.trials)
+        .filter(|&t| attribute_trial(&eval, &attributor, t, &mut scratch).fell_back)
+        .count();
 
-    let _ = audit_fallbacks;
     SurrogateReport {
         trials: study.trials,
         train_trials: study.train_trials,
@@ -431,16 +361,6 @@ pub fn run_surrogate(study: &SurrogateStudy) -> SurrogateReport {
         max_share_error,
         mean_share_error,
         fallback_rate: fallbacks as f64 / eval.trials.max(1) as f64,
-        harvest_secs,
-        fit_secs,
-        streaming_secs,
-        streaming_trials_per_sec: eval.trials as f64 / streaming_secs,
-        surrogate_secs,
-        surrogate_trials_per_sec: eval.trials as f64 / surrogate_secs,
-        speedup,
-        amortized_speedup,
-        speedup_target: study.speedup_target,
-        meets_speedup_target: speedup >= study.speedup_target,
         frontier,
     }
 }
@@ -448,8 +368,8 @@ pub fn run_surrogate(study: &SurrogateStudy) -> SurrogateReport {
 /// Prints the human-readable summary the binaries share.
 pub fn print_surrogate(report: &SurrogateReport) {
     println!(
-        "surrogate  trained on {} trials ({} rows) in {:.2}s + {:.4}s fit",
-        report.train_trials, report.train_rows, report.harvest_secs, report.fit_secs
+        "surrogate  trained on {} trials ({} rows)",
+        report.train_trials, report.train_rows
     );
     println!(
         "surrogate  gates: efficiency {}, zero-tol collapse {}, thread-invariant {}, accuracy {} (max err {:.4} ≤ {:.3})",
@@ -462,28 +382,17 @@ pub fn print_surrogate(report: &SurrogateReport) {
     );
     for p in &report.frontier {
         println!(
-            "surrogate  tol {:>6.3}  fallback {:>5.1}%  max err {:.4}  mean err {:.4}  {:>9.0} trials/s",
+            "surrogate  tol {:>6.3}  fallback {:>5.1}%  max err {:.4}  mean err {:.4}",
             p.tolerance,
             100.0 * p.fallback_rate,
             p.max_share_error,
-            p.mean_share_error,
-            p.trials_per_sec
+            p.mean_share_error
         );
     }
     println!(
-        "surrogate  streaming {:.3}s ({:.0}/s)  surrogate {:.3}s ({:.0}/s)  speedup {:.1}x (target {:.0}x, met: {})",
-        report.streaming_secs,
-        report.streaming_trials_per_sec,
-        report.surrogate_secs,
-        report.surrogate_trials_per_sec,
-        report.speedup,
-        report.speedup_target,
-        report.meets_speedup_target
-    );
-    println!(
-        "surrogate  fallback rate {:.2}% at tol {:.3}; amortized speedup {:.1}x (harvest+fit included)",
+        "surrogate  fallback rate {:.2}% at tol {:.3} over {} trials",
         100.0 * report.fallback_rate,
         report.tolerance,
-        report.amortized_speedup
+        report.trials
     );
 }

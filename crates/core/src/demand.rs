@@ -17,10 +17,9 @@ use std::fmt;
 
 use fairco2_shapley::exact::{exact_shapley_fast_with_scratch, ExactError, ExactScratch};
 use fairco2_shapley::game::PeakDemandGame;
-use fairco2_shapley::sampled::{sampled_shapley, SampleConfig, ShapleyEstimate};
+use fairco2_shapley::parallel::{parallel_sampled_shapley, ParallelConfig};
+use fairco2_shapley::sampled::{SampleConfig, ShapleyEstimate};
 use fairco2_shapley::temporal::TemporalShapley;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::schedule::Schedule;
 
@@ -162,21 +161,26 @@ impl DemandAttributor for GroundTruthShapley {
 /// Monte Carlo ground truth: the same workload-level peak game as
 /// [`GroundTruthShapley`], estimated by permutation sampling — usable
 /// beyond the exact solver's 24-player cap (e.g. to audit Fair-CO₂ on
-/// thousand-workload schedules). Deterministic for a given seed.
+/// thousand-workload schedules). Runs
+/// [`parallel_sampled_shapley`] at one thread, without a coalition cache;
+/// deterministic for a given seed.
 #[derive(Debug, Clone)]
 pub struct SampledGroundTruth {
-    config: SampleConfig,
+    config: ParallelConfig,
     seed: u64,
 }
 
 impl SampledGroundTruth {
     /// Creates the estimator with an explicit sampling configuration.
     pub fn new(config: SampleConfig, seed: u64) -> Self {
-        Self { config, seed }
+        Self {
+            config: ParallelConfig::serial(config),
+            seed,
+        }
     }
 
-    /// A sensible default: 4000 antithetic permutations with a 0.5 %
-    /// relative standard-error stopping rule.
+    /// A sensible default: 4000 antithetic permutations, no early
+    /// stopping.
     pub fn with_seed(seed: u64) -> Self {
         Self::new(
             SampleConfig {
@@ -196,8 +200,7 @@ impl SampledGroundTruth {
     /// carbon statements.
     pub fn estimate(&self, schedule: &Schedule) -> ShapleyEstimate {
         let game = PeakDemandGame::new(schedule.demand_matrix());
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        sampled_shapley(&game, &self.config, &mut rng)
+        parallel_sampled_shapley(&game, &self.config, self.seed).estimate
     }
 }
 
@@ -550,7 +553,8 @@ mod tests {
     fn ground_truth_scratch_path_is_bit_identical() {
         let s = demo();
         let fresh = GroundTruthShapley.attribute(&s, 1000.0).unwrap();
-        let mut scratch = ExactScratch::for_players(8);
+        let mut scratch = ExactScratch::new();
+        scratch.reserve_players(8);
         let mut out = Vec::new();
         for _ in 0..3 {
             GroundTruthShapley

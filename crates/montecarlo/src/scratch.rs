@@ -59,11 +59,11 @@ impl TrialScratch {
     /// is sized to the study's `max_workloads` cap up front, so the worker
     /// never reallocates it mid-run.
     pub fn for_demand(study: &DemandStudy) -> Self {
-        let players = study.max_workloads.clamp(1, MAX_EXACT_PLAYERS);
-        Self {
-            exact: ExactScratch::for_players(players),
-            ..Self::default()
-        }
+        let mut scratch = Self::default();
+        scratch
+            .exact
+            .reserve_players(study.max_workloads.clamp(1, MAX_EXACT_PLAYERS));
+        scratch
     }
 
     /// Reuse/allocation counters for reporting.

@@ -4,9 +4,8 @@
 //! These are used by the property-test suite to validate every solver, and
 //! exported so downstream attribution methods can be audited the same way.
 
-use crate::cache::CachedGame;
 use crate::coalition::Coalition;
-use crate::game::{Game, GameStats};
+use crate::game::Game;
 
 /// Outcome of an axiom check.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,58 +101,6 @@ pub fn check_symmetry<G: Game>(game: &G, phi: &[f64], a: usize, b: usize, tol: f
     }
 }
 
-/// Audits several axioms against one game through a shared
-/// [`CoalitionCache`](crate::cache::CoalitionCache).
-///
-/// The null-player and symmetry checks each enumerate `2ⁿ` coalition
-/// values; auditing several players therefore re-evaluates heavily
-/// overlapping mask sets. The audit routes every check through one
-/// [`CachedGame`], so each distinct coalition is valued at most once
-/// across the whole audit, and [`AxiomAudit::stats`] reports how much
-/// work the cache absorbed.
-pub struct AxiomAudit<'g, G> {
-    cached: CachedGame<'g, G>,
-}
-
-impl<'g, G: Game> AxiomAudit<'g, G> {
-    /// Wraps `game` with a fresh cache sized for its player count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the game has more than 64 players (the cache keys
-    /// coalitions by `u64` mask).
-    pub fn new(game: &'g G) -> Self {
-        Self {
-            cached: CachedGame::new(game),
-        }
-    }
-
-    /// [`check_efficiency`] through the shared cache.
-    pub fn efficiency(&self, phi: &[f64], tol: f64) -> AxiomCheck {
-        check_efficiency(&self.cached, phi, tol)
-    }
-
-    /// [`check_null_player`] through the shared cache.
-    pub fn null_player(&self, phi: &[f64], player: usize, tol: f64) -> AxiomCheck {
-        check_null_player(&self.cached, phi, player, tol)
-    }
-
-    /// [`check_symmetry`] through the shared cache.
-    pub fn symmetry(&self, phi: &[f64], a: usize, b: usize, tol: f64) -> AxiomCheck {
-        check_symmetry(&self.cached, phi, a, b, tol)
-    }
-
-    /// Evaluations, hits, and misses accumulated across all checks so far.
-    pub fn stats(&self) -> GameStats {
-        self.cached.cache_stats()
-    }
-
-    /// Fraction of lookups served from the cache so far.
-    pub fn hit_rate(&self) -> f64 {
-        self.cached.hit_rate()
-    }
-}
-
 /// **Linearity**: the attribution of a sum game is the sum of the
 /// attributions — the property that lets the paper decompose data-center
 /// attribution into rack- or cluster-scale subproblems.
@@ -192,48 +139,6 @@ mod tests {
         assert!(check_efficiency(&g, &phi, 1e-9).holds());
         assert!(check_null_player(&g, &phi, 2, 1e-9).holds());
         assert!(check_symmetry(&g, &phi, 1, 3, 1e-9).holds());
-    }
-
-    #[test]
-    fn audit_agrees_with_free_functions_and_shares_the_cache() {
-        let g = PeakDemandGame::new(vec![
-            vec![4.0, 1.0],
-            vec![1.0, 4.0],
-            vec![0.0, 0.0], // null player
-            vec![1.0, 4.0], // symmetric to player 1
-        ]);
-        let phi = exact_shapley(&g).unwrap();
-        let audit = AxiomAudit::new(&g);
-        assert_eq!(
-            audit.efficiency(&phi, 1e-9),
-            check_efficiency(&g, &phi, 1e-9)
-        );
-        assert_eq!(
-            audit.null_player(&phi, 2, 1e-9),
-            check_null_player(&g, &phi, 2, 1e-9)
-        );
-        let before = audit.stats();
-        // The symmetry sweep revisits masks the null-player sweep already
-        // valued; the shared cache serves those without touching the game.
-        assert_eq!(
-            audit.symmetry(&phi, 1, 3, 1e-9),
-            check_symmetry(&g, &phi, 1, 3, 1e-9)
-        );
-        let after = audit.stats();
-        assert!(
-            after.hits > before.hits,
-            "symmetry check should hit masks cached by earlier checks: {before:?} → {after:?}"
-        );
-        assert!(audit.hit_rate() > 0.0);
-    }
-
-    #[test]
-    fn audit_detects_violations_like_the_free_functions() {
-        let g = PeakDemandGame::new(vec![vec![4.0], vec![2.0]]);
-        let audit = AxiomAudit::new(&g);
-        assert!(!audit.efficiency(&[1.0, 1.0], 1e-9).holds());
-        let phi = exact_shapley(&g).unwrap();
-        assert!(!audit.null_player(&phi, 1, 1e-9).holds());
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! bit; in general they agree up to floating-point associativity of the
 //! game's own accumulation. Within one run the cache is deterministic:
 //! the same permutation schedule produces the same hit pattern and the
-//! same estimate, independent of thread count when each worker owns its
-//! cache.
+//! same estimate, independent of thread count when each sampling batch
+//! owns its cache.
 
 use std::cell::{Cell, RefCell};
 
@@ -64,14 +64,6 @@ impl CoalitionCache {
         }
     }
 
-    /// A capacity suited to an `n`-player game: enough slots for every
-    /// coalition when `2ⁿ` is small, capped at `2²⁰` (16 MiB) beyond.
-    pub fn for_players(n: usize) -> Self {
-        // One spare bit over 2^n keeps the load factor below ½ when the
-        // whole coalition lattice is visited.
-        Self::with_bits((n as u8 + 1).clamp(8, 20))
-    }
-
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.len
@@ -85,12 +77,6 @@ impl CoalitionCache {
     /// Slot count.
     pub fn capacity(&self) -> usize {
         self.keys.len()
-    }
-
-    /// Drops every entry, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.keys.fill(0);
-        self.len = 0;
     }
 
     /// SplitMix64-style finalizer; masks are tiny integers, so raw
@@ -174,12 +160,13 @@ pub struct CachedState<S> {
 /// real evaluation, so a fully warmed cache reduces a permutation replay
 /// to `n` hash probes. Hit, miss, and true-evaluation counts are exposed
 /// through [`IncrementalGame::stats`], which
-/// [`replay_marginals`](crate::game::replay_marginals) folds into
-/// [`EvalCounters`](crate::game::EvalCounters).
+/// [`replay_marginals_into`](crate::game::replay_marginals_into) folds
+/// into [`EvalCounters`](crate::game::EvalCounters).
 ///
-/// Not `Sync`: each worker thread owns its wrapper (and cache), which is
-/// how [`parallel_sampled_shapley`](crate::parallel::parallel_sampled_shapley)
-/// keeps results thread-count invariant.
+/// Not `Sync`: each batch of
+/// [`parallel_sampled_shapley`](crate::parallel::parallel_sampled_shapley)
+/// owns its wrapper (and cache), which keeps results thread-count
+/// invariant.
 #[derive(Debug)]
 pub struct CachedGame<'g, G> {
     inner: &'g G,
@@ -190,38 +177,35 @@ pub struct CachedGame<'g, G> {
 }
 
 impl<'g, G: Game> CachedGame<'g, G> {
-    /// Wraps `game` with a cache sized by [`CoalitionCache::for_players`].
+    /// Wraps `game` with a cache sized for one batch of `permutations`
+    /// permutations, which inserts at most `permutations · n` coalitions.
+    /// The table takes the smaller of two sizes, never below `2⁸` slots:
+    ///
+    /// * the lattice rule, `2ⁿ⁺¹` capped at `2²⁰` (16 MiB) — below half
+    ///   full when the whole coalition lattice is visited;
+    /// * the batch rule, the first power of two ≥ `4 · permutations · n` —
+    ///   at most a quarter full after the batch.
     ///
     /// # Panics
     ///
     /// Panics if the game has more than 64 players — coalition bitmasks
     /// are one machine word.
-    pub fn new(game: &'g G) -> Self {
-        Self::with_cache(game, CoalitionCache::for_players(game.player_count()))
-    }
-
-    /// Wraps `game` around an explicit (possibly pre-warmed) cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the game has more than 64 players.
-    pub fn with_cache(game: &'g G, cache: CoalitionCache) -> Self {
-        assert!(
-            game.player_count() <= 64,
-            "coalition caching supports at most 64 players"
-        );
+    pub fn new(game: &'g G, permutations: usize) -> Self {
+        let n = game.player_count();
+        assert!(n <= 64, "coalition caching supports at most 64 players");
+        let lattice = (n + 1).clamp(8, 20);
+        let batch = permutations
+            .saturating_mul(4 * n)
+            .clamp(1 << 8, 1 << 20)
+            .next_power_of_two()
+            .trailing_zeros() as usize;
         Self {
             inner: game,
-            cache: RefCell::new(cache),
+            cache: RefCell::new(CoalitionCache::with_bits(lattice.min(batch) as u8)),
             evals: Cell::new(0),
             hits: Cell::new(0),
             misses: Cell::new(0),
         }
-    }
-
-    /// The wrapped game.
-    pub fn inner(&self) -> &G {
-        self.inner
     }
 
     /// Hits, misses, and inner evaluations so far.
@@ -231,21 +215,6 @@ impl<'g, G: Game> CachedGame<'g, G> {
             hits: self.hits.get(),
             misses: self.misses.get(),
         }
-    }
-
-    /// Fraction of lookups answered from the cache (0 when none).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits.get() + self.misses.get();
-        if total == 0 {
-            0.0
-        } else {
-            self.hits.get() as f64 / total as f64
-        }
-    }
-
-    /// Consumes the wrapper, returning its cache for reuse.
-    pub fn into_cache(self) -> CoalitionCache {
-        self.cache.into_inner()
     }
 }
 
@@ -320,7 +289,7 @@ impl<G: IncrementalGame> IncrementalGame for CachedGame<'_, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::game::{replay_marginals, EvalCounters, PeakDemandGame};
+    use crate::game::{replay_marginals_into, EvalCounters, PeakDemandGame};
 
     fn demo_game() -> PeakDemandGame {
         PeakDemandGame::new(vec![
@@ -344,9 +313,6 @@ mod tests {
         c.insert(0b101, 8.0); // overwrite, not a new entry
         assert_eq!(c.get(0b101), Some(8.0));
         assert_eq!(c.len(), 2);
-        c.clear();
-        assert_eq!(c.get(0b101), None);
-        assert!(c.is_empty());
         assert_eq!(c.capacity(), 16);
     }
 
@@ -362,25 +328,39 @@ mod tests {
         assert!(c.len() <= c.capacity());
     }
 
+    fn capacity<G: Game>(cached: &CachedGame<'_, G>) -> usize {
+        cached.cache.borrow().capacity()
+    }
+
     #[test]
-    fn for_players_scales_with_n_and_saturates() {
-        assert_eq!(CoalitionCache::for_players(4).capacity(), 1 << 8);
-        assert_eq!(CoalitionCache::for_players(12).capacity(), 1 << 13);
-        assert_eq!(CoalitionCache::for_players(40).capacity(), 1 << 20);
+    fn batch_cache_is_sized_by_the_batch() {
+        let players = |n: usize| PeakDemandGame::new(vec![vec![1.0]; n]);
+        // The lattice rule binds for small games: 2⁸ slots at 7 players,
+        // 2¹³ at 12 with a 4,096-permutation batch, and the 2²⁰ cap.
+        assert_eq!(capacity(&CachedGame::new(&players(7), 64)), 1 << 8);
+        assert_eq!(capacity(&CachedGame::new(&players(12), 4096)), 1 << 13);
+        assert_eq!(capacity(&CachedGame::new(&players(40), 1 << 20)), 1 << 20);
+        // The batch rule binds for large ones: 64 permutations × 24
+        // players insert at most 1,536 coalitions, so 2¹³ slots suffice.
+        assert_eq!(capacity(&CachedGame::new(&players(24), 64)), 1 << 13);
+        // Never below 2⁸ slots.
+        assert_eq!(capacity(&CachedGame::new(&players(30), 1)), 1 << 8);
     }
 
     #[test]
     fn cached_replay_matches_uncached_values() {
         let g = demo_game();
-        let cached = CachedGame::new(&g);
+        let cached = CachedGame::new(&g, 4);
+        let mut plain_s = g.initial_state();
+        let mut cached_s = cached.initial_state();
         let mut plain_m = vec![0.0; 4];
         let mut cached_m = vec![0.0; 4];
         let mut plain_c = EvalCounters::default();
         let mut cached_c = EvalCounters::default();
         let orders: [&[usize]; 4] = [&[0, 1, 2, 3], &[3, 2, 1, 0], &[1, 0, 3, 2], &[0, 1, 2, 3]];
         for order in orders {
-            replay_marginals(&g, order, &mut plain_m, &mut plain_c);
-            replay_marginals(&cached, order, &mut cached_m, &mut cached_c);
+            replay_marginals_into(&g, order, &mut plain_s, &mut plain_m, &mut plain_c);
+            replay_marginals_into(&cached, order, &mut cached_s, &mut cached_m, &mut cached_c);
             for (a, b) in plain_m.iter().zip(&cached_m) {
                 // Integer-valued demands: sums are exact, so cached
                 // values are bit-identical to uncached.
@@ -402,34 +382,36 @@ mod tests {
     #[test]
     fn hits_skip_the_inner_game_entirely() {
         let g = demo_game();
-        let cached = CachedGame::new(&g);
+        let cached = CachedGame::new(&g, 2);
+        let mut state = cached.initial_state();
         let mut m = vec![0.0; 4];
         let mut counters = EvalCounters::default();
-        replay_marginals(&cached, &[0, 1, 2, 3], &mut m, &mut counters);
+        replay_marginals_into(&cached, &[0, 1, 2, 3], &mut state, &mut m, &mut counters);
         let evals_after_first = cached.cache_stats().evals;
-        replay_marginals(&cached, &[0, 1, 2, 3], &mut m, &mut counters);
+        replay_marginals_into(&cached, &[0, 1, 2, 3], &mut state, &mut m, &mut counters);
         assert_eq!(
             cached.cache_stats().evals,
             evals_after_first,
             "second identical replay must not evaluate the game"
         );
         assert_eq!(cached.cache_stats().hits, 4);
-        assert!((cached.hit_rate() - 0.5).abs() < 1e-12);
+        assert!((counters.cache_hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn pending_players_are_applied_on_the_next_miss() {
         let g = demo_game();
-        let cached = CachedGame::new(&g);
+        let cached = CachedGame::new(&g, 2);
+        let mut state = cached.initial_state();
         let mut m = vec![0.0; 4];
         let mut counters = EvalCounters::default();
         // Warm the prefix {0} only.
-        replay_marginals(&cached, &[0, 1, 2, 3], &mut m, &mut counters);
+        replay_marginals_into(&cached, &[0, 1, 2, 3], &mut state, &mut m, &mut counters);
         // New permutation starting with the warmed prefix: first step
         // hits, the next step must evaluate {0,2} correctly even though
         // the inner state never saw player 0 in this replay.
         let mut m2 = vec![0.0; 4];
-        replay_marginals(&cached, &[0, 2, 1, 3], &mut m2, &mut counters);
+        replay_marginals_into(&cached, &[0, 2, 1, 3], &mut state, &mut m2, &mut counters);
         use crate::game::Game;
         let expected = g.value(&Coalition::from_players(4, [0, 2]))
             - g.value(&Coalition::from_players(4, [0]));
@@ -439,8 +421,7 @@ mod tests {
     #[test]
     fn value_path_is_cached_too() {
         let g = demo_game();
-        let cached = CachedGame::new(&g);
-        use crate::game::Game;
+        let cached = CachedGame::new(&g, 1);
         let c = Coalition::from_players(4, [1, 3]);
         let v1 = cached.value(&c);
         let v2 = cached.value(&c);
@@ -451,25 +432,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_can_be_reused_across_wrappers() {
-        let g = demo_game();
-        let first = CachedGame::new(&g);
-        let mut m = vec![0.0; 4];
-        let mut counters = EvalCounters::default();
-        replay_marginals(&first, &[0, 1, 2, 3], &mut m, &mut counters);
-        let warm = first.into_cache();
-        assert_eq!(warm.len(), 4);
-        let second = CachedGame::with_cache(&g, warm);
-        replay_marginals(&second, &[0, 1, 2, 3], &mut m, &mut counters);
-        assert_eq!(second.cache_stats().hits, 4);
-        assert_eq!(second.cache_stats().evals, 0);
-    }
-
-    #[test]
     #[should_panic(expected = "at most 64 players")]
     fn too_many_players_panics() {
         let g = PeakDemandGame::new(vec![vec![1.0]; 65]);
-        let _ = CachedGame::new(&g);
+        let _ = CachedGame::new(&g, 1);
     }
 
     #[test]

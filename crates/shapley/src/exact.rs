@@ -137,17 +137,6 @@ impl ExactScratch {
         Self::default()
     }
 
-    /// A scratch pre-grown for games of up to `players` players.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `players` exceeds [`MAX_EXACT_PLAYERS`].
-    pub fn for_players(players: usize) -> Self {
-        let mut scratch = Self::default();
-        scratch.reserve_players(players);
-        scratch
-    }
-
     /// Grows the buffer to hold a `players`-player solve, counting one
     /// growth if it actually grew. Never shrinks.
     ///
@@ -423,7 +412,8 @@ mod tests {
             vec![1.0, 4.0, 2.0],
             vec![2.0, 2.0, 5.0],
         ]);
-        let mut scratch = ExactScratch::for_players(5);
+        let mut scratch = ExactScratch::new();
+        scratch.reserve_players(5);
         for game in [&big, &small, &big, &small] {
             let fresh = exact_shapley(game).unwrap();
             let reused = exact_shapley_fast_with_scratch(game, &mut scratch).unwrap();
@@ -452,7 +442,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceed the exact-enumeration cap")]
     fn scratch_rejects_oversized_reservations() {
-        let _ = ExactScratch::for_players(MAX_EXACT_PLAYERS + 1);
+        ExactScratch::new().reserve_players(MAX_EXACT_PLAYERS + 1);
     }
 
     #[test]

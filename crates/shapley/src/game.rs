@@ -102,7 +102,7 @@ pub struct EvalCounters {
     pub coalition_evals: u64,
     /// Per-player marginal-contribution updates applied to accumulators.
     pub marginal_updates: u64,
-    /// Sampling batches executed (1 for the serial estimator).
+    /// Sampling batches executed.
     pub batches: u64,
     /// Total busy time across batches, in seconds.
     pub wall_time_secs: f64,
@@ -139,26 +139,7 @@ impl EvalCounters {
 
 /// Replays one permutation through an [`IncrementalGame`], writing each
 /// player's marginal contribution into `marginals` (indexed by player)
-/// and charging the work to `counters`.
-///
-/// Allocates a fresh state per call; hot paths should hold a state (or a
-/// [`SampleScratch`](crate::sampled::SampleScratch)) and use
-/// [`replay_marginals_into`] instead.
-///
-/// # Panics
-///
-/// Panics if `marginals` is shorter than the largest player index.
-pub fn replay_marginals<G: IncrementalGame>(
-    game: &G,
-    order: &[usize],
-    marginals: &mut [f64],
-    counters: &mut EvalCounters,
-) {
-    let mut state = game.initial_state();
-    replay_marginals_into(game, order, &mut state, marginals, counters);
-}
-
-/// [`replay_marginals`] into a caller-owned state: the state is rewound
+/// and charging the work to `counters`. The caller-owned state is rewound
 /// via [`IncrementalGame::reset_state`] and reused, so games with
 /// allocation-free resets replay without touching the heap.
 ///
@@ -492,9 +473,10 @@ mod tests {
     #[test]
     fn replay_marginals_telescopes_and_counts() {
         let g = PeakDemandGame::new(vec![vec![4.0, 1.0], vec![1.0, 4.0], vec![2.0, 2.0]]);
+        let mut state = g.initial_state();
         let mut marginals = vec![0.0; 3];
         let mut counters = EvalCounters::default();
-        replay_marginals(&g, &[2, 0, 1], &mut marginals, &mut counters);
+        replay_marginals_into(&g, &[2, 0, 1], &mut state, &mut marginals, &mut counters);
         let total: f64 = marginals.iter().sum();
         assert!((total - g.value(&Coalition::grand(3))).abs() < 1e-12);
         assert_eq!(counters.coalition_evals, 3);

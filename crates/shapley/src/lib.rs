@@ -12,20 +12,20 @@
 //!   regime the paper evaluates (≤ 22 workloads). One block routine
 //!   serves the serial and the deterministic parallel solver
 //!   ([`exact::parallel_exact_shapley`]).
-//! * [`sampled`] — permutation-sampling estimator with antithetic
-//!   variance reduction (pair-aware standard errors) and a standard-error
-//!   stopping rule, for games too large to enumerate. Reusable
-//!   [`sampled::SampleScratch`] buffers keep the inner loop free of heap
-//!   allocation.
+//! * [`sampled`] — the configuration and result types of permutation
+//!   sampling, for games too large to enumerate: antithetic variance
+//!   reduction with pair-aware standard errors and a standard-error
+//!   stopping rule.
 //! * [`cache`] — the open-addressing [`cache::CoalitionCache`] memo table
-//!   and the [`cache::CachedGame`] adapter that lets every sampler and
-//!   axiom check skip repeated characteristic-function evaluations.
+//!   and the [`cache::CachedGame`] adapter through which a sampling batch
+//!   skips repeated characteristic-function evaluations.
 //! * [`maxtree`] — the segment tree backing `O(log steps)` peak-demand
 //!   updates in the replay hot path.
-//! * [`parallel`] — the deterministic parallel engine: batched
-//!   permutation sampling over scoped worker threads with per-batch
-//!   seeding, moment merging, work counters, and a convergence trace;
-//!   bit-identical results at any thread count.
+//! * [`parallel`] — the deterministic parallel engine and the crate's one
+//!   permutation sampler: batched sampling over scoped worker threads
+//!   (the caller's thread at one worker) with per-batch seeding, moment
+//!   merging, work counters, and a convergence trace; bit-identical
+//!   results at any thread count.
 //! * [`netgame`] — LP-valued coalition games: network carbon attribution
 //!   where `v(S)` is the objective of a min-carbon routing LP over the
 //!   vendored `fairco2-solver` simplex, with warm-started coalition
@@ -49,7 +49,7 @@
 //! * [`surrogate`] — learned ridge surrogate serving peak-demand
 //!   attributions in `O(features)` per workload, with an efficiency-gap
 //!   residual bound and a deterministic error-bounded fallback to
-//!   [`sampled::sampled_shapley_cached`].
+//!   [`parallel::parallel_sampled_shapley`] at one thread.
 //! * [`axioms`] — executable checks of the four fairness axioms (null
 //!   player, symmetry, efficiency, linearity).
 //!
@@ -87,7 +87,7 @@ pub mod surrogate;
 pub mod temporal;
 pub mod unit_time;
 
-pub use axioms::{AxiomAudit, AxiomCheck};
+pub use axioms::AxiomCheck;
 pub use cache::{CachedGame, CoalitionCache};
 pub use cascade::{BillingQuery, CascadeScratch, IntensityIndex};
 pub use coalition::Coalition;
@@ -103,10 +103,7 @@ pub use parallel::{
     default_threads, panic_message, parallel_sampled_shapley, run_parallel, ConvergenceTrace,
     ParallelConfig, ParallelEstimate, TracePoint,
 };
-pub use sampled::{
-    sampled_shapley, sampled_shapley_cached, sampled_shapley_with_scratch, Moments, SampleConfig,
-    SampleScratch, ShapleyEstimate,
-};
+pub use sampled::{SampleConfig, ShapleyEstimate};
 pub use surrogate::{
     player_features_into, SurrogateAttributor, SurrogateModel, SurrogateOutcome, SurrogateScratch,
     SurrogateTrainer, SURROGATE_FEATURES, SURROGATE_TARGETS,

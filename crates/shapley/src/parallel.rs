@@ -5,16 +5,17 @@
 //! * [`run_parallel`] — the generic deterministic partitioner: indexed,
 //!   independent work items fanned out across scoped worker threads with
 //!   results reassembled in index order, so output is bit-identical at
-//!   any thread count.
-//! * [`parallel_sampled_shapley`] — the batched Shapley engine built on
-//!   it. Permutations are grouped into fixed-size *batches*; batch `b`
-//!   seeds its own [`StdRng`] from `(base_seed, b)`, so the permutation
-//!   stream is a pure function of the schedule, never of thread timing.
-//!   Batches run in fixed-size *rounds*; after each round the per-batch
-//!   [`Moments`] are merged **in batch order** and the stopping rule is
-//!   evaluated on the merged prefix. Round boundaries and merge order are
-//!   independent of the worker count, so the estimate — including its
-//!   early-stopping point — is bit-identical at 1, 2, or 64 threads.
+//!   any thread count. One worker runs on the calling thread.
+//! * [`parallel_sampled_shapley`] — the crate's one permutation sampler,
+//!   built on it. Permutations are grouped into fixed-size *batches*;
+//!   batch `b` seeds its own [`StdRng`] from `(base_seed, b)`, so the
+//!   permutation stream is a pure function of the schedule, never of
+//!   thread timing. Batches run in fixed-size *rounds*; after each round
+//!   the per-batch moments are merged **in batch order** and the stopping
+//!   rule is evaluated on the merged prefix. Round boundaries and merge
+//!   order are independent of the worker count, so the estimate —
+//!   including its early-stopping point — is bit-identical at 1, 2, or 64
+//!   threads. Serial callers run it at one thread.
 //!
 //! Each batch also reports an [`EvalCounters`] (coalition evaluations,
 //! marginal updates, busy time), and the engine records a JSON-ready
@@ -28,8 +29,8 @@ use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 use crate::cache::CachedGame;
-use crate::game::{EvalCounters, IncrementalGame};
-use crate::sampled::{Moments, SampleConfig, SampleScratch, ShapleyEstimate};
+use crate::game::{replay_marginals_into, EvalCounters, IncrementalGame};
+use crate::sampled::{Moments, SampleConfig, ShapleyEstimate};
 
 /// Runs `trials` independent work items across `threads` worker threads,
 /// returning results in item order.
@@ -39,22 +40,26 @@ use crate::sampled::{Moments, SampleConfig, SampleScratch, ShapleyEstimate};
 ///
 /// `threads = 0` is clamped to one worker: a zero thread count always
 /// means "no parallelism", never "no progress", so callers can wire
-/// user-supplied knobs straight through.
+/// user-supplied knobs straight through. One worker (`threads ≤ 1`, or a
+/// single item) spawns no thread: the items run in order on the calling
+/// thread.
 ///
 /// # Panics
 ///
-/// Panics — with a `"worker thread panicked"` message once every worker
-/// has been joined — if any `run` call panics; a failed worker can never
-/// hang or silently truncate the results.
+/// With several workers, panics — with a `"worker thread panicked"`
+/// message once every worker has been joined — if any `run` call panics;
+/// a failed worker can never hang or silently truncate the results. With
+/// one worker, the first panicking `run` call's own panic propagates
+/// unchanged.
 pub fn run_parallel<T, F>(trials: usize, threads: usize, run: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if trials == 0 {
-        return Vec::new();
+    let threads = threads.clamp(1, trials.max(1));
+    if threads == 1 {
+        return (0..trials).map(run).collect();
     }
-    let threads = threads.clamp(1, trials);
     let chunk_len = trials.div_ceil(threads);
     let mut slots: Vec<Option<T>> = (0..trials).map(|_| None).collect();
     let panicked = std::thread::scope(|scope| {
@@ -120,9 +125,8 @@ pub struct ParallelConfig {
     pub round_batches: usize,
     /// Worker threads.
     pub threads: usize,
-    /// When `true`, each batch replays through a batch-local
-    /// [`CoalitionCache`](crate::cache::CoalitionCache) (sized by
-    /// [`CoalitionCache::for_players`](crate::cache::CoalitionCache::for_players)),
+    /// When `true`, each batch replays through its own
+    /// [`CachedGame`], whose table is sized for that batch's permutations,
     /// so repeated permutation prefixes within the batch skip the game.
     /// Caches are per-batch — never shared across threads — so the
     /// estimate stays a pure function of the schedule and remains
@@ -130,14 +134,25 @@ pub struct ParallelConfig {
     pub coalition_cache: bool,
 }
 
+impl ParallelConfig {
+    /// One worker on the caller's thread, no coalition cache, default
+    /// batching — how a serial caller runs the sampler.
+    pub fn serial(sample: SampleConfig) -> Self {
+        Self {
+            sample,
+            batch_permutations: 64,
+            round_batches: 16,
+            threads: 1,
+            coalition_cache: false,
+        }
+    }
+}
+
 impl Default for ParallelConfig {
     fn default() -> Self {
         Self {
-            sample: SampleConfig::default(),
-            batch_permutations: 64,
-            round_batches: 16,
             threads: default_threads(),
-            coalition_cache: false,
+            ..Self::serial(SampleConfig::default())
         }
     }
 }
@@ -175,7 +190,7 @@ impl ConvergenceTrace {
 /// A parallel Shapley estimation together with its convergence trace.
 #[derive(Debug, Clone)]
 pub struct ParallelEstimate {
-    /// The estimate, identical to a serial run of the same schedule.
+    /// The estimate, bit-identical at any thread count.
     pub estimate: ShapleyEstimate,
     /// Standard error after each stopping round.
     pub trace: ConvergenceTrace,
@@ -187,26 +202,11 @@ fn batch_seed(base_seed: u64, batch: u64) -> u64 {
     base_seed ^ (batch.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Runs one batch: `count` permutations drawn from the batch's own RNG.
-/// With `coalition_cache` the batch owns a fresh memo table; either way
-/// the batch owns one [`SampleScratch`], so the permutation loop never
-/// allocates after its first iteration.
+/// Runs one batch: `count` permutations drawn from the batch's own RNG,
+/// each replayed (and, with antithetic sampling, replayed reversed) into
+/// buffers allocated once per batch, so the loop never allocates after
+/// its first permutation. The only permutation loop in the crate.
 fn run_batch<G: IncrementalGame>(
-    game: &G,
-    config: &SampleConfig,
-    seed: u64,
-    count: usize,
-    coalition_cache: bool,
-) -> (Moments, EvalCounters) {
-    if coalition_cache {
-        let cached = CachedGame::new(game);
-        run_batch_uncached(&cached, config, seed, count)
-    } else {
-        run_batch_uncached(game, config, seed, count)
-    }
-}
-
-fn run_batch_uncached<G: IncrementalGame>(
     game: &G,
     config: &SampleConfig,
     seed: u64,
@@ -217,15 +217,21 @@ fn run_batch_uncached<G: IncrementalGame>(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut moments = Moments::zero(n);
     let mut counters = EvalCounters::default();
-    let mut scratch = SampleScratch::for_game(game);
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut forward = vec![0.0; n];
+    let mut reverse = vec![0.0; n];
+    let mut state = game.initial_state();
     while moments.permutations() < count {
-        scratch.order.shuffle(&mut rng);
-        scratch.replay_forward(game, &mut counters);
+        order.shuffle(&mut rng);
+        replay_marginals_into(game, &order, &mut state, &mut forward, &mut counters);
         if config.antithetic && moments.permutations() + 1 < count {
-            scratch.replay_reversed(game, &mut counters);
-            moments.record_pair(&scratch.forward, &scratch.reverse);
+            // The buffer stays reversed, so the next shuffle starts from
+            // the reversed arrangement.
+            order.reverse();
+            replay_marginals_into(game, &order, &mut state, &mut reverse, &mut counters);
+            moments.record_pair(&forward, &reverse);
         } else {
-            moments.record_single(&scratch.forward);
+            moments.record_single(&forward);
         }
     }
     counters.batches = 1;
@@ -280,13 +286,12 @@ where
             let count = config
                 .batch_permutations
                 .min(max - b * config.batch_permutations);
-            run_batch(
-                game,
-                &config.sample,
-                batch_seed(base_seed, b as u64),
-                count,
-                config.coalition_cache,
-            )
+            let seed = batch_seed(base_seed, b as u64);
+            if config.coalition_cache {
+                run_batch(&CachedGame::new(game, count), &config.sample, seed, count)
+            } else {
+                run_batch(game, &config.sample, seed, count)
+            }
         });
         for (moments, batch_counters) in &results {
             merged.merge(moments);
@@ -318,7 +323,7 @@ where
 mod tests {
     use super::*;
     use crate::exact::exact_shapley;
-    use crate::game::{replay_marginals, PeakDemandGame};
+    use crate::game::PeakDemandGame;
     use proptest::prelude::*;
 
     fn demo_game() -> PeakDemandGame {
@@ -365,6 +370,29 @@ mod tests {
     fn one_thread_handles_every_trial() {
         let out = run_parallel(9, 1, |t| t + 1);
         assert_eq!(out, (1..=9).collect::<Vec<usize>>());
+    }
+
+    #[test]
+    fn one_worker_runs_every_item_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for threads in [0, 1] {
+            let ids = run_parallel(6, threads, |_| std::thread::current().id());
+            assert!(ids.iter().all(|&id| id == caller), "threads = {threads}");
+        }
+        // A single item needs one worker whatever the thread count.
+        assert_eq!(
+            run_parallel(1, 8, |_| std::thread::current().id()),
+            vec![caller]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "injected failure in item 3")]
+    fn one_worker_propagates_the_items_own_panic() {
+        let _ = run_parallel(5, 1, |t| {
+            assert!(t != 3, "injected failure in item {t}");
+            t
+        });
     }
 
     #[test]
@@ -716,6 +744,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut order: Vec<usize> = (0..5).collect();
             let mut forward = vec![0.0; 5];
+            let mut state = g.initial_state();
             let mut counters = EvalCounters::default();
             let mut single = Moments::zero(5);
             let mut merged = Moments::zero(5);
@@ -723,7 +752,7 @@ mod tests {
                 let mut batch = Moments::zero(5);
                 for _ in 0..cut {
                     order.shuffle(&mut rng);
-                    replay_marginals(&g, &order, &mut forward, &mut counters);
+                    replay_marginals_into(&g, &order, &mut state, &mut forward, &mut counters);
                     batch.record_single(&forward);
                     single.record_single(&forward);
                 }

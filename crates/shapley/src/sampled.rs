@@ -1,15 +1,19 @@
-//! Monte Carlo Shapley estimation by permutation sampling.
+//! Types of Monte Carlo Shapley estimation by permutation sampling.
 //!
 //! For games too large to enumerate, the Shapley value is estimated as the
 //! empirical mean of marginal contributions over uniformly random player
-//! permutations — the standard unbiased estimator. Two refinements:
+//! permutations — the standard unbiased estimator. The one sampler,
+//! [`parallel_sampled_shapley`](crate::parallel::parallel_sampled_shapley),
+//! runs it in seeded batches; this module holds its configuration, its
+//! result, and the moment accounting behind its standard errors. Two
+//! refinements:
 //!
 //! * **antithetic pairs** — each sampled permutation is also replayed in
 //!   reverse, which cancels much of the positional variance for monotone
 //!   cost games;
-//! * **standard-error stopping** — sampling stops once the largest
-//!   per-player standard error of the mean drops below a target (or the
-//!   sample budget is exhausted).
+//! * **standard-error stopping** — after each round of batches, sampling
+//!   stops once the largest per-player standard error of the mean drops
+//!   below a target (or the sample budget is exhausted).
 //!
 //! Variance accounting is *pair-aware*: an antithetic forward/reverse pair
 //! is one correlated draw, not two independent ones, so standard errors
@@ -17,93 +21,20 @@
 //! (dividing by the raw permutation count) misstates the error whenever
 //! the halves correlate — it understates it when reversal leaves the
 //! marginal unchanged, exactly the regime where antithetic sampling buys
-//! nothing. [`Moments`] keeps both accountings so the bias is testable.
+//! nothing.
 
-use rand::seq::SliceRandom;
-use rand::Rng;
-use std::time::Instant;
+use crate::game::EvalCounters;
 
-use crate::cache::CachedGame;
-use crate::game::{replay_marginals_into, EvalCounters, IncrementalGame};
-
-/// Reusable per-worker replay buffers: the permutation, the forward and
-/// reverse marginal vectors, and the incremental game state. Allocated
-/// once per estimator (or per parallel batch) so the inner sampling loop
-/// performs **no heap allocation after warm-up** — shuffling mutates the
-/// permutation in place and the state is rewound via
-/// [`IncrementalGame::reset_state`] instead of rebuilt.
-#[derive(Debug)]
-pub struct SampleScratch<S> {
-    pub(crate) order: Vec<usize>,
-    pub(crate) forward: Vec<f64>,
-    pub(crate) reverse: Vec<f64>,
-    pub(crate) state: S,
-}
-
-impl<S> SampleScratch<S> {
-    /// Scratch sized for `game`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the game has no players.
-    pub fn for_game<G: IncrementalGame<State = S>>(game: &G) -> Self {
-        let n = game.player_count();
-        assert!(n > 0, "game must have at least one player");
-        Self {
-            order: (0..n).collect(),
-            forward: vec![0.0; n],
-            reverse: vec![0.0; n],
-            state: game.initial_state(),
-        }
-    }
-
-    /// Number of players the scratch covers.
-    pub fn player_count(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Replays the current permutation into `forward`.
-    pub(crate) fn replay_forward<G: IncrementalGame<State = S>>(
-        &mut self,
-        game: &G,
-        counters: &mut EvalCounters,
-    ) {
-        replay_marginals_into(
-            game,
-            &self.order,
-            &mut self.state,
-            &mut self.forward,
-            counters,
-        );
-    }
-
-    /// Reverses the permutation in place and replays it into `reverse` —
-    /// the antithetic half of a pair. The buffer stays reversed, so the
-    /// next in-place shuffle starts from the reversed arrangement.
-    pub(crate) fn replay_reversed<G: IncrementalGame<State = S>>(
-        &mut self,
-        game: &G,
-        counters: &mut EvalCounters,
-    ) {
-        self.order.reverse();
-        replay_marginals_into(
-            game,
-            &self.order,
-            &mut self.state,
-            &mut self.reverse,
-            counters,
-        );
-    }
-}
-
-/// Configuration for [`sampled_shapley`].
+/// Sampling budget and stopping rule of
+/// [`parallel_sampled_shapley`](crate::parallel::parallel_sampled_shapley).
 #[derive(Debug, Clone, Copy)]
 pub struct SampleConfig {
     /// Maximum number of permutations to draw (antithetic replays count
     /// separately toward this budget).
     pub max_permutations: usize,
-    /// Stop early when every player's standard error of the mean falls
-    /// below this absolute value. `0.0` disables early stopping.
+    /// Stop after the first round of batches at which every player's
+    /// standard error of the mean is at most this absolute value. `0.0`
+    /// disables early stopping.
     pub target_stderr: f64,
     /// Minimum permutations before the stopping rule may fire.
     pub min_permutations: usize,
@@ -146,24 +77,20 @@ impl ShapleyEstimate {
     }
 }
 
-/// Streaming first and second moments of per-permutation marginals.
+/// Streaming moments of per-permutation marginals.
 ///
-/// Tracks two parallel accountings per player:
-///
-/// * **raw** — sums over individual permutations, which give the unbiased
-///   mean estimate and the (incorrect under antithetic sampling)
-///   independence-assuming standard error;
-/// * **sample** — sums over *independent samples*, where an antithetic
-///   forward/reverse pair contributes its pair mean once. Standard errors
-///   and the stopping rule use this accounting.
+/// Per player it keeps the sum over individual permutations, which gives
+/// the unbiased mean estimate, and the first and second moments over
+/// *independent samples*, where an antithetic forward/reverse pair
+/// contributes its pair mean once. Standard errors and the stopping rule
+/// use the sample moments.
 ///
 /// Batches accumulated independently merge by summation
 /// ([`Moments::merge`]), so a partitioned permutation stream yields the
 /// same statistics as a single pass (up to floating-point associativity).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Moments {
+pub(crate) struct Moments {
     sum: Vec<f64>,
-    sum_sq: Vec<f64>,
     sample_sum: Vec<f64>,
     sample_sum_sq: Vec<f64>,
     permutations: usize,
@@ -176,11 +103,10 @@ impl Moments {
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn zero(n: usize) -> Self {
+    pub(crate) fn zero(n: usize) -> Self {
         assert!(n > 0, "game must have at least one player");
         Self {
             sum: vec![0.0; n],
-            sum_sq: vec![0.0; n],
             sample_sum: vec![0.0; n],
             sample_sum_sq: vec![0.0; n],
             permutations: 0,
@@ -188,18 +114,13 @@ impl Moments {
         }
     }
 
-    /// Number of players tracked.
-    pub fn player_count(&self) -> usize {
-        self.sum.len()
-    }
-
     /// Permutations recorded so far.
-    pub fn permutations(&self) -> usize {
+    pub(crate) fn permutations(&self) -> usize {
         self.permutations
     }
 
     /// Independent samples recorded so far (pairs count once).
-    pub fn samples(&self) -> usize {
+    pub(crate) fn samples(&self) -> usize {
         self.samples
     }
 
@@ -208,11 +129,10 @@ impl Moments {
     /// # Panics
     ///
     /// Panics if `marginals` has the wrong length.
-    pub fn record_single(&mut self, marginals: &[f64]) {
+    pub(crate) fn record_single(&mut self, marginals: &[f64]) {
         assert_eq!(marginals.len(), self.sum.len(), "player count mismatch");
         for (p, &m) in marginals.iter().enumerate() {
             self.sum[p] += m;
-            self.sum_sq[p] += m * m;
             self.sample_sum[p] += m;
             self.sample_sum_sq[p] += m * m;
         }
@@ -227,18 +147,15 @@ impl Moments {
     /// # Panics
     ///
     /// Panics if either slice has the wrong length.
-    pub fn record_pair(&mut self, forward: &[f64], reverse: &[f64]) {
+    pub(crate) fn record_pair(&mut self, forward: &[f64], reverse: &[f64]) {
         assert_eq!(forward.len(), self.sum.len(), "player count mismatch");
         assert_eq!(reverse.len(), self.sum.len(), "player count mismatch");
         // One tight pass per accumulator array instead of a single loop
-        // striding four arrays at once: each pass streams two inputs and
+        // striding three arrays at once: each pass streams two inputs and
         // one output. Per-slot arithmetic is unchanged, so the split is
         // bit-identical to the fused loop.
         for (s, (&f, &r)) in self.sum.iter_mut().zip(forward.iter().zip(reverse)) {
             *s += f + r;
-        }
-        for (s, (&f, &r)) in self.sum_sq.iter_mut().zip(forward.iter().zip(reverse)) {
-            *s += f * f + r * r;
         }
         for (s, (&f, &r)) in self.sample_sum.iter_mut().zip(forward.iter().zip(reverse)) {
             *s += 0.5 * (f + r);
@@ -262,7 +179,7 @@ impl Moments {
     /// # Panics
     ///
     /// Panics if the player counts differ.
-    pub fn merge(&mut self, other: &Moments) {
+    pub(crate) fn merge(&mut self, other: &Moments) {
         assert_eq!(
             self.sum.len(),
             other.sum.len(),
@@ -270,7 +187,6 @@ impl Moments {
         );
         for p in 0..self.sum.len() {
             self.sum[p] += other.sum[p];
-            self.sum_sq[p] += other.sum_sq[p];
             self.sample_sum[p] += other.sample_sum[p];
             self.sample_sum_sq[p] += other.sample_sum_sq[p];
         }
@@ -279,13 +195,13 @@ impl Moments {
     }
 
     /// Mean marginal per player — the Shapley estimate.
-    pub fn values(&self) -> Vec<f64> {
+    pub(crate) fn values(&self) -> Vec<f64> {
         let k = self.permutations as f64;
         self.sum.iter().map(|s| s / k).collect()
     }
 
     /// Pair-aware standard error of the mean per player.
-    pub fn std_errors(&self) -> Vec<f64> {
+    pub(crate) fn std_errors(&self) -> Vec<f64> {
         self.sample_sum
             .iter()
             .zip(&self.sample_sum_sq)
@@ -293,24 +209,13 @@ impl Moments {
             .collect()
     }
 
-    /// Standard errors under the (incorrect for antithetic pairs)
-    /// assumption that every permutation is an independent sample. Kept
-    /// for regression comparison against the pre-fix accounting.
-    pub fn naive_std_errors(&self) -> Vec<f64> {
-        self.sum
-            .iter()
-            .zip(&self.sum_sq)
-            .map(|(&s, &sq)| stderr(s, sq, self.permutations))
-            .collect()
-    }
-
     /// Largest pair-aware per-player standard error.
-    pub fn max_std_error(&self) -> f64 {
+    pub(crate) fn max_std_error(&self) -> f64 {
         self.std_errors().iter().copied().fold(0.0, f64::max)
     }
 
     /// Finalizes into a [`ShapleyEstimate`] carrying `counters`.
-    pub fn into_estimate(self, counters: EvalCounters) -> ShapleyEstimate {
+    pub(crate) fn into_estimate(self, counters: EvalCounters) -> ShapleyEstimate {
         ShapleyEstimate {
             values: self.values(),
             std_errors: self.std_errors(),
@@ -319,98 +224,6 @@ impl Moments {
             counters,
         }
     }
-}
-
-/// Estimates Shapley values by permutation sampling.
-///
-/// # Panics
-///
-/// Panics if the game has no players or `max_permutations == 0` — an
-/// estimate from zero samples is meaningless.
-pub fn sampled_shapley<G: IncrementalGame>(
-    game: &G,
-    config: &SampleConfig,
-    rng: &mut impl Rng,
-) -> ShapleyEstimate {
-    let mut scratch = SampleScratch::for_game(game);
-    sampled_shapley_with_scratch(game, config, rng, &mut scratch)
-}
-
-/// [`sampled_shapley`] over caller-owned scratch buffers, letting a
-/// worker amortize its allocations across many estimations. The returned
-/// estimate is identical to [`sampled_shapley`]'s for the same RNG
-/// stream.
-///
-/// # Panics
-///
-/// Same conditions as [`sampled_shapley`], plus a scratch sized for a
-/// different player count.
-pub fn sampled_shapley_with_scratch<G: IncrementalGame>(
-    game: &G,
-    config: &SampleConfig,
-    rng: &mut impl Rng,
-    scratch: &mut SampleScratch<G::State>,
-) -> ShapleyEstimate {
-    let n = game.player_count();
-    assert!(n > 0, "game must have at least one player");
-    assert_eq!(scratch.player_count(), n, "scratch sized for another game");
-    assert!(
-        config.max_permutations > 0,
-        "at least one permutation is required"
-    );
-
-    let start = Instant::now();
-    let mut moments = Moments::zero(n);
-    let mut counters = EvalCounters::default();
-
-    // `shuffle` permutes in place, so the stream depends on the starting
-    // order; rewind a reused scratch to the identity so the estimate is a
-    // function of the RNG alone.
-    for (i, slot) in scratch.order.iter_mut().enumerate() {
-        *slot = i;
-    }
-
-    while moments.permutations() < config.max_permutations {
-        scratch.order.shuffle(rng);
-        scratch.replay_forward(game, &mut counters);
-        if config.antithetic && moments.permutations() + 1 < config.max_permutations {
-            scratch.replay_reversed(game, &mut counters);
-            moments.record_pair(&scratch.forward, &scratch.reverse);
-        } else {
-            moments.record_single(&scratch.forward);
-        }
-        if config.target_stderr > 0.0
-            && moments.permutations() >= config.min_permutations
-            && moments.max_std_error() <= config.target_stderr
-        {
-            break;
-        }
-    }
-
-    counters.batches = 1;
-    counters.wall_time_secs = start.elapsed().as_secs_f64();
-    moments.into_estimate(counters)
-}
-
-/// [`sampled_shapley`] behind a [`CoalitionCache`](crate::cache::CoalitionCache):
-/// every permutation prefix is memoized by its membership bitmask, so
-/// repeated prefixes skip the characteristic function entirely. The
-/// permutation stream is a function of `rng` alone, so the estimate
-/// matches the uncached run exactly for games whose values are exact in
-/// floating point (and up to the game's own summation associativity
-/// otherwise); `counters.cache_hits` / `cache_misses` report the savings.
-///
-/// # Panics
-///
-/// Same conditions as [`sampled_shapley`], plus games with more than 64
-/// players (coalition bitmasks are one machine word).
-pub fn sampled_shapley_cached<G: IncrementalGame>(
-    game: &G,
-    config: &SampleConfig,
-    rng: &mut impl Rng,
-) -> ShapleyEstimate {
-    let cached = CachedGame::new(game);
-    sampled_shapley(&cached, config, rng)
 }
 
 fn stderr(sum: f64, sum_sq: f64, k: usize) -> f64 {
@@ -427,8 +240,10 @@ fn stderr(sum: f64, sum_sq: f64, k: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::exact::exact_shapley;
-    use crate::game::{replay_marginals, PeakDemandGame, Replay, TableGame};
+    use crate::game::{replay_marginals_into, IncrementalGame, PeakDemandGame, Replay, TableGame};
+    use crate::parallel::{parallel_sampled_shapley, ParallelConfig};
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
     fn demo_game() -> PeakDemandGame {
@@ -457,18 +272,26 @@ mod tests {
         Replay(TableGame::new(4, values))
     }
 
+    /// The sampler at one thread — how every serial caller runs it.
+    fn sample<G: IncrementalGame + Sync>(
+        game: &G,
+        config: SampleConfig,
+        seed: u64,
+    ) -> ShapleyEstimate {
+        parallel_sampled_shapley(game, &ParallelConfig::serial(config), seed).estimate
+    }
+
     #[test]
     fn converges_to_exact_values() {
         let g = demo_game();
         let exact = exact_shapley(&g).unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        let est = sampled_shapley(
+        let est = sample(
             &g,
-            &SampleConfig {
+            SampleConfig {
                 max_permutations: 20_000,
                 ..SampleConfig::default()
             },
-            &mut rng,
+            11,
         );
         for (e, s) in exact.iter().zip(&est.values) {
             assert!((e - s).abs() < 0.05, "exact {e} sampled {s}");
@@ -480,15 +303,14 @@ mod tests {
         // Each permutation's marginals telescope to v(N), so the estimate
         // is exactly efficient regardless of sample count.
         let g = demo_game();
-        let mut rng = StdRng::seed_from_u64(5);
-        let est = sampled_shapley(
+        let est = sample(
             &g,
-            &SampleConfig {
+            SampleConfig {
                 max_permutations: 7,
                 antithetic: false,
                 ..SampleConfig::default()
             },
-            &mut rng,
+            5,
         );
         let grand = {
             use crate::coalition::Coalition;
@@ -504,16 +326,15 @@ mod tests {
     #[test]
     fn stderr_stopping_rule_halts_early() {
         let g = demo_game();
-        let mut rng = StdRng::seed_from_u64(1);
-        let est = sampled_shapley(
+        let est = sample(
             &g,
-            &SampleConfig {
+            SampleConfig {
                 max_permutations: 100_000,
                 target_stderr: 0.05,
                 min_permutations: 100,
                 antithetic: true,
             },
-            &mut rng,
+            1,
         );
         assert!(est.permutations < 100_000);
         assert!(est.max_std_error() <= 0.05);
@@ -524,15 +345,14 @@ mod tests {
         let g = demo_game();
         let budget = 2000;
         let run = |antithetic: bool, seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            sampled_shapley(
+            sample(
                 &g,
-                &SampleConfig {
+                SampleConfig {
                     max_permutations: budget,
                     antithetic,
                     ..SampleConfig::default()
                 },
-                &mut rng,
+                seed,
             )
             .max_std_error()
         };
@@ -559,24 +379,30 @@ mod tests {
         let mut counters = EvalCounters::default();
         let mut rng = StdRng::seed_from_u64(7);
         let mut order: Vec<usize> = (0..4).collect();
+        let mut state = g.initial_state();
         let mut forward = vec![0.0; 4];
         let mut reverse = vec![0.0; 4];
+        // The naive accounting: every permutation an independent sample.
+        let mut raw_sum = [0.0f64; 4];
+        let mut raw_sum_sq = [0.0f64; 4];
         for _ in 0..500 {
             order.shuffle(&mut rng);
-            replay_marginals(&g, &order, &mut forward, &mut counters);
+            replay_marginals_into(&g, &order, &mut state, &mut forward, &mut counters);
             order.reverse();
-            replay_marginals(&g, &order, &mut reverse, &mut counters);
+            replay_marginals_into(&g, &order, &mut state, &mut reverse, &mut counters);
             // Reversal lands every player on the mirrored increment.
             for (f, r) in forward.iter().zip(&reverse) {
                 assert!((f - r).abs() < 1e-12, "pair should be degenerate");
             }
             moments.record_pair(&forward, &reverse);
+            for p in 0..4 {
+                raw_sum[p] += forward[p] + reverse[p];
+                raw_sum_sq[p] += forward[p] * forward[p] + reverse[p] * reverse[p];
+            }
         }
         let corrected = moments.max_std_error();
-        let naive = moments
-            .naive_std_errors()
-            .iter()
-            .copied()
+        let naive = (0..4)
+            .map(|p| stderr(raw_sum[p], raw_sum_sq[p], 1000))
             .fold(0.0, f64::max);
         assert!(
             corrected >= naive,
@@ -597,15 +423,14 @@ mod tests {
         // And against plain sampling with the same permutation budget:
         // the old accounting claimed parity; in truth the antithetic run
         // resolves √2 *worse* here because its pairs are redundant.
-        let mut rng = StdRng::seed_from_u64(7);
-        let plain = sampled_shapley(
+        let plain = sample(
             &g,
-            &SampleConfig {
+            SampleConfig {
                 max_permutations: 1000,
                 antithetic: false,
                 ..SampleConfig::default()
             },
-            &mut rng,
+            7,
         );
         assert!(
             corrected > plain.max_std_error(),
@@ -617,31 +442,31 @@ mod tests {
     #[test]
     fn estimate_reports_work_counters() {
         let g = demo_game();
-        let mut rng = StdRng::seed_from_u64(3);
-        let est = sampled_shapley(
+        let est = sample(
             &g,
-            &SampleConfig {
+            SampleConfig {
                 max_permutations: 10,
                 antithetic: true,
                 ..SampleConfig::default()
             },
-            &mut rng,
+            3,
         );
         assert_eq!(est.permutations, 10);
         assert_eq!(est.samples, 5);
         // 10 permutations × 5 players, one coalition evaluation each.
         assert_eq!(est.counters.coalition_evals, 50);
         assert_eq!(est.counters.marginal_updates, 50);
+        // Ten permutations fit one batch.
         assert_eq!(est.counters.batches, 1);
         assert!(est.counters.wall_time_secs >= 0.0);
     }
 
-    /// Acceptance: on a 12-player integer-demand peak game at 4,096
-    /// permutations, the coalition cache must cut `coalition_evals` by at
-    /// least 50% while leaving the estimate bit-identical. Integer demands
-    /// make every partial sum exact in f64, so a cache hit (the
-    /// first-computed value for a mask) cannot differ from a recomputation
-    /// in any ulp.
+    /// Acceptance: on a 12-player integer-demand peak game, 4,096
+    /// permutations in one batch, the batch's coalition cache must cut
+    /// `coalition_evals` by at least 50% while leaving the estimate
+    /// bit-identical. Integer demands make every partial sum exact in
+    /// f64, so a cache hit (the first-computed value for a mask) cannot
+    /// differ from a recomputation in any ulp.
     #[test]
     fn cache_halves_evals_with_bit_identical_estimates() {
         let demands: Vec<Vec<f64>> = (0..12)
@@ -652,14 +477,28 @@ mod tests {
             })
             .collect();
         let g = PeakDemandGame::new(demands);
-        let config = SampleConfig {
-            max_permutations: 4096,
-            target_stderr: 0.0,
-            min_permutations: 1,
-            antithetic: true,
+        let config = ParallelConfig {
+            sample: SampleConfig {
+                max_permutations: 4096,
+                target_stderr: 0.0,
+                min_permutations: 1,
+                antithetic: true,
+            },
+            batch_permutations: 4096,
+            round_batches: 1,
+            threads: 1,
+            coalition_cache: false,
         };
-        let uncached = sampled_shapley(&g, &config, &mut StdRng::seed_from_u64(42));
-        let cached = sampled_shapley_cached(&g, &config, &mut StdRng::seed_from_u64(42));
+        let uncached = parallel_sampled_shapley(&g, &config, 42).estimate;
+        let cached = parallel_sampled_shapley(
+            &g,
+            &ParallelConfig {
+                coalition_cache: true,
+                ..config
+            },
+            42,
+        )
+        .estimate;
         assert_eq!(cached.permutations, uncached.permutations);
         for (c, u) in cached.values.iter().zip(&uncached.values) {
             assert_eq!(c.to_bits(), u.to_bits());
@@ -687,44 +526,11 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_matches_fresh_scratch() {
-        let g = demo_game();
-        let config = SampleConfig {
-            max_permutations: 64,
-            ..SampleConfig::default()
-        };
-        let mut scratch = SampleScratch::for_game(&g);
-        // First run warms the scratch; the second must be unaffected by
-        // the leftover permutation/state from the first.
-        let _ =
-            sampled_shapley_with_scratch(&g, &config, &mut StdRng::seed_from_u64(9), &mut scratch);
-        let reused =
-            sampled_shapley_with_scratch(&g, &config, &mut StdRng::seed_from_u64(10), &mut scratch);
-        let fresh = sampled_shapley(&g, &config, &mut StdRng::seed_from_u64(10));
-        for (a, b) in reused.values.iter().zip(&fresh.values) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "scratch sized for another game")]
-    fn mismatched_scratch_panics() {
-        let g = demo_game();
-        let small = PeakDemandGame::new(vec![vec![1.0], vec![2.0]]);
-        let mut scratch = SampleScratch::for_game(&small);
-        let _ = sampled_shapley_with_scratch(
-            &g,
-            &SampleConfig::default(),
-            &mut StdRng::seed_from_u64(0),
-            &mut scratch,
-        );
-    }
-
-    #[test]
     fn moments_merge_matches_single_pass() {
         let g = demo_game();
         let mut rng = StdRng::seed_from_u64(21);
         let mut order: Vec<usize> = (0..5).collect();
+        let mut state = g.initial_state();
         let mut counters = EvalCounters::default();
         let mut forward = vec![0.0; 5];
         let mut single = Moments::zero(5);
@@ -733,7 +539,7 @@ mod tests {
             let mut batch = Moments::zero(5);
             for _ in 0..chunk {
                 order.shuffle(&mut rng);
-                replay_marginals(&g, &order, &mut forward, &mut counters);
+                replay_marginals_into(&g, &order, &mut state, &mut forward, &mut counters);
                 batch.record_single(&forward);
                 single.record_single(&forward);
             }

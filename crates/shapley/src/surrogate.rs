@@ -1,4 +1,4 @@
-//! Surrogate-accelerated Shapley attribution with an error-bounded exact
+//! Surrogate-accelerated Shapley attribution with an error-bounded sampled
 //! fallback.
 //!
 //! Exact and sampled Shapley solvers pay per-coalition evaluation costs
@@ -28,26 +28,25 @@
 //!    same quantity [`crate::axioms::check_efficiency`] tests) is combined
 //!    with the predicted error channel into a cheap residual bound. If
 //!    the bound exceeds the tolerance, the trial falls back to
-//!    [`sampled_shapley_cached`] with a per-trial deterministic seed;
-//!    otherwise the prediction is conservation-renormalized so it
-//!    satisfies efficiency *exactly*. A tolerance of zero disables the
-//!    surrogate entirely, collapsing to `sampled_shapley_cached`
-//!    bit-for-bit.
+//!    [`parallel_sampled_shapley`] at one thread (2,000 permutations by
+//!    default) with a per-trial deterministic seed; otherwise the
+//!    prediction is conservation-renormalized so it satisfies efficiency
+//!    *exactly*. A tolerance of zero disables the surrogate entirely,
+//!    collapsing to that sampled estimate bit-for-bit.
 //!
 //! Every decision is a pure function of `(model, game, trial)` — no
 //! shared state, no RNG outside the fallback's per-trial seed — so
 //! attribution is deterministic and bit-identical at any thread count,
 //! like every other parallel path in this repo.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use fairco2_forecast::linalg::LinalgError;
 use fairco2_forecast::ridge::{MultiRidge, RidgeTrainer};
 
 use crate::game::{Game, PeakDemandGame};
-use crate::sampled::{sampled_shapley_cached, SampleConfig, ShapleyEstimate};
+use crate::parallel::{parallel_sampled_shapley, ParallelConfig};
+use crate::sampled::{SampleConfig, ShapleyEstimate};
 use crate::temporal::peak_shapley_into;
 
 /// Number of per-player features fed to the surrogate.
@@ -333,8 +332,8 @@ impl SurrogateModel {
 pub struct SurrogateOutcome {
     /// Attributed value per player. Surrogate-served outcomes are
     /// conservation-renormalized to sum to `v(N)` exactly; fallback
-    /// outcomes are the raw [`sampled_shapley_cached`] estimates
-    /// (bit-identical to calling it directly).
+    /// outcomes are the raw sampled estimates, bit-identical to
+    /// [`SurrogateAttributor::fallback_estimate`].
     pub values: Vec<f64>,
     /// Grand-coalition value `v(N)`.
     pub grand_value: f64,
@@ -345,7 +344,7 @@ pub struct SurrogateOutcome {
     /// Largest predicted per-player error (the learned error channel) —
     /// the second half of the residual bound.
     pub predicted_error: f64,
-    /// Whether the trial fell back to the exact sampling path.
+    /// Whether the trial fell back to the sampled estimate.
     pub fell_back: bool,
 }
 
@@ -357,7 +356,7 @@ impl SurrogateOutcome {
 }
 
 /// Serves Shapley attributions from a [`SurrogateModel`] with an
-/// error-bounded fallback to [`sampled_shapley_cached`].
+/// error-bounded fallback to [`parallel_sampled_shapley`].
 ///
 /// Attribution is a pure function of `(attributor, game, trial)`:
 /// fallback decisions and outputs are deterministic and bit-identical at
@@ -369,8 +368,9 @@ pub struct SurrogateAttributor {
     /// `max(efficiency gap, predicted error) ≤ tolerance`. Zero disables
     /// the surrogate (every trial falls back).
     pub tolerance: f64,
-    /// Sampling configuration for the fallback path.
-    pub fallback: SampleConfig,
+    /// The fallback's sampler: default sampling at one thread, no
+    /// coalition cache.
+    fallback: ParallelConfig,
     /// Base seed; trial `k` falls back with seed `base_seed + k`,
     /// mirroring the Monte Carlo engine's per-trial seeding.
     pub base_seed: u64,
@@ -385,7 +385,7 @@ impl SurrogateAttributor {
         Self {
             model,
             tolerance,
-            fallback: SampleConfig::default(),
+            fallback: ParallelConfig::serial(SampleConfig::default()),
             base_seed: Self::DEFAULT_SEED,
         }
     }
@@ -469,11 +469,11 @@ impl SurrogateAttributor {
         }
     }
 
-    /// The exact fallback path on its own: [`sampled_shapley_cached`]
-    /// with this attributor's per-trial deterministic seed.
+    /// The sampled fallback on its own: [`parallel_sampled_shapley`]
+    /// under [`ParallelConfig::serial`] with the default
+    /// [`SampleConfig`], seeded `base_seed + trial`.
     pub fn fallback_estimate(&self, game: &PeakDemandGame, trial: u64) -> ShapleyEstimate {
-        let mut rng = StdRng::seed_from_u64(self.base_seed.wrapping_add(trial));
-        sampled_shapley_cached(game, &self.fallback, &mut rng)
+        parallel_sampled_shapley(game, &self.fallback, self.base_seed.wrapping_add(trial)).estimate
     }
 }
 

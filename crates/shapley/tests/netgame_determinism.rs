@@ -9,12 +9,12 @@
 //!   within 1e-9 (scaled) of the cold lattice's;
 //! * the whole-lattice warm fill's [`LatticeStats`] on the ten-tenant
 //!   fixture;
-//! * [`sampled_shapley_cached`] bit-identical run-to-run at a fixed seed
-//!   and bit-identical to the uncached estimator (the cache may only skip
-//!   work, never change a value — which holds because warm incremental
-//!   replay reproduces cold values exactly on dyadic instances);
 //! * [`parallel_sampled_shapley`] with batch-local coalition caches
-//!   bit-identical at 1, 2, and 8 threads.
+//!   bit-identical run-to-run at a fixed seed, bit-identical to the same
+//!   run without caches (the cache may only skip work, never change a
+//!   value — which holds because warm incremental replay reproduces cold
+//!   values exactly on dyadic instances), and bit-identical at 1, 2, and
+//!   8 threads.
 //!
 //! All instances except the non-dyadic one use integer capacities/demands
 //! and integer link prices, the exact-arithmetic regime documented in
@@ -25,9 +25,7 @@ use fairco2_shapley::exact::{
 };
 use fairco2_shapley::netgame::{LatticeStats, Link, Network, NetworkCarbonGame};
 use fairco2_shapley::parallel::{parallel_sampled_shapley, ParallelConfig};
-use fairco2_shapley::sampled::{sampled_shapley, sampled_shapley_cached, SampleConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use fairco2_shapley::sampled::SampleConfig;
 
 /// A 5-node network (egress = 4) with shared bottleneck links, built so
 /// larger coalitions actually contend for capacity.
@@ -234,16 +232,18 @@ fn warm_lattice_stats_are_pinned_on_the_ten_tenant_fixture() {
 #[test]
 fn sampled_shapley_cached_is_reproducible_and_cache_transparent() {
     let g = game(9);
-    let config = SampleConfig {
-        max_permutations: 200,
-        target_stderr: 0.0,
-        min_permutations: 200,
-        antithetic: true,
+    let config = ParallelConfig {
+        sample: SampleConfig {
+            max_permutations: 200,
+            target_stderr: 0.0,
+            min_permutations: 200,
+            antithetic: true,
+        },
+        threads: 1,
+        coalition_cache: true,
+        ..ParallelConfig::default()
     };
-    let run = |seed: u64| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        sampled_shapley_cached(&g, &config, &mut rng)
-    };
+    let run = |seed: u64| parallel_sampled_shapley(&g, &config, seed).estimate;
     // Same seed ⇒ bit-identical estimate.
     let a = run(42);
     let b = run(42);
@@ -254,8 +254,15 @@ fn sampled_shapley_cached_is_reproducible_and_cache_transparent() {
     // The cache may only skip work, never change a value: the cached
     // estimate matches the uncached one bit-for-bit (warm incremental
     // replay reproduces cold values exactly on this dyadic instance).
-    let mut rng = StdRng::seed_from_u64(42);
-    let uncached = sampled_shapley(&g, &config, &mut rng);
+    let uncached = parallel_sampled_shapley(
+        &g,
+        &ParallelConfig {
+            coalition_cache: false,
+            ..config
+        },
+        42,
+    )
+    .estimate;
     for (x, y) in a.values.iter().zip(&uncached.values) {
         assert_eq!(x.to_bits(), y.to_bits());
     }

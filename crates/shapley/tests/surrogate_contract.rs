@@ -1,19 +1,18 @@
 //! Property tests for the surrogate attributor's serving contract: every
 //! outcome (served or fallen back) satisfies the efficiency axiom, a zero
-//! tolerance collapses bit-for-bit to [`sampled_shapley_cached`], and
-//! fallback decisions are invariant to how trials are partitioned across
-//! threads.
+//! tolerance collapses bit-for-bit to [`parallel_sampled_shapley`] at one
+//! thread without a coalition cache, and fallback decisions are invariant
+//! to how trials are partitioned across threads.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use fairco2_shapley::axioms::check_efficiency;
 use fairco2_shapley::exact::exact_shapley;
 use fairco2_shapley::game::{Game, PeakDemandGame};
-use fairco2_shapley::sampled::{sampled_shapley_cached, SampleConfig};
+use fairco2_shapley::parallel::{parallel_sampled_shapley, ParallelConfig};
+use fairco2_shapley::sampled::SampleConfig;
 use fairco2_shapley::surrogate::{
     SurrogateAttributor, SurrogateModel, SurrogateScratch, SurrogateTrainer,
 };
@@ -87,8 +86,9 @@ proptest! {
     }
 
     /// A zero tolerance disables the surrogate entirely: every trial
-    /// falls back, bit-identical to calling [`sampled_shapley_cached`]
-    /// directly with the attributor's per-trial seed.
+    /// falls back, bit-identical to calling [`parallel_sampled_shapley`]
+    /// directly with the fallback's configuration (default sampling, one
+    /// thread, no coalition cache) and the attributor's per-trial seed.
     #[test]
     fn zero_tolerance_collapses_to_sampled(
         pool in prop::collection::vec(0.0f64..10.0, MAX_PLAYERS * MAX_STEPS),
@@ -101,9 +101,11 @@ proptest! {
         let mut scratch = SurrogateScratch::new();
         let outcome = attributor.attribute_with(&game, trial, &mut scratch);
         prop_assert!(outcome.fell_back);
-        let mut rng =
-            StdRng::seed_from_u64(SurrogateAttributor::DEFAULT_SEED.wrapping_add(trial));
-        let direct = sampled_shapley_cached(&game, &SampleConfig::default(), &mut rng);
+        let fallback = ParallelConfig::serial(SampleConfig::default());
+        prop_assert_eq!(fallback.threads, 1);
+        prop_assert!(!fallback.coalition_cache);
+        let seed = SurrogateAttributor::DEFAULT_SEED.wrapping_add(trial);
+        let direct = parallel_sampled_shapley(&game, &fallback, seed).estimate;
         prop_assert_eq!(outcome.values.len(), direct.values.len());
         for (a, b) in outcome.values.iter().zip(&direct.values) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "fallback bit-identity");
