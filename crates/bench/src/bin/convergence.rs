@@ -10,8 +10,8 @@
 //! frontier. Writes `results/convergence.json`.
 
 use fairco2_bench::{
-    exit_on_engine_error, print_report, sample_schedule, study_options, write_json, Args,
-    SamplingReport, CHECKPOINT_FLAGS,
+    exit_on_engine_error, print_report, sample_schedule, sampling_permutations, study_options,
+    write_json, Args, SamplingReport, CHECKPOINT_FLAGS,
 };
 use fairco2_montecarlo::colocations::ColocationStudy;
 use fairco2_montecarlo::engine::{
@@ -68,6 +68,7 @@ fn main() {
     let args = Args::parse(&[FLAGS, CHECKPOINT_FLAGS].concat());
     let max_trials = args.usize("max-trials", 4000);
     let threads = args.usize("threads", default_threads());
+    let permutations = sampling_permutations(&args);
     let marks = checkpoints(max_trials);
     let cfg = EngineConfig {
         threads,
@@ -137,12 +138,8 @@ fn main() {
     // Permutation-level convergence of the sampled engine itself, on the
     // first generated schedule of the demand study.
     let schedule = demand_study.generate_schedule(0);
-    let shapley_sampling = sample_schedule(
-        &schedule,
-        args.usize("permutations", 4096),
-        threads,
-        demand_study.base_seed,
-    );
+    let shapley_sampling =
+        sample_schedule(&schedule, permutations, threads, demand_study.base_seed);
     print_report(&shapley_sampling);
 
     let path = write_json(

@@ -18,8 +18,8 @@
 //! `results/fig7.json`.
 
 use fairco2_bench::{
-    exit_on_engine_error, print_report, sample_schedule, study_options, write_json, Args,
-    SamplingReport, TrialDump, CHECKPOINT_FLAGS,
+    exit_on_engine_error, print_report, sample_schedule, sampling_permutations, study_options,
+    write_json, Args, SamplingReport, TrialDump, CHECKPOINT_FLAGS,
 };
 use fairco2_montecarlo::schedules::DemandStudy;
 use fairco2_montecarlo::streaming::{DemandMethodSet, MethodStream, DEFAULT_BATCH_TRIALS};
@@ -139,6 +139,7 @@ fn main() {
         base_seed: args.u64("seed", DemandStudy::default().base_seed),
     };
     let threads = args.usize("threads", default_threads());
+    let permutations = sampling_permutations(&args);
     let cfg = EngineConfig {
         threads,
         batch_trials: args.usize("batch", DEFAULT_BATCH_TRIALS),
@@ -214,12 +215,7 @@ fn main() {
         .collect();
 
     let schedule = study.generate_schedule(0);
-    let shapley_sampling = sample_schedule(
-        &schedule,
-        args.usize("permutations", 4096),
-        threads,
-        study.base_seed,
-    );
+    let shapley_sampling = sample_schedule(&schedule, permutations, threads, study.base_seed);
     print_report(&shapley_sampling);
 
     if let Some(d) = dump {

@@ -16,8 +16,8 @@
 //! sets the per-batch fault budget. Writes `results/fig8.json`.
 
 use fairco2_bench::{
-    exit_on_engine_error, print_report, sample_schedule, study_options, write_json, Args,
-    SamplingReport, TrialDump, CHECKPOINT_FLAGS,
+    exit_on_engine_error, print_report, sample_schedule, sampling_permutations, study_options,
+    write_json, Args, SamplingReport, TrialDump, CHECKPOINT_FLAGS,
 };
 use fairco2_montecarlo::colocations::ColocationStudy;
 use fairco2_montecarlo::schedules::DemandStudy;
@@ -138,6 +138,7 @@ fn main() {
         base_seed: args.u64("seed", ColocationStudy::default().base_seed),
     };
     let threads = args.usize("threads", default_threads());
+    let permutations = sampling_permutations(&args);
     let cfg = EngineConfig {
         threads,
         batch_trials: args.usize("batch", DEFAULT_BATCH_TRIALS),
@@ -218,12 +219,7 @@ fn main() {
         ..DemandStudy::default()
     };
     let schedule = probe.generate_schedule(0);
-    let shapley_sampling = sample_schedule(
-        &schedule,
-        args.usize("permutations", 4096),
-        threads,
-        study.base_seed,
-    );
+    let shapley_sampling = sample_schedule(&schedule, permutations, threads, study.base_seed);
     print_report(&shapley_sampling);
 
     if let Some(d) = dump {

@@ -23,6 +23,6 @@ pub use args::Args;
 pub use dump::{DumpSpec, TrialDump};
 pub use output::{results_dir, write_json};
 pub use resume::{exit_on_engine_error, study_options, CHECKPOINT_FLAGS, DEFAULT_CHECKPOINT_EVERY};
-pub use sampling::{print_report, sample_schedule, SamplingReport};
+pub use sampling::{print_report, sample_schedule, sampling_permutations, SamplingReport};
 pub use scale::{run_azure_scale, AzureScaleReport, AzureScaleStudy};
 pub use surrogate::{run_surrogate, SurrogateReport, SurrogateStudy, Tolerancepoint};

@@ -14,6 +14,8 @@ use fairco2_shapley::{
 };
 use serde::Serialize;
 
+use crate::args::Args;
+
 /// JSON-serializable record of one instrumented sampling run.
 #[derive(Debug, Clone, Serialize)]
 pub struct SamplingReport {
@@ -34,6 +36,19 @@ pub struct SamplingReport {
     pub cache_hit_rate: f64,
     /// Standard error versus permutation count, one point per round.
     pub trace: ConvergenceTrace,
+}
+
+/// Reads the sampling block's `--permutations` budget (default 4,096).
+/// The figure bins read it before their study, so a zero budget aborts
+/// at once rather than after the whole study has run.
+///
+/// # Panics
+///
+/// Panics if `--permutations` is 0 or not a valid count.
+pub fn sampling_permutations(args: &Args) -> usize {
+    let permutations = args.usize("permutations", 4096);
+    assert!(permutations > 0, "--permutations must be at least 1");
+    permutations
 }
 
 /// Runs the parallel sampling engine on `schedule`'s peak-demand game and
@@ -106,6 +121,7 @@ pub fn print_report(report: &SamplingReport) {
 mod tests {
     use super::*;
     use fairco2::schedule::ScheduledWorkload;
+    use fairco2_montecarlo::schedules::DemandStudy;
 
     fn demo_schedule() -> Schedule {
         let workloads = vec![
@@ -138,5 +154,35 @@ mod tests {
         assert!(json.contains("\"trace\""));
         assert!(json.contains("\"coalition_evals\""));
         assert!(json.contains("\"cache_hit_rate\""));
+    }
+
+    #[test]
+    fn fig7_sampling_block_work_is_pinned() {
+        // The work counts of fig7's default sampling block: 4,096
+        // permutations of the study's first schedule through per-batch
+        // coalition caches, at one worker and at two.
+        let study = DemandStudy::default();
+        let schedule = study.generate_schedule(0);
+        for threads in [1, 2] {
+            let c = sample_schedule(&schedule, 4096, threads, study.base_seed).counters;
+            assert_eq!(
+                (
+                    c.coalition_evals,
+                    c.marginal_updates,
+                    c.batches,
+                    c.cache_hits,
+                    c.cache_misses
+                ),
+                (12_867, 28_672, 64, 21_294, 7_378),
+                "threads = {threads}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "--permutations must be at least 1")]
+    fn zero_permutations_are_rejected() {
+        let args = Args::parse_from(&["permutations"], ["--permutations", "0"].map(String::from));
+        let _ = sampling_permutations(&args);
     }
 }

@@ -205,37 +205,36 @@ pub trait ColocationAttributor {
     /// Human-readable method name.
     fn name(&self) -> &'static str;
 
-    /// Attributes the scenario's actual carbon among its workloads.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ColocationError`] when inputs are inconsistent.
-    fn attribute(
-        &self,
-        scenario: &ColocationScenario,
-        ctx: &NodeAccounting,
-    ) -> Result<Vec<f64>, ColocationError>;
-
-    /// [`attribute`](Self::attribute) writing into a caller-owned,
-    /// reusable share vector (cleared first), so trial loops can amortize
-    /// the output allocation. Bit-identical to
-    /// [`attribute`](Self::attribute).
+    /// Attributes the scenario's actual carbon among its workloads into
+    /// a caller-owned, reusable share vector (replacing its contents), so
+    /// trial loops can amortize the output allocation.
     ///
     /// On error `out` is left cleared or partially written — callers must
     /// not read it.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`attribute`](Self::attribute).
+    /// Returns a [`ColocationError`] when inputs are inconsistent.
     fn attribute_into(
         &self,
         scenario: &ColocationScenario,
         ctx: &NodeAccounting,
         out: &mut Vec<f64>,
-    ) -> Result<(), ColocationError> {
-        out.clear();
-        out.extend(self.attribute(scenario, ctx)?);
-        Ok(())
+    ) -> Result<(), ColocationError>;
+
+    /// [`attribute_into`](Self::attribute_into) into a fresh `Vec`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`attribute_into`](Self::attribute_into).
+    fn attribute(
+        &self,
+        scenario: &ColocationScenario,
+        ctx: &NodeAccounting,
+    ) -> Result<Vec<f64>, ColocationError> {
+        let mut out = Vec::new();
+        self.attribute_into(scenario, ctx, &mut out)?;
+        Ok(out)
     }
 }
 
@@ -247,16 +246,6 @@ pub struct GroundTruthMatching;
 impl ColocationAttributor for GroundTruthMatching {
     fn name(&self) -> &'static str {
         "ground-truth-shapley"
-    }
-
-    fn attribute(
-        &self,
-        scenario: &ColocationScenario,
-        ctx: &NodeAccounting,
-    ) -> Result<Vec<f64>, ColocationError> {
-        let mut out = Vec::new();
-        self.attribute_into(scenario, ctx, &mut out)?;
-        Ok(out)
     }
 
     fn attribute_into(
@@ -294,16 +283,6 @@ pub struct RupColocation;
 impl ColocationAttributor for RupColocation {
     fn name(&self) -> &'static str {
         "rup-baseline"
-    }
-
-    fn attribute(
-        &self,
-        scenario: &ColocationScenario,
-        ctx: &NodeAccounting,
-    ) -> Result<Vec<f64>, ColocationError> {
-        let mut out = Vec::new();
-        self.attribute_into(scenario, ctx, &mut out)?;
-        Ok(out)
     }
 
     fn attribute_into(
@@ -454,16 +433,6 @@ fn attribute_with_profiles(
 impl ColocationAttributor for FairCo2Colocation {
     fn name(&self) -> &'static str {
         "fair-co2"
-    }
-
-    fn attribute(
-        &self,
-        scenario: &ColocationScenario,
-        ctx: &NodeAccounting,
-    ) -> Result<Vec<f64>, ColocationError> {
-        let mut out = Vec::new();
-        self.attribute_into(scenario, ctx, &mut out)?;
-        Ok(out)
     }
 
     fn attribute_into(

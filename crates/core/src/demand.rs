@@ -61,42 +61,39 @@ pub trait DemandAttributor {
     /// Human-readable method name (used in experiment output).
     fn name(&self) -> &'static str;
 
-    /// Attributes `total_carbon` among the schedule's workloads.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DemandError`] if the method cannot handle the schedule
-    /// (see each implementation).
-    fn attribute(&self, schedule: &Schedule, total_carbon: f64) -> Result<Vec<f64>, DemandError>;
-
-    /// [`attribute`](Self::attribute) writing into a caller-owned,
-    /// reusable share vector (cleared first), so trial loops can amortize
-    /// the output allocation. Implementations override this to skip the
-    /// intermediate `Vec` entirely; results are bit-identical to
-    /// [`attribute`](Self::attribute) either way.
+    /// Attributes `total_carbon` among the schedule's workloads into a
+    /// caller-owned, reusable share vector (replacing its contents), so
+    /// trial loops can amortize the output allocation.
     ///
     /// On error `out` is left cleared or partially written — callers must
     /// not read it.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`attribute`](Self::attribute).
+    /// Returns a [`DemandError`] if the method cannot handle the schedule
+    /// (see each implementation).
     fn attribute_into(
         &self,
         schedule: &Schedule,
         total_carbon: f64,
         out: &mut Vec<f64>,
-    ) -> Result<(), DemandError> {
-        out.clear();
-        out.extend(self.attribute(schedule, total_carbon)?);
-        Ok(())
+    ) -> Result<(), DemandError>;
+
+    /// [`attribute_into`](Self::attribute_into) into a fresh `Vec`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`attribute_into`](Self::attribute_into).
+    fn attribute(&self, schedule: &Schedule, total_carbon: f64) -> Result<Vec<f64>, DemandError> {
+        let mut out = Vec::new();
+        self.attribute_into(schedule, total_carbon, &mut out)?;
+        Ok(out)
     }
 }
 
 /// Scales the weights accumulated in `out` so they sum to `total_carbon`,
 /// rejecting non-positive weight totals — the shared tail of every
-/// proportional method, kept in one place so `attribute` and
-/// `attribute_into` stay bit-identical.
+/// proportional method.
 fn normalize_shares(out: &mut [f64], total_carbon: f64) -> Result<(), DemandError> {
     let total: f64 = out.iter().sum();
     if total <= 0.0 {
@@ -140,12 +137,6 @@ impl GroundTruthShapley {
 impl DemandAttributor for GroundTruthShapley {
     fn name(&self) -> &'static str {
         "ground-truth-shapley"
-    }
-
-    fn attribute(&self, schedule: &Schedule, total_carbon: f64) -> Result<Vec<f64>, DemandError> {
-        let mut out = Vec::new();
-        self.attribute_into(schedule, total_carbon, &mut out)?;
-        Ok(out)
     }
 
     fn attribute_into(
@@ -209,17 +200,15 @@ impl DemandAttributor for SampledGroundTruth {
         "sampled-ground-truth"
     }
 
-    fn attribute(&self, schedule: &Schedule, total_carbon: f64) -> Result<Vec<f64>, DemandError> {
-        let estimate = self.estimate(schedule);
-        let total: f64 = estimate.values.iter().sum();
-        if total <= 0.0 {
-            return Err(DemandError::ZeroDemand);
-        }
-        Ok(estimate
-            .values
-            .iter()
-            .map(|p| total_carbon * p / total)
-            .collect())
+    fn attribute_into(
+        &self,
+        schedule: &Schedule,
+        total_carbon: f64,
+        out: &mut Vec<f64>,
+    ) -> Result<(), DemandError> {
+        out.clear();
+        out.extend_from_slice(&self.estimate(schedule).values);
+        normalize_shares(out, total_carbon)
     }
 }
 
@@ -231,12 +220,6 @@ pub struct RupBaseline;
 impl DemandAttributor for RupBaseline {
     fn name(&self) -> &'static str {
         "rup-baseline"
-    }
-
-    fn attribute(&self, schedule: &Schedule, total_carbon: f64) -> Result<Vec<f64>, DemandError> {
-        let mut out = Vec::new();
-        self.attribute_into(schedule, total_carbon, &mut out)?;
-        Ok(out)
     }
 
     fn attribute_into(
@@ -265,12 +248,6 @@ pub struct DemandProportional;
 impl DemandAttributor for DemandProportional {
     fn name(&self) -> &'static str {
         "demand-proportional"
-    }
-
-    fn attribute(&self, schedule: &Schedule, total_carbon: f64) -> Result<Vec<f64>, DemandError> {
-        let mut out = Vec::new();
-        self.attribute_into(schedule, total_carbon, &mut out)?;
-        Ok(out)
     }
 
     fn attribute_into(
@@ -328,12 +305,6 @@ impl TemporalFairCo2 {
 impl DemandAttributor for TemporalFairCo2 {
     fn name(&self) -> &'static str {
         "fair-co2-temporal"
-    }
-
-    fn attribute(&self, schedule: &Schedule, total_carbon: f64) -> Result<Vec<f64>, DemandError> {
-        let mut out = Vec::new();
-        self.attribute_into(schedule, total_carbon, &mut out)?;
-        Ok(out)
     }
 
     fn attribute_into(

@@ -25,7 +25,7 @@
 use std::cell::{Cell, RefCell};
 
 use crate::coalition::Coalition;
-use crate::game::{Game, GameStats, IncrementalGame};
+use crate::game::{EvalCounters, Game, IncrementalGame};
 
 /// Slots probed before the cache gives up and displaces an entry. Bounded
 /// probing keeps worst-case lookup cost constant; displacement (rather
@@ -158,10 +158,9 @@ pub struct CachedState<S> {
 /// On a cache hit the inner game is not touched at all: the pending
 /// players are only replayed into the inner state when a miss forces a
 /// real evaluation, so a fully warmed cache reduces a permutation replay
-/// to `n` hash probes. Hit, miss, and true-evaluation counts are exposed
-/// through [`IncrementalGame::stats`], which
-/// [`replay_marginals_into`](crate::game::replay_marginals_into) folds
-/// into [`EvalCounters`](crate::game::EvalCounters).
+/// to `n` hash probes. The wrapper counts its hits, misses, and true
+/// inner evaluations; the batch that owns it reads them once, after its
+/// loop, through [`record_into`](CachedGame::record_into).
 ///
 /// Not `Sync`: each batch of
 /// [`parallel_sampled_shapley`](crate::parallel::parallel_sampled_shapley)
@@ -208,13 +207,15 @@ impl<'g, G: Game> CachedGame<'g, G> {
         }
     }
 
-    /// Hits, misses, and inner evaluations so far.
-    pub fn cache_stats(&self) -> GameStats {
-        GameStats {
-            evals: self.evals.get(),
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-        }
+    /// Writes this wrapper's totals into `counters`: its hits and misses,
+    /// and its inner evaluations in place of the one evaluation per
+    /// lookup that [`replay_marginals_into`](crate::game::replay_marginals_into)
+    /// charged. Called once by the batch that owns the wrapper, on
+    /// counters that saw no other game.
+    pub fn record_into(&self, counters: &mut EvalCounters) {
+        counters.coalition_evals = self.evals.get();
+        counters.cache_hits = self.hits.get();
+        counters.cache_misses = self.misses.get();
     }
 }
 
@@ -223,23 +224,10 @@ impl<G: Game> Game for CachedGame<'_, G> {
         self.inner.player_count()
     }
 
+    // `Game` is a supertrait of `IncrementalGame`, which is the only way
+    // the cache is read; a direct `value` call goes to the inner game.
     fn value(&self, coalition: &Coalition) -> f64 {
-        let mut mask = 0u64;
-        for p in coalition.iter() {
-            mask |= 1 << p;
-        }
-        if mask == 0 {
-            return 0.0;
-        }
-        if let Some(v) = self.cache.borrow().get(mask) {
-            self.hits.set(self.hits.get() + 1);
-            return v;
-        }
-        self.misses.set(self.misses.get() + 1);
-        self.evals.set(self.evals.get() + 1);
-        let v = self.inner.value(coalition);
-        self.cache.borrow_mut().insert(mask, v);
-        v
+        self.inner.value(coalition)
     }
 }
 
@@ -279,10 +267,6 @@ impl<G: IncrementalGame> IncrementalGame for CachedGame<'_, G> {
         state.pending.clear();
         self.cache.borrow_mut().insert(state.mask, value);
         value
-    }
-
-    fn stats(&self) -> Option<GameStats> {
-        Some(self.cache_stats())
     }
 }
 
@@ -367,16 +351,16 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
-        // The repeated first order is answered entirely from the cache.
+        // Replay charges one evaluation per lookup until the cache's own
+        // totals replace it.
         assert_eq!(plain_c.coalition_evals, 16);
+        assert_eq!(cached_c.coalition_evals, 16);
+        cached.record_into(&mut cached_c);
+        // The repeated first order is answered entirely from the cache.
         assert!(cached_c.coalition_evals < plain_c.coalition_evals);
         assert_eq!(cached_c.cache_hits + cached_c.cache_misses, 16);
         assert!(cached_c.cache_hits >= 4);
-        assert_eq!(
-            cached_c.coalition_evals,
-            cached.cache_stats().evals,
-            "counters mirror the game's own accounting"
-        );
+        assert_eq!(cached_c.marginal_updates, plain_c.marginal_updates);
     }
 
     #[test]
@@ -387,14 +371,15 @@ mod tests {
         let mut m = vec![0.0; 4];
         let mut counters = EvalCounters::default();
         replay_marginals_into(&cached, &[0, 1, 2, 3], &mut state, &mut m, &mut counters);
-        let evals_after_first = cached.cache_stats().evals;
+        let mut first = EvalCounters::default();
+        cached.record_into(&mut first);
         replay_marginals_into(&cached, &[0, 1, 2, 3], &mut state, &mut m, &mut counters);
+        cached.record_into(&mut counters);
         assert_eq!(
-            cached.cache_stats().evals,
-            evals_after_first,
+            counters.coalition_evals, first.coalition_evals,
             "second identical replay must not evaluate the game"
         );
-        assert_eq!(cached.cache_stats().hits, 4);
+        assert_eq!(counters.cache_hits, 4);
         assert!((counters.cache_hit_rate() - 0.5).abs() < 1e-12);
     }
 
@@ -416,19 +401,6 @@ mod tests {
         let expected = g.value(&Coalition::from_players(4, [0, 2]))
             - g.value(&Coalition::from_players(4, [0]));
         assert_eq!(m2[2].to_bits(), expected.to_bits());
-    }
-
-    #[test]
-    fn value_path_is_cached_too() {
-        let g = demo_game();
-        let cached = CachedGame::new(&g, 1);
-        let c = Coalition::from_players(4, [1, 3]);
-        let v1 = cached.value(&c);
-        let v2 = cached.value(&c);
-        assert_eq!(v1.to_bits(), v2.to_bits());
-        assert_eq!(cached.cache_stats().evals, 1);
-        assert_eq!(cached.cache_stats().hits, 1);
-        assert_eq!(cached.value(&Coalition::empty(4)), 0.0);
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //!   with the same remainder rule as
 //!   [`TimeSeries::split`](fairco2_trace::TimeSeries::split) — no sample
 //!   is ever copied.
-//! * **Peaks** come from a MaxTree: the fused sweep computes every
-//!   *leaf* period's peak, and — because hierarchy bounds are nested,
-//!   so every period at every level is an exact union of its children —
-//!   one bottom-up pass folds child peaks into parent peaks,
-//!   `O(periods)` maxes total instead of a rescan of the samples per
-//!   level. `f64::max` over finite samples is associative and selects
-//!   one of its operands bit-for-bit, so folding peaks of contiguous
-//!   child groups equals a left-to-right
+//! * **Peaks** come from a bottom-up `f64::max` fold: the fused sweep
+//!   computes every *leaf* period's peak, and — because hierarchy
+//!   bounds are nested, so every period at every level is an exact
+//!   union of its children — one pass folds child peaks into parent
+//!   peaks, `O(periods)` maxes total instead of a rescan of the
+//!   samples per level. `f64::max` over finite samples is associative
+//!   and selects one of its operands bit-for-bit, so folding peaks of
+//!   contiguous child groups equals a left-to-right
 //!   `fold(NEG_INFINITY, f64::max)` scan over the raw samples exactly
 //!   (the one exception — a tie between `+0.0` and `-0.0` — cannot
 //!   arise for non-negative demand).
@@ -48,16 +48,16 @@ use fairco2_trace::series::{SeriesError, TimeSeries};
 use crate::temporal::peak_shapley_into;
 
 /// Reusable state for the flat cascade: period bounds, per-period sums
-/// and carbon, per-level intensity buffers, the MaxTree of per-level
-/// period peaks, the leaf carbon prefix, and the small per-parent
-/// solver buffers.
+/// and carbon, per-level intensity buffers, the per-level period peaks
+/// folded up from the leaves, the leaf carbon prefix, and the small
+/// per-parent solver buffers.
 ///
 /// A scratch is built by
 /// [`TemporalShapley::attribute_with_scratch`](crate::temporal::TemporalShapley::attribute_with_scratch)
 /// and can be read directly (for allocation-free pipelines) or
 /// materialized into a
 /// [`TemporalAttribution`](crate::temporal::TemporalAttribution) with
-/// [`CascadeScratch::to_attribution`]. Buffers grow to the largest
+/// [`CascadeScratch::into_attribution`]. Buffers grow to the largest
 /// `(series length, hierarchy)` seen and are then reused; a repeated
 /// serial attribution performs no heap allocation.
 #[derive(Debug, Clone, Default)]
@@ -83,7 +83,7 @@ pub struct CascadeScratch {
     prefix: Vec<f64>,
     /// Per-leaf-period peaks, filled by the fused sweep.
     leaf_peaks: Vec<f64>,
-    /// MaxTree: `level_peaks[l][p]` is the peak of period `p` at the
+    /// Peak fold: `level_peaks[l][p]` is the peak of period `p` at the
     /// intermediate level `l` (`1 <= l < levels - 1`), folded bottom-up
     /// from the leaf peaks; the leaf level reads `leaf_peaks` directly
     /// and the root's peak is never consulted, so those slots stay
@@ -153,40 +153,12 @@ impl CascadeScratch {
         (std::mem::take(leaf), std::mem::take(&mut self.prefix))
     }
 
-    /// Materializes the scratch into an owned
-    /// [`TemporalAttribution`](crate::temporal::TemporalAttribution)
-    /// (this clones the per-level signals; keep reading the scratch
-    /// directly when allocation-freedom matters).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no attribution has been run yet.
-    pub fn to_attribution(&self) -> crate::temporal::TemporalAttribution {
-        assert!(!self.intensity.is_empty(), "attribution has been run");
-        let level_intensity: Vec<TimeSeries> = self
-            .intensity
-            .iter()
-            .map(|values| {
-                TimeSeries::from_values(self.start, self.step, values.clone())
-                    .expect("cascade levels cover a non-empty series")
-            })
-            .collect();
-        crate::temporal::TemporalAttribution::from_parts(
-            level_intensity,
-            self.prefix.clone(),
-            self.stranded,
-            self.naive,
-            self.ops,
-        )
-    }
-
     /// Consumes the scratch into an owned
     /// [`TemporalAttribution`](crate::temporal::TemporalAttribution),
-    /// moving every level buffer and the carbon prefix instead of
-    /// cloning them. This is the fresh-attribution fast path used by
-    /// [`TemporalShapley::attribute`](crate::temporal::TemporalShapley::attribute);
-    /// callers that keep the scratch for reuse want
-    /// [`CascadeScratch::to_attribution`] instead.
+    /// moving every level buffer and the carbon prefix. This is how
+    /// [`TemporalShapley::attribute`](crate::temporal::TemporalShapley::attribute)
+    /// returns its result; a caller that keeps its scratch for reuse
+    /// materializes a clone (`scratch.clone().into_attribution()`).
     ///
     /// # Panics
     ///
@@ -446,11 +418,11 @@ pub(crate) fn lane_sweep<const K: usize>(
 
 /// Splits one parent period's carbon across its `m` children, exactly
 /// as the per-period reference does: the precomputed child peaks (one
-/// MaxTree slice), the closed-form φ, and the φ·q → q → duration weight
-/// cascade. The `m` child carbon shares are **appended** to `shares`
-/// (so a serial level loop can accumulate straight into the level
-/// buffer); the caller supplies every buffer, so this is
-/// allocation-free.
+/// slice of the peak fold), the closed-form φ, and the
+/// φ·q → q → duration weight cascade. The `m` child carbon shares are
+/// **appended** to `shares` (so a serial level loop can accumulate
+/// straight into the level buffer); the caller supplies every buffer,
+/// so this is allocation-free.
 ///
 /// # Panics
 ///
@@ -647,7 +619,7 @@ pub(crate) fn run_cascade(
     ensure_levels(&mut scratch.carbon, levels);
     ensure_levels(&mut scratch.intensity, levels);
 
-    // MaxTree: fold the leaf peaks bottom-up into intermediate-level
+    // Peak fold: fold the leaf peaks bottom-up into intermediate-level
     // period peaks (the leaf level reads `leaf_peaks` directly, the
     // root's peak is never consulted). Each period's peak is a
     // left-to-right `f64::max` fold of its children's peaks, which is

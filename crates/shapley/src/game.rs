@@ -4,7 +4,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::coalition::Coalition;
 use crate::exact::FILL_BLOCK_MASKS;
-use crate::maxtree::MaxTree;
 
 /// A cooperative game: a set of players and a characteristic function
 /// assigning a cost (here: carbon) to every coalition.
@@ -65,27 +64,6 @@ pub trait IncrementalGame: Game {
     /// Adds `player` to the growing coalition and returns the value of
     /// the enlarged coalition.
     fn add_player(&self, state: &mut Self::State, player: usize) -> f64;
-
-    /// Work performed by this game since construction, for games that
-    /// instrument themselves (memoizing wrappers). `None` — the default —
-    /// means "not tracked": callers then charge one evaluation per
-    /// [`add_player`](IncrementalGame::add_player) call.
-    fn stats(&self) -> Option<GameStats> {
-        None
-    }
-}
-
-/// Cumulative work snapshot reported by a self-instrumenting game (see
-/// [`IncrementalGame::stats`]). Deltas between snapshots are folded into
-/// [`EvalCounters`] by [`replay_marginals_into`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct GameStats {
-    /// Raw characteristic-function evaluations actually performed.
-    pub evals: u64,
-    /// Lookups answered from a coalition cache.
-    pub hits: u64,
-    /// Lookups that fell through to a real evaluation.
-    pub misses: u64,
 }
 
 /// Work counters for Shapley estimation, accumulated at every
@@ -146,9 +124,11 @@ impl EvalCounters {
 /// Marginals telescope, so `marginals` sums to the grand-coalition value
 /// when `order` contains every player exactly once.
 ///
-/// Work accounting: self-instrumenting games ([`IncrementalGame::stats`])
-/// are charged their actual evaluation, hit, and miss deltas; all others
-/// are charged one coalition evaluation per step.
+/// Work accounting: every step is charged one coalition evaluation. A
+/// batch that replays through a [`CachedGame`](crate::cache::CachedGame)
+/// overwrites that charge once, after its loop, with the cache's own
+/// evaluation, hit, and miss totals
+/// ([`CachedGame::record_into`](crate::cache::CachedGame::record_into)).
 ///
 /// # Panics
 ///
@@ -161,7 +141,6 @@ pub fn replay_marginals_into<G: IncrementalGame>(
     counters: &mut EvalCounters,
 ) {
     game.reset_state(state);
-    let before = game.stats();
     let mut prev = 0.0f64;
     for &p in order {
         let value = game.add_player(state, p);
@@ -169,14 +148,7 @@ pub fn replay_marginals_into<G: IncrementalGame>(
         prev = value;
     }
     counters.marginal_updates += order.len() as u64;
-    match (before, game.stats()) {
-        (Some(b), Some(a)) => {
-            counters.coalition_evals += a.evals - b.evals;
-            counters.cache_hits += a.hits - b.hits;
-            counters.cache_misses += a.misses - b.misses;
-        }
-        _ => counters.coalition_evals += order.len() as u64,
-    }
+    counters.coalition_evals += order.len() as u64;
 }
 
 /// Adapter giving any [`Game`] a (slow) incremental interface by replaying
@@ -358,24 +330,24 @@ impl Game for PeakDemandGame {
 }
 
 impl IncrementalGame for PeakDemandGame {
-    /// Per-time-step sums held in a segment tree: inserting a player
-    /// costs `O(|support| · log steps)` and the coalition peak is read
-    /// off the root, instead of the former `O(steps)` scan per insertion.
-    type State = MaxTree;
+    /// The Gray walk's state: flat per-step sums and their running peak.
+    /// An insertion is one `toggle` with sign `+1`, which touches only
+    /// the player's nonzero steps; adding non-negative demand never
+    /// lowers a slot, so it never re-scans.
+    type State = (Vec<f64>, f64);
 
     fn initial_state(&self) -> Self::State {
-        MaxTree::new(self.steps)
+        (vec![0.0; self.steps], 0.0)
     }
 
-    fn reset_state(&self, state: &mut Self::State) {
-        state.reset();
+    fn reset_state(&self, (sums, peak): &mut Self::State) {
+        sums.fill(0.0);
+        *peak = 0.0;
     }
 
-    fn add_player(&self, state: &mut Self::State, player: usize) -> f64 {
-        for &(t, d) in &self.support[player] {
-            state.add(t as usize, d);
-        }
-        state.max()
+    fn add_player(&self, (sums, peak): &mut Self::State, player: usize) -> f64 {
+        *peak = self.toggle(sums, *peak, player, 1.0);
+        *peak
     }
 }
 
@@ -513,8 +485,8 @@ mod tests {
     }
 
     #[test]
-    fn tree_backed_incremental_path_matches_the_scan_reference() {
-        // Equality pin: the MaxTree-backed add_player must reproduce
+    fn flat_incremental_path_matches_the_scan_reference() {
+        // Equality pin: add_player's flat-sum toggle must reproduce
         // `value()`'s full scan of every prefix bit-for-bit on dyadic
         // demands, across several permutations and a reused state.
         let g = PeakDemandGame::new(vec![

@@ -19,8 +19,6 @@
 //! * [`cache`] — the open-addressing [`cache::CoalitionCache`] memo table
 //!   and the [`cache::CachedGame`] adapter through which a sampling batch
 //!   skips repeated characteristic-function evaluations.
-//! * [`maxtree`] — the segment tree backing `O(log steps)` peak-demand
-//!   updates in the replay hot path.
 //! * [`parallel`] — the deterministic parallel engine and the crate's one
 //!   permutation sampler: batched sampling over scoped worker threads
 //!   (the caller's thread at one worker) with per-batch seeding, moment
@@ -39,7 +37,7 @@
 //!   dynamic embodied-carbon-intensity signal (Eq. 5).
 //! * [`cascade`] — the flat, zero-copy engine behind the temporal
 //!   hierarchy: index-range periods over one shared demand buffer,
-//!   MaxTree-folded peaks, a reusable [`cascade::CascadeScratch`] for
+//!   bottom-up folded peaks, a reusable [`cascade::CascadeScratch`] for
 //!   allocation-free repeats, and the [`cascade::IntensityIndex`]
 //!   answering batched billing queries.
 //! * [`incremental`] — the streaming engine behind the always-on
@@ -79,7 +77,6 @@ pub mod incremental;
 #[cfg(test)]
 mod kernels;
 pub mod matching;
-pub mod maxtree;
 pub mod netgame;
 pub mod parallel;
 pub mod sampled;
@@ -94,10 +91,9 @@ pub use coalition::Coalition;
 pub use exact::{
     exact_shapley, exact_shapley_fast_with_scratch, parallel_exact_shapley, ExactScratch,
 };
-pub use game::{replay_marginals_into, EvalCounters, Game, GameStats, IncrementalGame};
+pub use game::{replay_marginals_into, EvalCounters, Game, IncrementalGame};
 pub use incremental::{IncrementalCascade, WindowAttribution};
 pub use matching::{shapley_from_moments, MatchingGame};
-pub use maxtree::MaxTree;
 pub use netgame::{CoalitionValue, LatticeStats, Link, Network, NetworkCarbonGame};
 pub use parallel::{
     default_threads, panic_message, parallel_sampled_shapley, run_parallel, ConvergenceTrace,

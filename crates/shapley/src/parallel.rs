@@ -288,7 +288,10 @@ where
                 .min(max - b * config.batch_permutations);
             let seed = batch_seed(base_seed, b as u64);
             if config.coalition_cache {
-                run_batch(&CachedGame::new(game, count), &config.sample, seed, count)
+                let cached = CachedGame::new(game, count);
+                let (moments, mut counters) = run_batch(&cached, &config.sample, seed, count);
+                cached.record_into(&mut counters);
+                (moments, counters)
             } else {
                 run_batch(game, &config.sample, seed, count)
             }

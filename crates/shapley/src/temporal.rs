@@ -297,7 +297,8 @@ impl TemporalShapley {
     /// results through the scratch accessors
     /// ([`CascadeScratch::leaf_intensity`],
     /// [`CascadeScratch::carbon_prefix`], …) or materialize a
-    /// [`TemporalAttribution`] via [`CascadeScratch::to_attribution`].
+    /// [`TemporalAttribution`] via [`CascadeScratch::into_attribution`]
+    /// on a clone.
     ///
     /// # Errors
     ///

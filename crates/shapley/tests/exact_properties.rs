@@ -10,14 +10,23 @@
 //!   arbitrary mask ranges — bitwise on integer values, within 1e-12·v(N)
 //!   on real-valued demands — a sub-range fill equals the same entries of
 //!   the whole-block fills, and both solvers call the hook on the same
-//!   aligned [`FILL_BLOCK_MASKS`] blocks at any thread count.
+//!   aligned [`FILL_BLOCK_MASKS`] blocks at any thread count;
+//! * permutation replay ([`replay_marginals_into`]) through one reused
+//!   state reaches every prefix's [`Game::value`] — bitwise on integer
+//!   demands, within 1e-12·v(N) on real-valued ones — on random
+//!   schedule-shaped peak-demand games.
 
 use std::sync::Mutex;
 
 use fairco2_shapley::coalition::Coalition;
 use fairco2_shapley::exact::{exact_shapley, parallel_exact_shapley, FILL_BLOCK_MASKS};
-use fairco2_shapley::game::{Game, PeakDemandGame, Replay, TableGame};
+use fairco2_shapley::game::{
+    replay_marginals_into, EvalCounters, Game, IncrementalGame, PeakDemandGame, Replay, TableGame,
+};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
 /// Builds a table game over `n` players from a pool of integer values
 /// (`values[0]` is forced to 0 to satisfy the `v(∅) = 0` contract).
@@ -95,8 +104,77 @@ fn replay_gap<G: Game + Clone>(game: &G) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// A schedule-shaped peak-demand game over `steps` time steps: job
+/// `(start, len, d)` demands `d` on the contiguous window of at least
+/// one step that starts at `start % steps`, and nothing elsewhere — the
+/// shape every generated Monte Carlo schedule has.
+fn schedule_game(steps: usize, jobs: impl Iterator<Item = (usize, usize, f64)>) -> PeakDemandGame {
+    let rows = jobs
+        .map(|(start, len, d)| {
+            let start = start % steps;
+            let window = start..start + 1 + len % (steps - start);
+            (0..steps)
+                .map(|t| if window.contains(&t) { d } else { 0.0 })
+                .collect()
+        })
+        .collect();
+    PeakDemandGame::new(rows)
+}
+
+/// Replays `permutations` seeded random orders of `game` through
+/// [`replay_marginals_into`] with one reused state, and checks that the
+/// running sum of each order's marginals reaches `value()` of every
+/// prefix within `tol · v(N)` (`tol = 0` asks for the same bits) and
+/// that replay charges one evaluation per step.
+fn replay_prefix_gap(
+    game: &PeakDemandGame,
+    seed: u64,
+    permutations: usize,
+    tol: f64,
+) -> Result<(), TestCaseError> {
+    let n = game.player_count();
+    let scale = tol * grand_value(game);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut state = game.initial_state();
+    let mut marginals = vec![0.0; n];
+    let mut counters = EvalCounters::default();
+    for _ in 0..permutations {
+        order.shuffle(&mut rng);
+        replay_marginals_into(game, &order, &mut state, &mut marginals, &mut counters);
+        let mut prefix = Coalition::empty(n);
+        let mut value = 0.0;
+        for &p in &order {
+            prefix.insert(p);
+            value += marginals[p];
+            let want = game.value(&prefix);
+            if tol == 0.0 {
+                prop_assert_eq!(value.to_bits(), want.to_bits(), "{:?} at {}", order, p);
+            } else {
+                prop_assert!((value - want).abs() <= scale, "{:?} at {}", order, p);
+            }
+        }
+    }
+    let steps = (permutations * n) as u64;
+    prop_assert_eq!(counters.coalition_evals, steps);
+    prop_assert_eq!(counters.marginal_updates, steps);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn replay_reaches_every_prefix_value_on_schedule_games(
+        steps in 1usize..=12,
+        jobs in prop::collection::vec((0usize..12, 0usize..12, 1u8..=64, 0.01f64..50.0), 1..=12),
+        seed in 0u64..u64::MAX,
+    ) {
+        let integer = schedule_game(steps, jobs.iter().map(|&(s, l, d, _)| (s, l, d as f64)));
+        let real = schedule_game(steps, jobs.iter().map(|&(s, l, _, r)| (s, l, r)));
+        replay_prefix_gap(&integer, seed, 8, 0.0)?;
+        replay_prefix_gap(&real, seed, 8, 1e-12)?;
+    }
 
     #[test]
     fn fill_values_matches_value_per_mask(

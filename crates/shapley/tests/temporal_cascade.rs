@@ -90,13 +90,13 @@ proptest! {
         assert_bits_eq(
             "scratch first run",
             &h.attribute(&a, carbon).unwrap(),
-            &scratch.to_attribution(),
+            &scratch.clone().into_attribution(),
         );
         h.attribute_with_scratch(&b, carbon * 0.5, &mut scratch).unwrap();
         assert_bits_eq(
             "scratch after reuse",
             &h.attribute(&b, carbon * 0.5).unwrap(),
-            &scratch.to_attribution(),
+            &scratch.clone().into_attribution(),
         );
     }
 
