@@ -201,8 +201,8 @@ fn main() {
     );
     println!("paper:    RUP 9.7% avg / 31.7% worst — Fair-CO2 1.72% avg / 5.0% worst");
     println!(
-        "engine:   {} trials in {} batches, {} scratch-served solves",
-        engine.trials, engine.batches, engine.scratch.table_reuses
+        "engine:   {} trials in {} batches, {} run by this process",
+        engine.trials, engine.batches, engine.scratch.trials
     );
 
     let average_cdf = METHODS

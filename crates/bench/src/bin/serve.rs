@@ -92,7 +92,7 @@ fn main() {
         report.p99_batch_latency_us
     );
     println!(
-        "serve: {:.2} engine ops/sample (amortized O(log n) gauge)",
+        "serve: {:.2} engine ops/sample (amortized O(levels) gauge)",
         report.ops_per_sample
     );
 

@@ -155,10 +155,10 @@ fn fnv1a_hex(bytes: &[u8]) -> String {
 }
 
 /// Fingerprint of a `kind` study (`"demand"`, `"colocation"`,
-/// `"azure_scale"`) with configuration `config` at a given batch size.
-/// It covers every serialized field of the config, so any change to the
-/// study parameters or batch boundaries produces a different
-/// fingerprint, and checkpoints refuse to resume across it.
+/// `"azure_scale"`, `"harvest"`) with configuration `config` at a given
+/// batch size. It covers every serialized field of the config, so any
+/// change to the study parameters or batch boundaries produces a
+/// different fingerprint, and checkpoints refuse to resume across it.
 pub fn fingerprint(kind: &str, config: &impl Serialize, batch_trials: usize) -> String {
     let cfg = serde_json::to_string(config).expect("study configs serialize");
     let batch = batch_trials.max(1);

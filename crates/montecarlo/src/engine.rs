@@ -29,10 +29,12 @@
 //! snapshots it every K merges; resuming re-runs nothing before the
 //! frontier and is bit-identical to an uninterrupted run.
 //!
-//! [`stream_study`] is the one function that restores, snapshots, fires
-//! failpoints and totals stats around the batch engine; the demand and
-//! colocation studies here, and the Azure-scale co-simulation in
-//! `fairco2-bench`, supply only their per-batch fold.
+//! [`stream_study`] is the whole engine: one function schedules,
+//! retries, reorders and merges every batch, restores and snapshots,
+//! fires failpoints and totals stats. Its callers supply only their
+//! per-batch fold: the demand and colocation studies here, the surrogate
+//! harvest in [`crate::harvest`], and the Azure-scale co-simulation in
+//! `fairco2-bench`.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -173,282 +175,6 @@ impl From<CheckpointError> for EngineError {
     }
 }
 
-/// Where to pick a study back up: the merged-prefix frontier plus any
-/// batches that had already finished ahead of it (the reorder buffer).
-///
-/// Invariant: every pending batch index is at least `frontier` (a
-/// checkpoint cut mid-drain can park the frontier batch itself here;
-/// anything below it has already been merged).
-#[derive(Debug, Clone)]
-pub(crate) struct ResumeState<A> {
-    /// Batches `0..frontier` are merged; execution restarts here.
-    pub frontier: usize,
-    /// Completed `(batch, accumulator)` pairs beyond the frontier; they
-    /// are merged in order without re-execution.
-    pub pending: Vec<(usize, A)>,
-}
-
-/// What the in-order merge callback can observe at each merge point —
-/// enough to cut a complete checkpoint.
-pub(crate) struct MergeCtx<'a, A> {
-    /// The batch being merged; after this call the frontier is
-    /// `batch + 1`.
-    pub batch: usize,
-    /// Completed batches still waiting in the reorder buffer (all
-    /// indices are `> batch`).
-    pub pending: &'a BTreeMap<usize, A>,
-    /// Failed attempts re-executed so far (point-in-time).
-    pub retries: u64,
-    /// Distinct batches requeued so far (point-in-time).
-    pub requeued_batches: u64,
-}
-
-/// Runs `trials` trials through per-worker scratch arenas, streaming
-/// batch accumulators to `merge` strictly in batch-index order, with
-/// fault containment and frontier resume.
-///
-/// `make_scratch` is called once per worker plus once per requeue;
-/// `run_batch` folds one batch of trial indices through the worker's
-/// scratch and may fail (panic or [`BatchFailure`]) — it receives the
-/// 0-based attempt number so deterministic failpoints can key off it.
-/// `merge` receives each accumulator exactly once, in ascending batch
-/// order, on the calling thread; returning an error stops the run.
-///
-/// With `resume`, batches before the frontier are skipped entirely and
-/// preloaded pending batches are merged without re-execution; the merged
-/// stream is bit-identical to an uninterrupted run because batch
-/// boundaries and trial seeds depend only on the study config.
-///
-/// # Errors
-///
-/// [`EngineError::BatchAbandoned`] when a batch fails more than
-/// `retry_budget` times; whatever error `merge` returns, verbatim.
-///
-/// # Panics
-///
-/// Panics if a resume state is inconsistent with the batch count (a
-/// checkpoint for a different study passed validation — a caller bug).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stream_batches_resumable<A, C, S, F, M>(
-    trials: usize,
-    threads: usize,
-    batch_trials: usize,
-    retry_budget: u32,
-    resume: Option<ResumeState<A>>,
-    make_scratch: S,
-    run_batch: F,
-    mut merge: M,
-) -> Result<EngineStats, EngineError>
-where
-    A: Send,
-    C: EngineScratch,
-    S: Fn() -> C + Sync,
-    F: Fn(Range<usize>, &mut C, u32) -> Result<A, BatchFailure> + Sync,
-    M: FnMut(MergeCtx<'_, A>, A) -> Result<(), EngineError>,
-{
-    let threads = threads.max(1);
-    let batch_trials = batch_trials.max(1);
-    let n_batches = trials.div_ceil(batch_trials);
-    let resume = resume.unwrap_or(ResumeState {
-        frontier: 0,
-        pending: Vec::new(),
-    });
-    let frontier = resume.frontier;
-    assert!(frontier <= n_batches, "resume frontier beyond the study");
-    // Indices the workers must not re-execute (already completed, parked
-    // in the reorder buffer at checkpoint time).
-    let mut done: Vec<usize> = resume.pending.iter().map(|(b, _)| *b).collect();
-    done.sort_unstable();
-    for &b in &done {
-        assert!(
-            b >= frontier && b < n_batches,
-            "resume pending batch {b} outside [{frontier}, {n_batches})"
-        );
-    }
-
-    let next = AtomicUsize::new(frontier);
-    let abort = AtomicBool::new(false);
-    let retries = AtomicU64::new(0);
-    let requeued = AtomicU64::new(0);
-    let executed_trials = AtomicU64::new(0);
-    let executed_batches = AtomicU64::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, Result<A, EngineError>)>();
-
-    let (scratch, max_reorder_depth, error) = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                let tx = tx.clone();
-                let next = &next;
-                let abort = &abort;
-                let retries = &retries;
-                let requeued = &requeued;
-                let executed_trials = &executed_trials;
-                let executed_batches = &executed_batches;
-                let done = &done;
-                let make_scratch = &make_scratch;
-                let run_batch = &run_batch;
-                scope.spawn(move || {
-                    let mut scratch = make_scratch();
-                    let mut retired = ScratchStats::default();
-                    'batches: while !abort.load(Ordering::Relaxed) {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= n_batches {
-                            break;
-                        }
-                        if done.binary_search(&b).is_ok() {
-                            continue; // completed before the interruption
-                        }
-                        let start = b * batch_trials;
-                        let end = (start + batch_trials).min(trials);
-                        let mut attempt = 0u32;
-                        let outcome = loop {
-                            let result =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    run_batch(start..end, &mut scratch, attempt)
-                                }));
-                            let failure = match result {
-                                Ok(Ok(acc)) => break Ok(acc),
-                                Ok(Err(f)) => f,
-                                Err(payload) => BatchFailure::new(panic_message(payload.as_ref())),
-                            };
-                            // The arena may be mid-update from the failed
-                            // attempt; retire it (keeping its counters)
-                            // and requeue the batch on a fresh one.
-                            retired.merge(&scratch.stats());
-                            scratch = make_scratch();
-                            if attempt == 0 {
-                                requeued.fetch_add(1, Ordering::Relaxed);
-                            }
-                            if attempt >= retry_budget {
-                                break Err(EngineError::BatchAbandoned {
-                                    batch: b,
-                                    attempts: attempt + 1,
-                                    last_error: failure.message,
-                                });
-                            }
-                            retries.fetch_add(1, Ordering::Relaxed);
-                            attempt += 1;
-                            if abort.load(Ordering::Relaxed) {
-                                break 'batches;
-                            }
-                        };
-                        match outcome {
-                            Ok(acc) => {
-                                executed_trials.fetch_add((end - start) as u64, Ordering::Relaxed);
-                                executed_batches.fetch_add(1, Ordering::Relaxed);
-                                if tx.send((b, Ok(acc))).is_err() {
-                                    break;
-                                }
-                            }
-                            Err(e) => {
-                                abort.store(true, Ordering::Relaxed);
-                                let _ = tx.send((b, Err(e)));
-                                break;
-                            }
-                        }
-                    }
-                    retired.merge(&scratch.stats());
-                    retired
-                })
-            })
-            .collect();
-        drop(tx);
-
-        // Reorder arrivals so merges happen strictly in batch order —
-        // this is what makes the summary thread-count invariant. Batches
-        // restored from a checkpoint's reorder buffer start out parked
-        // here and are consumed by the same in-order drain.
-        let mut pending: BTreeMap<usize, A> = resume.pending.into_iter().collect();
-        let mut next_merge = frontier;
-        let mut max_depth = pending.len();
-        let mut error: Option<EngineError> = None;
-        // A checkpoint cut mid-drain can park the frontier batch itself
-        // in the reorder buffer; workers never re-send it, so anything
-        // already eligible must merge before waiting on arrivals.
-        while let Some(acc) = pending.remove(&next_merge) {
-            let ctx = MergeCtx {
-                batch: next_merge,
-                pending: &pending,
-                retries: retries.load(Ordering::Relaxed),
-                requeued_batches: requeued.load(Ordering::Relaxed),
-            };
-            if let Err(e) = merge(ctx, acc) {
-                error = Some(e);
-                abort.store(true, Ordering::Relaxed);
-                break;
-            }
-            next_merge += 1;
-        }
-        for (idx, outcome) in rx {
-            match outcome {
-                Err(e) => {
-                    error = Some(match error.take() {
-                        // Deterministic report when several batches fail
-                        // around the abort: the lowest batch index wins.
-                        Some(cur) => prefer_error(cur, e),
-                        None => e,
-                    });
-                    abort.store(true, Ordering::Relaxed);
-                }
-                Ok(_) if error.is_some() => {}
-                Ok(acc) => {
-                    pending.insert(idx, acc);
-                    max_depth = max_depth.max(pending.len());
-                    while let Some(acc) = pending.remove(&next_merge) {
-                        let ctx = MergeCtx {
-                            batch: next_merge,
-                            pending: &pending,
-                            retries: retries.load(Ordering::Relaxed),
-                            requeued_batches: requeued.load(Ordering::Relaxed),
-                        };
-                        if let Err(e) = merge(ctx, acc) {
-                            error = Some(e);
-                            abort.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                        next_merge += 1;
-                    }
-                }
-            }
-        }
-
-        let mut total = ScratchStats::default();
-        for w in workers {
-            total.merge(&w.join().expect("study worker panicked"));
-        }
-        if error.is_none() {
-            assert!(
-                pending.is_empty() && next_merge == n_batches,
-                "batch stream ended with unmerged batches"
-            );
-        }
-        (total, max_depth, error)
-    });
-
-    if let Some(e) = error {
-        return Err(e);
-    }
-    Ok(EngineStats {
-        trials: executed_trials.load(Ordering::Relaxed),
-        batches: executed_batches.load(Ordering::Relaxed),
-        threads: threads as u64,
-        scratch,
-        max_reorder_depth: max_reorder_depth as u64,
-        retries: retries.load(Ordering::Relaxed),
-        requeued_batches: requeued.load(Ordering::Relaxed),
-    })
-}
-
-fn prefer_error(cur: EngineError, new: EngineError) -> EngineError {
-    match (&cur, &new) {
-        (
-            EngineError::BatchAbandoned { batch: a, .. },
-            EngineError::BatchAbandoned { batch: b, .. },
-        ) if b < a => new,
-        _ => cur,
-    }
-}
-
 /// Fault-tolerance and checkpointing knobs for a study run.
 #[derive(Debug, Clone, Default)]
 pub struct StudyOptions {
@@ -474,16 +200,23 @@ impl StudyOptions {
     }
 }
 
-/// Runs a resumable study of `items` work items: the one entry point behind
-/// the demand, colocation and Azure-scale studies.
+/// Runs a resumable study of `items` work items: the one batch engine
+/// behind the demand, colocation and Azure-scale studies and the
+/// surrogate harvest.
 ///
-/// `run_batch` folds one batch of item indices through the worker's
-/// scratch into a fresh accumulator `A`, plus per-batch output `X` that
-/// is never checkpointed (such as the trials a sink observes). It
-/// receives the 0-based attempt number so per-item failpoints can key
-/// off it. `on_merge(master, acc, x)` folds each batch into `master` on
-/// the calling thread, strictly in batch order; batches restored from a
-/// snapshot's reorder buffer arrive with `x = None`.
+/// Items are cut into batches of [`EngineConfig::batch_trials`] (the
+/// last may be short), and worker threads pull batch indices from a
+/// shared counter. `make_scratch` is called once per worker plus once
+/// per requeue. `run_batch` folds one batch of item indices through the
+/// worker's scratch into a fresh accumulator `A`, plus per-batch output
+/// `X` that is never checkpointed (such as the trials a sink observes).
+/// It receives the 0-based attempt number so per-item failpoints can key
+/// off it, and may fail by panicking or returning a [`BatchFailure`]; a
+/// failed batch is retried on a fresh scratch up to
+/// [`StudyOptions::retry_budget`] times. `on_merge(master, acc, x)`
+/// folds each batch into `master` on the calling thread, strictly in
+/// batch order; batches restored from a snapshot's reorder buffer
+/// arrive with `x = None`.
 ///
 /// Everything around that fold happens here: restoring from
 /// [`StudyOptions::checkpoint`] when [`StudyOptions::resume`] is set and
@@ -498,8 +231,15 @@ impl StudyOptions {
 /// # Errors
 ///
 /// [`EngineError::Checkpoint`] for invalid checkpoints or failed writes,
-/// [`EngineError::BatchAbandoned`] when faults exceed the retry budget,
+/// [`EngineError::BatchAbandoned`] when faults exceed the retry budget
+/// (the lowest failing batch index when several fail around the abort),
 /// and [`EngineError::Killed`] from a kill failpoint.
+///
+/// # Panics
+///
+/// Panics if a restored snapshot's frontier or reorder buffer lies
+/// outside the study's batches (a snapshot of another study passed
+/// fingerprint validation — a caller bug).
 #[allow(clippy::too_many_arguments)]
 pub fn stream_study<A, X, C>(
     items: usize,
@@ -516,11 +256,17 @@ where
     X: Send,
     C: EngineScratch,
 {
+    let threads = cfg.threads.max(1);
     let batch_trials = cfg.batch_trials.max(1);
+    let n_batches = items.div_ceil(batch_trials);
     let faults = &opts.faults;
     let mut master = empty;
     let mut carried = EngineStats::default();
-    let mut resume = None;
+    let mut frontier = 0;
+    // The reorder buffer: completed batches waiting on an earlier one. A
+    // restore preloads it with the snapshot's parked batches, which can
+    // include the frontier batch itself (a snapshot cut mid-drain).
+    let mut pending: BTreeMap<usize, (A, Option<X>)> = BTreeMap::new();
     let restorable = opts
         .checkpoint
         .as_ref()
@@ -528,94 +274,227 @@ where
     if let Some(spec) = restorable {
         let snap = Snapshot::load(&spec.path, fingerprint)?;
         master = restore(&snap.summary)?;
-        let pending = snap
-            .pending
-            .iter()
-            .map(|p| Ok((p.batch as usize, (restore(&p.summary)?, None))))
-            .collect::<Result<_, CheckpointError>>()?;
+        for p in &snap.pending {
+            pending.insert(p.batch as usize, (restore(&p.summary)?, None));
+        }
         carried = snap.stats;
-        resume = Some(ResumeState {
-            frontier: snap.frontier as usize,
-            pending,
-        });
+        frontier = snap.frontier as usize;
+    }
+    assert!(frontier <= n_batches, "resume frontier beyond the study");
+    // Workers skip the parked batches: they finished before the
+    // interruption.
+    let done: Vec<usize> = pending.keys().copied().collect();
+    for &b in &done {
+        assert!(
+            b >= frontier && b < n_batches,
+            "resume pending batch {b} outside [{frontier}, {n_batches})"
+        );
     }
 
-    let mut since_write = 0usize;
-    let mut write_attempts = 0usize;
-    let mut writes = 0usize;
-    let mut stats = stream_batches_resumable(
-        items,
-        cfg.threads,
-        batch_trials,
-        opts.retry_budget,
-        resume,
-        make_scratch,
-        |range, scratch, attempt| {
-            let batch = range.start / batch_trials;
-            if let Some(kind) = faults.batch_fault(batch, attempt) {
-                FaultPlan::fire(kind, &format!("batch {batch}"))?;
+    let next = AtomicUsize::new(frontier);
+    let abort = AtomicBool::new(false);
+    let retries = AtomicU64::new(0);
+    let requeued = AtomicU64::new(0);
+    let (tx, rx) = mpsc::channel::<(usize, Result<(A, X), EngineError>)>();
+
+    let (scratch, max_reorder_depth, error) = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                let tx = tx.clone();
+                let (next, abort, retries, requeued, done) =
+                    (&next, &abort, &retries, &requeued, &done);
+                let (make_scratch, run_batch) = (&make_scratch, &run_batch);
+                scope.spawn(move || {
+                    let mut scratch = make_scratch();
+                    let mut retired = ScratchStats::default();
+                    'batches: while !abort.load(Ordering::Relaxed) {
+                        let b = next.fetch_add(1, Ordering::Relaxed);
+                        if b >= n_batches {
+                            break;
+                        }
+                        if done.binary_search(&b).is_ok() {
+                            continue;
+                        }
+                        let start = b * batch_trials;
+                        let end = (start + batch_trials).min(items);
+                        let mut attempt = 0u32;
+                        let outcome = loop {
+                            let result =
+                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                    if let Some(kind) = faults.batch_fault(b, attempt) {
+                                        FaultPlan::fire(kind, &format!("batch {b}"))?;
+                                    }
+                                    run_batch(start..end, &mut scratch, attempt)
+                                }));
+                            let failure = match result {
+                                Ok(Ok(out)) => break Ok(out),
+                                Ok(Err(f)) => f,
+                                Err(payload) => BatchFailure::new(panic_message(payload.as_ref())),
+                            };
+                            // The arena may be mid-update from the failed
+                            // attempt; retire it (keeping its counters)
+                            // and requeue the batch on a fresh one.
+                            retired.merge(&scratch.stats());
+                            scratch = make_scratch();
+                            if attempt == 0 {
+                                requeued.fetch_add(1, Ordering::Relaxed);
+                            }
+                            if attempt >= opts.retry_budget {
+                                break Err(EngineError::BatchAbandoned {
+                                    batch: b,
+                                    attempts: attempt + 1,
+                                    last_error: failure.message,
+                                });
+                            }
+                            retries.fetch_add(1, Ordering::Relaxed);
+                            attempt += 1;
+                            if abort.load(Ordering::Relaxed) {
+                                break 'batches;
+                            }
+                        };
+                        let failed = outcome.is_err();
+                        if failed {
+                            abort.store(true, Ordering::Relaxed);
+                        }
+                        if tx.send((b, outcome)).is_err() || failed {
+                            break;
+                        }
+                    }
+                    retired.merge(&scratch.stats());
+                    retired
+                })
+            })
+            .collect();
+        drop(tx);
+
+        // Merge strictly in batch order — this is what makes the
+        // accumulator thread-count invariant. Each pass drains every
+        // eligible batch before awaiting the next arrival, so restored
+        // batches (which no worker re-sends) merge first.
+        let mut next_merge = frontier;
+        let mut max_depth = pending.len();
+        let mut writes = 0usize;
+        let mut since_write = 0usize;
+        let mut error: Option<EngineError> = None;
+        loop {
+            while error.is_none() {
+                let Some((acc, x)) = pending.remove(&next_merge) else {
+                    break;
+                };
+                on_merge(&mut master, acc, x);
+                next_merge += 1;
+                let Some(spec) = &opts.checkpoint else {
+                    continue;
+                };
+                since_write += 1;
+                if since_write < spec.every_batches.max(1) {
+                    continue;
+                }
+                since_write = 0;
+                // Cumulative through the frontier; scratch counters are
+                // carried from completed runs only (live worker counters
+                // are not observable mid-run).
+                let snap = Snapshot {
+                    fingerprint: fingerprint.to_owned(),
+                    frontier: next_merge as u64,
+                    summary: master.serialize(),
+                    pending: pending
+                        .iter()
+                        .map(|(b, (acc, _))| PendingBatch {
+                            batch: *b as u64,
+                            summary: acc.serialize(),
+                        })
+                        .collect(),
+                    stats: EngineStats {
+                        trials: (next_merge * batch_trials).min(items) as u64,
+                        batches: next_merge as u64,
+                        threads: threads as u64,
+                        scratch: carried.scratch,
+                        max_reorder_depth: carried.max_reorder_depth,
+                        retries: carried.retries + retries.load(Ordering::Relaxed),
+                        requeued_batches: carried.requeued_batches
+                            + requeued.load(Ordering::Relaxed),
+                    },
+                };
+                // A failed write ends the run, so `writes` also counts
+                // the attempts made before this one.
+                let fault = if faults.fail_checkpoint_write(writes) {
+                    WriteFault::TornTmp
+                } else {
+                    WriteFault::None
+                };
+                error = match snap.save(&spec.path, fault) {
+                    Err(e) => Some(e.into()),
+                    Ok(()) => {
+                        writes += 1;
+                        faults
+                            .should_kill(writes)
+                            .then_some(EngineError::Killed { writes })
+                    }
+                };
+                if error.is_some() {
+                    abort.store(true, Ordering::Relaxed);
+                }
             }
-            let (acc, x) = run_batch(range, scratch, attempt)?;
-            Ok((acc, Some(x)))
-        },
-        |ctx, (acc, x)| {
-            on_merge(&mut master, acc, x);
-            let Some(spec) = &opts.checkpoint else {
-                return Ok(());
+            let Ok((b, outcome)) = rx.recv() else {
+                break;
             };
-            since_write += 1;
-            if since_write < spec.every_batches.max(1) {
-                return Ok(());
+            match outcome {
+                Err(e) => {
+                    // Deterministic report when several batches fail
+                    // around the abort: the lowest batch index wins.
+                    error = Some(match error.take() {
+                        Some(cur) => prefer_error(cur, e),
+                        None => e,
+                    });
+                    abort.store(true, Ordering::Relaxed);
+                }
+                Ok(_) if error.is_some() => {}
+                Ok((acc, x)) => {
+                    pending.insert(b, (acc, Some(x)));
+                    max_depth = max_depth.max(pending.len());
+                }
             }
-            since_write = 0;
-            // Cumulative through the frontier; scratch counters are
-            // carried from completed runs only (live worker counters are
-            // not observable mid-run).
-            let snap = Snapshot {
-                fingerprint: fingerprint.to_owned(),
-                frontier: ctx.batch as u64 + 1,
-                summary: master.serialize(),
-                pending: ctx
-                    .pending
-                    .iter()
-                    .map(|(b, (acc, _))| PendingBatch {
-                        batch: *b as u64,
-                        summary: acc.serialize(),
-                    })
-                    .collect(),
-                stats: EngineStats {
-                    trials: ((ctx.batch + 1) * batch_trials).min(items) as u64,
-                    batches: ctx.batch as u64 + 1,
-                    threads: cfg.threads.max(1) as u64,
-                    scratch: carried.scratch,
-                    max_reorder_depth: carried.max_reorder_depth,
-                    retries: carried.retries + ctx.retries,
-                    requeued_batches: carried.requeued_batches + ctx.requeued_batches,
-                },
-            };
-            let fault = if faults.fail_checkpoint_write(write_attempts) {
-                WriteFault::TornTmp
-            } else {
-                WriteFault::None
-            };
-            write_attempts += 1;
-            snap.save(&spec.path, fault)?;
-            writes += 1;
-            if faults.should_kill(writes) {
-                return Err(EngineError::Killed { writes });
-            }
-            Ok(())
-        },
-    )?;
+        }
+
+        let mut total = carried.scratch;
+        for w in workers {
+            total.merge(&w.join().expect("study worker panicked"));
+        }
+        if error.is_none() {
+            assert!(
+                pending.is_empty() && next_merge == n_batches,
+                "batch stream ended with unmerged batches"
+            );
+        }
+        (total, max_depth, error)
+    });
+
+    if let Some(e) = error {
+        return Err(e);
+    }
     // Whole-study totals: every item is merged by now, including the
     // restored prefix and reorder-buffer batches this run never executed.
-    stats.trials = items as u64;
-    stats.batches = items.div_ceil(batch_trials) as u64;
-    stats.retries += carried.retries;
-    stats.requeued_batches += carried.requeued_batches;
-    stats.scratch.merge(&carried.scratch);
-    stats.max_reorder_depth = stats.max_reorder_depth.max(carried.max_reorder_depth);
+    let stats = EngineStats {
+        trials: items as u64,
+        batches: n_batches as u64,
+        threads: threads as u64,
+        scratch,
+        max_reorder_depth: carried.max_reorder_depth.max(max_reorder_depth as u64),
+        retries: carried.retries + retries.into_inner(),
+        requeued_batches: carried.requeued_batches + requeued.into_inner(),
+    };
     Ok((master, stats))
+}
+
+fn prefer_error(cur: EngineError, new: EngineError) -> EngineError {
+    match (&cur, &new) {
+        (
+            EngineError::BatchAbandoned { batch: a, .. },
+            EngineError::BatchAbandoned { batch: b, .. },
+        ) if b < a => new,
+        _ => cur,
+    }
 }
 
 /// Rebuilds a checkpointed accumulator.

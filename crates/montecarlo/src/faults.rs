@@ -2,8 +2,8 @@
 //!
 //! A [`FaultPlan`] scripts exactly where a run misbehaves: panic or fail
 //! at trial `N`, at batch `K`, or at checkpoint write `M`, a fixed number
-//! of times. The batch engine itself contains no injection logic —
-//! [`stream_study`](crate::engine::stream_study) consults the batch,
+//! of times. Two places consult a plan:
+//! [`stream_study`](crate::engine::stream_study) the batch,
 //! checkpoint-write and kill failpoints, and each study's per-batch fold
 //! the per-trial ones — so production runs pay nothing and tests can
 //! drive every retry/requeue/abandon path on demand.

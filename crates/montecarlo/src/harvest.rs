@@ -9,12 +9,13 @@
 //! [`HarvestRecord`] per trial — the `(workload features, schedule
 //! features) → Shapley share` rows the surrogate ridge model trains on.
 //!
-//! Harvests stream through the same batched engine as the studies, with
-//! no checkpoint and no retry budget: workers fan out over batches with
-//! per-worker scratch arenas, and records are observed strictly in trial
-//! order on the merge thread. The emitted JSONL is therefore
-//! **byte-identical at any thread count** — the property the
-//! `--dump-trials` harness and its 1/2/8-thread invariance test pin.
+//! Harvests stream through [`stream_study`], the batch engine every
+//! study runs through, with no checkpoint and no retry budget: workers
+//! fan out over batches with per-worker scratch arenas, and records are
+//! observed strictly in trial order on the merge thread. The emitted
+//! JSONL is therefore **byte-identical at any thread count** — the
+//! property the `--dump-trials` harness and its 1/2/8-thread invariance
+//! test pin.
 
 use std::io::{self, BufRead, Write};
 
@@ -27,7 +28,8 @@ use fairco2_shapley::surrogate::{
     player_features_into, SurrogateModel, SurrogateScratch, SurrogateTrainer, SURROGATE_FEATURES,
 };
 
-use crate::engine::{stream_batches_resumable, EngineStats};
+use crate::checkpoint::fingerprint;
+use crate::engine::{stream_study, EngineConfig, EngineStats, StudyOptions};
 use crate::schedules::DemandStudy;
 use crate::scratch::{EngineScratch, ScratchStats, TrialScratch};
 
@@ -135,6 +137,10 @@ pub fn harvest_demand_trial(
 /// trial order** (the engine's in-order merge makes the observed stream
 /// thread-count invariant). Returns the engine stats.
 ///
+/// The harvest runs through [`stream_study`] with no checkpoint and no
+/// retry budget: a record count is its accumulator, and the records
+/// themselves ride beside it as per-batch output.
+///
 /// # Panics
 ///
 /// Propagates a panicking trial as a panic whose message contains
@@ -145,24 +151,31 @@ pub fn harvest_demand_study_with(
     batch_trials: usize,
     mut on_record: impl FnMut(&HarvestRecord),
 ) -> EngineStats {
-    stream_batches_resumable(
-        study.trials,
+    let cfg = EngineConfig {
         threads,
         batch_trials,
-        0,
-        None,
+        collect_trials: false,
+    };
+    let (_, stats) = stream_study(
+        study.trials,
+        &fingerprint("harvest", study, batch_trials),
+        cfg,
+        &StudyOptions::default(),
+        0u64,
         || HarvestScratch::for_study(study),
         |range, scratch: &mut HarvestScratch, _attempt| {
-            Ok(range
+            let records: Vec<_> = range
                 .map(|t| harvest_demand_trial(study, t, scratch))
-                .collect::<Vec<_>>())
+                .collect();
+            Ok((records.len() as u64, records))
         },
-        |_ctx, records: Vec<HarvestRecord>| {
-            records.iter().for_each(&mut on_record);
-            Ok(())
+        |count, n, records| {
+            *count += n;
+            records.iter().flatten().for_each(&mut on_record);
         },
     )
-    .unwrap_or_else(|e| panic!("study worker panicked: {e}"))
+    .unwrap_or_else(|e| panic!("study worker panicked: {e}"));
+    stats
 }
 
 /// What a JSONL harvest did.
@@ -274,6 +287,9 @@ mod tests {
         let mut seen = Vec::new();
         let stats = harvest_demand_study_with(&study, 3, 4, |r| seen.push(r.clone()));
         assert_eq!(stats.trials, study.trials as u64);
+        assert_eq!(stats.batches, 6);
+        assert_eq!(stats.retries, 0);
+        assert_eq!(stats.scratch.trials, 23);
         assert_eq!(seen.len(), study.trials);
         for (k, r) in seen.iter().enumerate() {
             assert_eq!(r.trial, k);
@@ -284,6 +300,18 @@ mod tests {
             let total: f64 = r.shares.iter().sum();
             assert!((total - 1.0).abs() < 1e-9, "share sum {total}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "study worker panicked")]
+    fn panicking_trials_surface_as_a_worker_panic() {
+        // Inverted time-slice bounds fail every trial's generator assert.
+        let study = DemandStudy {
+            min_time_slices: 5,
+            max_time_slices: 4,
+            ..small_study()
+        };
+        harvest_demand_study_with(&study, 2, 4, |_| {});
     }
 
     #[test]

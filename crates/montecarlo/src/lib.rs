@@ -31,12 +31,14 @@
 //!   collect-then-summarize path at any thread count. Studies can also
 //!   attach a streaming per-trial sink (the `--dump-trials` JSONL path)
 //!   that observes every trial in trial order without `O(trials)` memory.
-//!   [`stream_study`] is the one resumable entry point: every study, including
-//!   the Azure-scale co-simulation in `fairco2-bench`, checkpoints and
-//!   resumes through it with one [`Snapshot`] type;
+//!   [`stream_study`] is the one batch engine: it schedules, retries,
+//!   reorders, merges and checkpoints the batches of these studies, of
+//!   the harvest below and of the Azure-scale co-simulation in
+//!   `fairco2-bench`, with one [`Snapshot`] type for every checkpoint;
 //! * [`harvest`] — the surrogate training-set pipeline: replays each
 //!   trial's schedule into `(workload features, exact Shapley share)`
-//!   rows and streams them to JSONL, byte-identical at any thread count.
+//!   rows and streams them through [`stream_study`] to JSONL,
+//!   byte-identical at any thread count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,7 +8,7 @@
 //! corrupted, or from another study is rejected with a typed error before
 //! any state is applied; and the on-disk format does not move.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use fairco2_montecarlo::checkpoint::{fingerprint, PendingBatch};
@@ -562,6 +562,60 @@ fn fingerprints_match_the_established_format() {
         fingerprint("colocation", &colocation, 4),
         "6c2d62423d34678e"
     );
+}
+
+/// The digest recorded in the checkpoint envelope at `path`. It covers
+/// the whole payload, so equal digests mean equal snapshots.
+fn envelope_digest(path: &Path) -> String {
+    let text = std::fs::read_to_string(path).expect("checkpoint written");
+    let marker = "\"digest\":\"";
+    let at = text.find(marker).expect("digest field") + marker.len();
+    text[at..at + 16].to_owned()
+}
+
+/// Checkpoints every 3 merges of a 40-trial study in batches of 4 at one
+/// thread; the last snapshot lands at frontier 9.
+fn every_third_merge(name: &str) -> (PathBuf, StudyOptions) {
+    let path = tmp(name);
+    let _ = std::fs::remove_file(&path);
+    let opts = StudyOptions {
+        checkpoint: Some(CheckpointSpec::new(&path, 3)),
+        ..StudyOptions::default()
+    };
+    (path, opts)
+}
+
+/// Whole-snapshot pin: the bytes `fig7 --trials 40 --batch 4 --threads 1
+/// --checkpoint-every 3` writes. A snapshot cut after the wrong batch, or
+/// with other stats, parked batches or summary bits, moves the digest.
+#[test]
+fn demand_snapshot_matches_the_established_digest() {
+    let study = DemandStudy {
+        trials: 40,
+        ..DemandStudy::default()
+    };
+    let (path, opts) = every_third_merge("demand-digest");
+    stream_demand_study_resumable(&study, cfg(1, 4), &opts, |_, _| {}).expect("fault-free run");
+    let snap = Snapshot::load(&path, &fingerprint("demand", &study, 4)).expect("valid");
+    assert_eq!(snap.frontier, 9);
+    assert_eq!(envelope_digest(&path), "1efbf037ca400178");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The colocation counterpart of
+/// [`demand_snapshot_matches_the_established_digest`] (`fig8`).
+#[test]
+fn colocation_snapshot_matches_the_established_digest() {
+    let study = ColocationStudy {
+        trials: 40,
+        ..ColocationStudy::default()
+    };
+    let (path, opts) = every_third_merge("colocation-digest");
+    stream_colocation_study_resumable(&study, cfg(1, 4), &opts, |_, _| {}).expect("fault-free run");
+    let snap = Snapshot::load(&path, &fingerprint("colocation", &study, 4)).expect("valid");
+    assert_eq!(snap.frontier, 9);
+    assert_eq!(envelope_digest(&path), "92fd91524d17214a");
+    let _ = std::fs::remove_file(&path);
 }
 
 /// The payload keeps its key order and embeds each accumulator's own

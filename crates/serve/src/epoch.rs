@@ -24,7 +24,7 @@ use std::sync::{Arc, OnceLock};
 
 use fairco2_shapley::cascade::first_sample_at_or_after;
 use fairco2_shapley::incremental::WindowAttribution;
-use fairco2_shapley::{run_parallel, BillingQuery};
+use fairco2_shapley::BillingQuery;
 
 /// One closed window inside an epoch: the frozen attribution plus the
 /// segmented-prefix offset of everything before it.
@@ -193,25 +193,6 @@ impl EpochSnapshot {
     /// Answers a batch in order, appending to `out`.
     pub fn carbon_batch_into(&self, queries: &[BillingQuery], out: &mut Vec<f64>) {
         out.extend(queries.iter().map(|&q| self.carbon(q)));
-    }
-
-    /// Answers a batch sharded over `threads` worker threads with an
-    /// in-order merge. Each query is independent, so the answers are
-    /// bit-identical to [`EpochSnapshot::carbon_batch_into`] at any
-    /// thread count.
-    pub fn carbon_batch_sharded(&self, queries: &[BillingQuery], threads: usize) -> Vec<f64> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let threads = threads.clamp(1, queries.len());
-        let chunk_len = queries.len().div_ceil(threads);
-        let chunks: Vec<&[BillingQuery]> = queries.chunks(chunk_len).collect();
-        let per_chunk = run_parallel(chunks.len(), threads, |c| {
-            let mut out = Vec::with_capacity(chunks[c].len());
-            self.carbon_batch_into(chunks[c], &mut out);
-            out
-        });
-        per_chunk.into_iter().flatten().collect()
     }
 }
 

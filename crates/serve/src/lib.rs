@@ -18,8 +18,8 @@
 //! * [`epoch`] — the read side: [`EpochSnapshot`] answers billing
 //!   queries over a segmented carbon prefix, bit-identical to a
 //!   from-scratch rebuild of the same windows at any thread count;
-//!   batches shard over `run_parallel` worker threads with an in-order
-//!   merge.
+//!   a batch is answered in order, each answer bit-identical to its
+//!   single-query lookup.
 //! * [`load`] — the deterministic ingest + query load harness behind
 //!   the `serve` binary.
 //!

@@ -257,8 +257,10 @@ fn bad_samples_are_rejected_without_disturbing_later_epochs() {
     assert_eq!(dirty_handle.ingested(), 3 * w);
 }
 
+/// A batch answers each query through the same lookup as a single
+/// query, appending after what the buffer already holds.
 #[test]
-fn sharded_batches_are_bit_identical_at_any_thread_count() {
+fn batch_answers_equal_single_queries_bitwise() {
     let config = test_config(vec![4, 3], 2);
     let w = config.window_samples() as u64;
     let seed = 23;
@@ -270,20 +272,19 @@ fn sharded_batches_are_bit_identical_at_any_thread_count() {
     let epoch = handle.epoch();
     let queries = query_mix(&config, 4, 99);
 
-    let mut sequential = Vec::new();
-    epoch.carbon_batch_into(&queries, &mut sequential);
-    for threads in [1, 2, 3, 8, 64] {
-        let sharded = epoch.carbon_batch_sharded(&queries, threads);
-        assert_eq!(sharded.len(), sequential.len());
-        for (i, (s, r)) in sharded.iter().zip(&sequential).enumerate() {
-            assert_eq!(
-                s.to_bits(),
-                r.to_bits(),
-                "query {i} diverged at {threads} threads"
-            );
-        }
+    let mut answers = vec![-1.0];
+    epoch.carbon_batch_into(&queries, &mut answers);
+    assert_eq!(answers.len(), queries.len() + 1);
+    assert_eq!(answers[0].to_bits(), (-1.0f64).to_bits());
+    for (i, (&q, a)) in queries.iter().zip(&answers[1..]).enumerate() {
+        assert_eq!(a.to_bits(), epoch.carbon(q).to_bits(), "query {i} diverged");
     }
-    assert!(epoch.carbon_batch_sharded(&[], 4).is_empty());
+    assert!(
+        answers[1..].iter().any(|&a| a > 0.0),
+        "no query charged carbon"
+    );
+    epoch.carbon_batch_into(&[], &mut answers);
+    assert_eq!(answers.len(), queries.len() + 1);
 }
 
 /// The concurrency pin: tenants query *while* the writer ingests, every
