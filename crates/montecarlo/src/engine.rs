@@ -372,7 +372,8 @@ where
         // eligible batch before awaiting the next arrival, so restored
         // batches (which no worker re-sends) merge first.
         let mut next_merge = frontier;
-        let mut max_depth = pending.len();
+        // Restored batches above the frontier wait for an earlier one.
+        let mut max_depth = pending.range(frontier + 1..).count();
         let mut writes = 0usize;
         let mut since_write = 0usize;
         let mut error: Option<EngineError> = None;
@@ -452,7 +453,11 @@ where
                 Ok(_) if error.is_some() => {}
                 Ok((acc, x)) => {
                     pending.insert(b, (acc, Some(x)));
-                    max_depth = max_depth.max(pending.len());
+                    // Only an arrival ahead of order waits in the buffer;
+                    // the next batch in order merges at once.
+                    if b != next_merge {
+                        max_depth = max_depth.max(pending.len());
+                    }
                 }
             }
         }
@@ -737,6 +742,7 @@ pub fn stream_colocation_study(
 mod tests {
     use super::*;
     use crate::faults::{BatchFault, FaultKind};
+    use crate::scratch::NoScratch;
 
     fn small_demand() -> DemandStudy {
         DemandStudy {
@@ -863,5 +869,48 @@ mod tests {
         // The failed attempt's arena was retired and a fresh one grown:
         // two table grows on a single worker instead of one.
         assert_eq!(stats.scratch.table_grows, 2);
+    }
+
+    /// Runs `batches` one-item batches through [`stream_study`]; batch 0
+    /// does not finish until the last batch has started.
+    fn reorder_depth(threads: usize, batches: usize) -> u64 {
+        let last_started = AtomicBool::new(false);
+        let cfg = EngineConfig {
+            threads,
+            batch_trials: 1,
+            collect_trials: false,
+        };
+        let (merged, stats) = stream_study(
+            batches,
+            "reorder-depth",
+            cfg,
+            &StudyOptions::default(),
+            Vec::new(),
+            || NoScratch,
+            |items, _, _| {
+                if items.start + 1 == batches {
+                    last_started.store(true, Ordering::Release);
+                } else if items.start == 0 && threads > 1 {
+                    while !last_started.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                }
+                Ok((vec![items.start], ()))
+            },
+            |merged: &mut Vec<usize>, batch, _| merged.extend(batch),
+        )
+        .expect("fault-free run");
+        assert_eq!(merged, (0..batches).collect::<Vec<_>>());
+        stats.max_reorder_depth
+    }
+
+    #[test]
+    fn reorder_depth_counts_only_batches_that_waited() {
+        // One worker delivers every batch in order: none ever waits.
+        assert_eq!(reorder_depth(1, 3), 0);
+        // Batch 1 is sent before batch 0 finishes, so it waits; batch 2
+        // may wait too. Batch 0 never does.
+        let depth = reorder_depth(2, 3);
+        assert!((1..=2).contains(&depth), "depth {depth}");
     }
 }

@@ -22,20 +22,21 @@ use crate::parallel::run_parallel;
 
 /// Hard cap on exact enumeration. The cap is on time, not memory: a solve
 /// holds one block buffer and, on the parallel path, one small φ partial
-/// per block, while serial time doubles with every player. A 9-slice
-/// peak-demand game took 0.13–0.18 s serially at 22 players and 0.43 s
-/// at 24 on a 2-core shared host.
+/// per block, while serial time doubles with every player. Study
+/// schedules of 8–9 slices took 23–37 ms serially at 22 players and
+/// 0.08–0.14 s at 24 on a 2-core shared host.
 pub const MAX_EXACT_PLAYERS: usize = 24;
 
 /// Masks per [`Game::fill_values`] call, and per φ partial. Blocks are
 /// aligned and fixed, so their boundaries never depend on the thread
 /// count: serial and parallel solvers make the same calls and fold the
-/// same partials, and a game whose fill chains work within a block (the
-/// peak-demand game's Gray walk, the LP game's warm starts) gives both
-/// the same values. Small enough that an 11-player game splits into 8
-/// blocks for the workers and a block's values fit on the stack; large
+/// same partials, and a game whose fill shares work within a block (the
+/// peak-demand game's subset-sum table, the LP game's warm starts) gives
+/// both the same values. Small enough that an 11-player game splits into
+/// 8 blocks for the workers and a block's values fit on the stack; large
 /// enough that a block's setup (the LP game's one cold solve, the
-/// peak-demand game's high-bit toggles) is a small share of its work.
+/// peak-demand game's per-step sums of the fixed high players) is a
+/// small share of its work.
 pub const FILL_BLOCK_MASKS: u64 = 1 << 8;
 
 /// Error from the exact solver.
@@ -221,10 +222,11 @@ fn check_size<G: Game>(game: &G) -> Result<usize, ExactError> {
 /// φᵢ = Σ_{T∋i} (w[|T|−1] + w[|T|])·v(T)  −  Σ_T w[|T|]·v(T)
 /// ```
 ///
-/// with `w[n] ≔ 0`: each value is loaded once and scattered to the φ
-/// slots of the coalition's members (`popcount` adds per mask, `n·2ⁿ⁻¹`
-/// total — half the marginal loop's work), and the player-independent
-/// correction `Σ w[|T|]·v(T)` is subtracted once at the end.
+/// with `w[n] ≔ 0`: each value is loaded once, weighted, and added to
+/// the φ chains of the coalition's members (at most `n·2ⁿ⁻¹` adds — half
+/// the marginal loop's work — since a block's fixed high players share
+/// one chain), and the player-independent correction `Σ w[|T|]·v(T)` is
+/// subtracted once at the end.
 ///
 /// # Panics
 ///
@@ -306,28 +308,80 @@ impl Scatter {
     }
 
     /// Fills block `b` through `fill` into a stack buffer and scatters it
-    /// into a fresh partial: one serial chain per φ slot, each value
-    /// added to the slot of every member of its coalition.
+    /// into a fresh partial: one serial chain per φ slot, each adding
+    /// `coeff[|T|]·v(T)` over the block's masks `T` that hold the slot's
+    /// player, in ascending mask order.
+    ///
+    /// Every mask of the block holds its high players, so their slots
+    /// share one chain over all the block's terms. Each low player's
+    /// chain runs over the half of the masks that hold its bit, and the
+    /// [`MEMBER_MASKS`] table interleaves the low chains so they overlap.
     fn block(&self, b: u64, fill: impl FnOnce(u64, &mut [f64])) -> Partial {
         let first = b * FILL_BLOCK_MASKS;
-        let mut values = [0.0f64; FILL_BLOCK_MASKS as usize];
-        let values = &mut values[..self.block_len];
-        fill(first, values);
-        let mut phi = [0.0f64; MAX_EXACT_PLAYERS];
+        let mut terms = [0.0f64; FILL_BLOCK_MASKS as usize];
+        fill(first, &mut terms[..self.block_len]);
+        let high = first.count_ones() as usize;
         let mut correction = 0.0;
-        for (mask, &v) in (first..).zip(values.iter()) {
-            let k = mask.count_ones() as usize;
-            correction += self.wc[k] * v;
-            let cv = self.coeff[k] * v;
-            let mut members = mask;
-            while members != 0 {
-                phi[members.trailing_zeros() as usize] += cv;
-                members &= members - 1;
+        let mut shared = 0.0;
+        for (&members, t) in POPCOUNT.iter().zip(&mut terms[..self.block_len]) {
+            let k = high + members as usize;
+            correction += self.wc[k] * *t;
+            *t *= self.coeff[k];
+            shared += *t;
+        }
+        // Masks past a short block hold zeros, so the lanes of players
+        // the game does not have add zeros and are dropped below.
+        let mut lanes = [0.0f64; BLOCK_PLAYERS];
+        for masks in &MEMBER_MASKS[..self.block_len / 2] {
+            for (lane, &m) in lanes.iter_mut().zip(masks) {
+                *lane += terms[m as usize];
             }
+        }
+        let low = self.block_len.trailing_zeros() as usize;
+        let mut phi = [0.0f64; MAX_EXACT_PLAYERS];
+        phi[..low].copy_from_slice(&lanes[..low]);
+        let mut members = first;
+        while members != 0 {
+            phi[members.trailing_zeros() as usize] = shared;
+            members &= members - 1;
         }
         (phi, correction)
     }
 }
+
+/// Players a [`FILL_BLOCK_MASKS`] block enumerates: the low bits of its
+/// masks. The rest of a block's mask bits are fixed.
+pub(crate) const BLOCK_PLAYERS: usize = FILL_BLOCK_MASKS.trailing_zeros() as usize;
+
+/// `POPCOUNT[m]`: the members of block mask `m`. A table, because the
+/// baseline x86-64 target has no `popcnt` instruction.
+const POPCOUNT: [u8; FILL_BLOCK_MASKS as usize] = {
+    let mut table = [0u8; FILL_BLOCK_MASKS as usize];
+    let mut m = 0;
+    while m < table.len() {
+        table[m] = m.count_ones() as u8;
+        m += 1;
+    }
+    table
+};
+
+/// `MEMBER_MASKS[i][j]`: the `i`-th block mask, in ascending order, that
+/// holds low player `j`. The first `2ᵏ⁻¹` rows hold, for each `j < k`,
+/// exactly the masks below `2ᵏ`.
+const MEMBER_MASKS: [[u8; BLOCK_PLAYERS]; FILL_BLOCK_MASKS as usize / 2] = {
+    let mut table = [[0u8; BLOCK_PLAYERS]; FILL_BLOCK_MASKS as usize / 2];
+    let mut i = 0;
+    while i < table.len() {
+        let mut j = 0;
+        while j < BLOCK_PLAYERS {
+            let below = i & ((1 << j) - 1);
+            table[i][j] = ((i - below) << 1 | 1 << j | below) as u8;
+            j += 1;
+        }
+        i += 1;
+    }
+    table
+};
 
 #[cfg(test)]
 mod tests {
@@ -367,10 +421,10 @@ mod tests {
         assert!((total - grand).abs() < 1e-9, "Σφ={total} v(N)={grand}");
     }
 
-    /// The peak-demand game's Gray-walk fill against per-mask `value()`
+    /// The peak-demand game's table fill against per-mask `value()`
     /// through the [`Replay`] adapter.
     #[test]
-    fn fast_gray_code_solver_matches_plain() {
+    fn table_fill_solver_matches_plain() {
         let g = PeakDemandGame::new(vec![
             vec![4.0, 1.0, 0.0],
             vec![1.0, 4.0, 2.0],
@@ -378,10 +432,10 @@ mod tests {
             vec![0.0, 3.0, 1.0],
             vec![2.5, 0.5, 3.5],
         ]);
-        let gray = exact_shapley(&g).unwrap();
+        let fill = exact_shapley(&g).unwrap();
         let plain = exact_shapley(&Replay(g.clone())).unwrap();
         let scale = g.value(&Coalition::grand(5));
-        for (a, b) in plain.iter().zip(&gray) {
+        for (a, b) in plain.iter().zip(&fill) {
             assert!((a - b).abs() <= 1e-12 * scale, "{a} vs {b}");
         }
     }
@@ -491,6 +545,50 @@ mod tests {
                     (want - got).abs() <= 1e-11 * scale,
                     "n={n} phi[{i}]: marginal sum {want} vs scatter {got}"
                 );
+            }
+        }
+    }
+
+    /// The textbook per-member scatter: each block term added to the
+    /// slot of every member of its coalition, mask by mask.
+    fn per_member_block(scatter: &Scatter, b: u64, table: &[f64]) -> Partial {
+        let first = b * FILL_BLOCK_MASKS;
+        let mut phi = [0.0f64; MAX_EXACT_PLAYERS];
+        let mut correction = 0.0;
+        for (mask, &v) in (first..).zip(&table[first as usize..][..scatter.block_len]) {
+            let k = mask.count_ones() as usize;
+            correction += scatter.wc[k] * v;
+            let cv = scatter.coeff[k] * v;
+            let mut members = mask;
+            while members != 0 {
+                phi[members.trailing_zeros() as usize] += cv;
+                members &= members - 1;
+            }
+        }
+        (phi, correction)
+    }
+
+    /// The chained block scatter runs the per-member scatter's chains in
+    /// the same order, so every partial equals it bit for bit on signed
+    /// values — below one block, at one, and across several.
+    #[test]
+    fn block_scatter_matches_the_per_member_oracle_bitwise() {
+        for n in [1usize, 5, 7, 8, 9, 12, 17] {
+            let table = hash_table(n, 3 + n as u64);
+            let scatter = Scatter::new(n);
+            for b in 0..scatter.blocks {
+                let (phi, correction) = scatter.block(b, |first, out| {
+                    out.copy_from_slice(&table[first as usize..][..out.len()]);
+                });
+                let (want, want_correction) = per_member_block(&scatter, b, &table);
+                assert_eq!(
+                    correction.to_bits(),
+                    want_correction.to_bits(),
+                    "n={n} b={b}"
+                );
+                for (p, (got, want)) in phi.iter().zip(&want).enumerate().take(n) {
+                    assert_eq!(got.to_bits(), want.to_bits(), "n={n} b={b} phi[{p}]");
+                }
             }
         }
     }

@@ -1,9 +1,12 @@
 //! The characteristic-function interface and reference games.
 
+use std::collections::HashMap;
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use crate::coalition::Coalition;
-use crate::exact::FILL_BLOCK_MASKS;
+use crate::exact::BLOCK_PLAYERS;
 
 /// A cooperative game: a set of players and a characteristic function
 /// assigning a cost (here: carbon) to every coalition.
@@ -22,7 +25,7 @@ pub trait Game {
     /// Fills `out[i]` with the value of the coalition whose membership
     /// bitmask is `first_mask + i` — the only way the exact solvers read
     /// a game: they call it once per fixed, aligned
-    /// [`FILL_BLOCK_MASKS`] block.
+    /// [`FILL_BLOCK_MASKS`](crate::exact::FILL_BLOCK_MASKS) block.
     ///
     /// The default evaluates [`value`](Game::value) mask by mask through
     /// one reused [`Coalition`]. Games that can share work between
@@ -194,6 +197,63 @@ pub struct PeakDemandGame {
     /// steps a player actually occupies.
     support: Vec<Vec<(u32, f64)>>,
     steps: usize,
+    /// The low players' subset sums, built by the first
+    /// [`Game::fill_values`] call, so games that are only sampled or
+    /// served never pay for them.
+    low_sums: OnceLock<LowSums>,
+}
+
+/// Subset sums of a peak-demand game's *low* players — the
+/// `low = min(n, 8)` players a fill block enumerates — with one
+/// `2^low`-entry column per distinct column of their demands. Steps no
+/// low player touches get no column, so the table is bounded by the
+/// distinct columns, not by the horizon.
+#[derive(Debug, Clone)]
+struct LowSums {
+    /// Number of low players.
+    low: usize,
+    /// `column[t]`: the column step `t` reads, or `None` where no low
+    /// player has demand.
+    column: Vec<Option<u32>>,
+    /// Column `g` is `sums[g << low..][..1 << low]`; its entry `m` sums
+    /// the demands of the low players in `m` in ascending player order.
+    sums: Vec<f64>,
+}
+
+impl LowSums {
+    fn new(demand: &[Vec<f64>], steps: usize) -> Self {
+        let low = demand.len().min(BLOCK_PLAYERS);
+        let rows = &demand[..low];
+        let mut columns = HashMap::new();
+        let mut sums = Vec::new();
+        let column = (0..steps)
+            .map(|t| {
+                if rows.iter().all(|row| row[t] == 0.0) {
+                    return None;
+                }
+                let mut key = [0u64; BLOCK_PLAYERS];
+                for (k, row) in key.iter_mut().zip(rows) {
+                    *k = row[t].to_bits();
+                }
+                let next = columns.len() as u32;
+                Some(*columns.entry(key).or_insert_with(|| {
+                    // Doubling: the entries with top player `p` are the
+                    // entries below `2ᵖ` plus `p`'s demand.
+                    let start = sums.len();
+                    sums.resize(start + (1 << low), 0.0);
+                    let col = &mut sums[start..];
+                    for (p, row) in rows.iter().enumerate() {
+                        let (lower, upper) = col.split_at_mut(1 << p);
+                        for (u, &l) in upper.iter_mut().zip(lower.iter()) {
+                            *u = l + row[t];
+                        }
+                    }
+                    next
+                }))
+            })
+            .collect();
+        Self { low, column, sums }
+    }
 }
 
 impl PeakDemandGame {
@@ -226,6 +286,7 @@ impl PeakDemandGame {
             demand,
             support,
             steps,
+            low_sums: OnceLock::new(),
         }
     }
 
@@ -239,9 +300,9 @@ impl PeakDemandGame {
         self.steps
     }
 
-    /// Adds `sign ·` `player`'s row to `sums` and returns the new
-    /// `max(0, sums)`, given the old one in `peak`. Only a toggle that
-    /// lowers a slot holding the peak re-scans the array:
+    /// Adds `player`'s row to `sums` and returns the new `max(0, sums)`,
+    /// given the old one in `peak`. Only an insertion that lowers a slot
+    /// holding the peak (a negative demand) re-scans the array:
     ///
     /// * `before < peak` — the peak is at an untouched slot, so it still
     ///   caps them and only `after` can beat it;
@@ -252,13 +313,13 @@ impl PeakDemandGame {
     ///
     /// `max` selects an operand and never rounds, so the result is the
     /// same bits as a full scan of the same sums.
-    fn toggle(&self, sums: &mut [f64], peak: f64, player: usize, sign: f64) -> f64 {
+    fn toggle(&self, sums: &mut [f64], peak: f64, player: usize) -> f64 {
         let mut before = f64::NEG_INFINITY;
         let mut after = f64::NEG_INFINITY;
         for &(t, d) in &self.support[player] {
             let s = &mut sums[t as usize];
             before = before.max(*s);
-            *s += sign * d;
+            *s += d;
             after = after.max(*s);
         }
         if before < peak {
@@ -268,6 +329,15 @@ impl PeakDemandGame {
         } else {
             sums.iter().copied().fold(0.0, f64::max)
         }
+    }
+}
+
+/// `max(a, b)` as a select, which the table fill's loops vectorize.
+fn select_max(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
     }
 }
 
@@ -285,44 +355,56 @@ impl Game for PeakDemandGame {
         peak
     }
 
-    /// Block-local Gray walk. For each aligned [`FILL_BLOCK_MASKS`] block
-    /// the range touches, the block's fixed high players are toggled in
-    /// from the empty coalition, then the low players are walked in Gray
-    /// order, one toggle per coalition. The state is one flat per-step
-    /// sum array plus the running peak, and a toggle only touches the
-    /// player's nonzero steps.
+    /// Subset-sum table fill. For each aligned
+    /// [`FILL_BLOCK_MASKS`](crate::exact::FILL_BLOCK_MASKS) block the range
+    /// touches, the block's fixed high players are added into per-step
+    /// sums from zero; those sums fold into `floor`, the peak over 0 and
+    /// the steps no low player touches, and one peak per column of the
+    /// low players' subset sums. Entry `m` of the block is then
+    /// `max(floor, max_g(peak_g + column_g[m]))`: one branch-free pass
+    /// over the block per column.
     ///
-    /// The toggle path to a mask depends on the mask alone, so each entry
-    /// is a function of its mask whatever range is asked for. It equals
+    /// Steps that share a column can share one peak, because rounding is
+    /// monotone: `max_t fl(a_t + x) = fl(max_t a_t + x)`. Each entry is a
+    /// function of its mask alone whatever range is asked for. It equals
     /// [`Game::value`] bitwise whenever the sums are exact (integer or
     /// dyadic demands), and to within a few ulps of the largest sum
     /// otherwise.
     fn fill_values(&self, first_mask: u64, out: &mut [f64]) {
+        let table = self
+            .low_sums
+            .get_or_init(|| LowSums::new(&self.demand, self.steps));
+        let block = 1u64 << table.low;
         let end = first_mask + out.len() as u64;
-        let block = 1u64 << self.player_count().min(FILL_BLOCK_MASKS.ilog2() as usize);
         let mut sums = vec![0.0f64; self.steps];
-        let mut store = |mask: u64, peak: f64| {
-            if (first_mask..end).contains(&mask) {
-                out[(mask - first_mask) as usize] = peak;
-            }
-        };
+        let mut peaks = vec![0.0f64; table.sums.len() >> table.low];
         let mut high = first_mask - first_mask % block;
         while high < end {
             sums.fill(0.0);
-            let mut peak = 0.0;
             let mut players = high;
             while players != 0 {
-                peak = self.toggle(&mut sums, peak, players.trailing_zeros() as usize, 1.0);
+                for &(t, d) in &self.support[players.trailing_zeros() as usize] {
+                    sums[t as usize] += d;
+                }
                 players &= players - 1;
             }
-            let mut mask = high;
-            store(mask, peak);
-            for k in 1..block {
-                let bit = k & k.wrapping_neg();
-                let sign = if mask & bit == 0 { 1.0 } else { -1.0 };
-                mask ^= bit;
-                peak = self.toggle(&mut sums, peak, bit.trailing_zeros() as usize, sign);
-                store(mask, peak);
+            let mut floor = 0.0;
+            peaks.fill(f64::NEG_INFINITY);
+            for (&s, column) in sums.iter().zip(&table.column) {
+                let peak = match column {
+                    Some(g) => &mut peaks[*g as usize],
+                    None => &mut floor,
+                };
+                *peak = select_max(s, *peak);
+            }
+            let lo = (first_mask.max(high) - high) as usize;
+            let hi = (end.min(high + block) - high) as usize;
+            let slots = &mut out[(high + lo as u64 - first_mask) as usize..][..hi - lo];
+            slots.fill(floor);
+            for (&peak, column) in peaks.iter().zip(table.sums.chunks_exact(block as usize)) {
+                for (slot, &c) in slots.iter_mut().zip(&column[lo..hi]) {
+                    *slot = select_max(peak + c, *slot);
+                }
             }
             high += block;
         }
@@ -330,10 +412,9 @@ impl Game for PeakDemandGame {
 }
 
 impl IncrementalGame for PeakDemandGame {
-    /// The Gray walk's state: flat per-step sums and their running peak.
-    /// An insertion is one `toggle` with sign `+1`, which touches only
-    /// the player's nonzero steps; adding non-negative demand never
-    /// lowers a slot, so it never re-scans.
+    /// Flat per-step sums and their running peak. An insertion is one
+    /// `toggle`, which touches only the player's nonzero steps; adding
+    /// non-negative demand never lowers a slot, so it never re-scans.
     type State = (Vec<f64>, f64);
 
     fn initial_state(&self) -> Self::State {
@@ -346,7 +427,7 @@ impl IncrementalGame for PeakDemandGame {
     }
 
     fn add_player(&self, (sums, peak): &mut Self::State, player: usize) -> f64 {
-        *peak = self.toggle(sums, *peak, player, 1.0);
+        *peak = self.toggle(sums, *peak, player);
         *peak
     }
 }

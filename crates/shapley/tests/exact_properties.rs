@@ -1,16 +1,19 @@
 //! Property tests pinning the exact solvers against each other:
 //!
-//! * the peak-demand game's Gray-walk [`Game::fill_values`] agrees with
-//!   per-mask evaluation through the [`Replay`] adapter within
+//! * the peak-demand game's subset-sum table [`Game::fill_values`] agrees
+//!   with per-mask evaluation through the [`Replay`] adapter within
 //!   1e-12·v(N), on random table games and on random integer and
 //!   real-valued peak-demand games (n ≤ 10);
 //! * the parallel solver ([`parallel_exact_shapley`]) is **bit-identical**
 //!   to the serial one at 1, 2, 3, and 8 threads;
 //! * every [`Game::fill_values`] equals per-mask [`Game::value`] over
-//!   arbitrary mask ranges — bitwise on integer values, within 1e-12·v(N)
-//!   on real-valued demands — a sub-range fill equals the same entries of
-//!   the whole-block fills, and both solvers call the hook on the same
-//!   aligned [`FILL_BLOCK_MASKS`] blocks at any thread count;
+//!   arbitrary mask ranges — bitwise on integer values, signed ones
+//!   included, within 1e-12·v(N) on real-valued demands — on random
+//!   games and on schedule-shaped peak-demand games of up to 12 players
+//!   and 48 steps, whose steps share low-player columns; a sub-range fill
+//!   equals the same entries of the whole-block fills, and both solvers
+//!   call the hook on the same aligned [`FILL_BLOCK_MASKS`] blocks at any
+//!   thread count;
 //! * permutation replay ([`replay_marginals_into`]) through one reused
 //!   state reaches every prefix's [`Game::value`] — bitwise on integer
 //!   demands, within 1e-12·v(N) on real-valued ones — on random
@@ -183,19 +186,32 @@ proptest! {
         peak_pool in prop::collection::vec(0u8..20, 4..32),
         real_pool in prop::collection::vec(0.0f64..50.0, 4..32),
         table_pool in prop::collection::vec(-1000i32..1000, 8..64),
-        start in 0u64..1024,
+        schedule_steps in 1usize..=48,
+        jobs in prop::collection::vec((0usize..48, 0usize..48, -64i8..=64, 0.01f64..50.0), 1..=12),
+        start in 0u64..4096,
         len in 0usize..=1024,
     ) {
-        let size = 1u64 << n;
-        let first = start % size;
-        let len = len.min((size - first) as usize);
+        let range = |n: usize| {
+            let size = 1u64 << n;
+            let first = start % size;
+            (first, len.min((size - first) as usize))
+        };
+        let (first, len) = range(n);
         prop_assert_eq!(fill_mismatch(&peak_game(n, steps, &peak_pool), first, len, 0.0), None);
         prop_assert_eq!(fill_mismatch(&peak_game(n, steps, &real_pool), first, len, 1e-12), None);
         prop_assert_eq!(fill_mismatch(&table_game(n, &table_pool), first, len, 0.0), None);
+        // Contiguous job windows over up to 48 steps: many steps share
+        // one column of the low players' demands, and signed integer
+        // demands make some coalitions' peak the zero floor.
+        let signed = schedule_game(schedule_steps, jobs.iter().map(|&(s, l, d, _)| (s, l, d as f64)));
+        let real = schedule_game(schedule_steps, jobs.iter().map(|&(s, l, _, r)| (s, l, r)));
+        let (first, len) = range(jobs.len());
+        prop_assert_eq!(fill_mismatch(&signed, first, len, 0.0), None);
+        prop_assert_eq!(fill_mismatch(&real, first, len, 1e-12), None);
     }
 
     #[test]
-    fn gray_code_matches_plain_on_random_table_games(
+    fn table_fill_matches_plain_on_random_table_games(
         n in 1usize..=10,
         pool in prop::collection::vec(-1000i32..1000, 8..64),
     ) {
@@ -203,7 +219,7 @@ proptest! {
     }
 
     #[test]
-    fn gray_code_matches_plain_on_random_peak_games(
+    fn table_fill_matches_plain_on_random_peak_games(
         n in 1usize..=10,
         steps in 1usize..=6,
         pool in prop::collection::vec(0u8..20, 4..32),

@@ -46,13 +46,13 @@ proptest! {
     }
 
     #[test]
-    fn gray_code_solver_matches_plain(demand in demand_matrix(7, 3)) {
+    fn table_fill_solver_matches_plain(demand in demand_matrix(7, 3)) {
         let game = PeakDemandGame::new(demand);
         let fast = exact_shapley(&game).unwrap();
         let plain = exact_shapley(&Replay(game.clone())).unwrap();
         let tol = 1e-12 * game.value(&Coalition::grand(7));
         for (a, b) in plain.iter().zip(&fast) {
-            prop_assert!((a - b).abs() <= tol, "per-mask {} vs gray {}", a, b);
+            prop_assert!((a - b).abs() <= tol, "per-mask {} vs fill {}", a, b);
         }
     }
 
