@@ -536,15 +536,23 @@ pub fn run_azure_scale(
         pricing: ResourcePricing::paper_default(0.0),
     };
     let buckets = vm_cfg.buckets() as usize;
+    let batch_buckets = cfg.batch_trials.max(1);
     let hours = study.hours();
+    // A batch folds its VMs into one accumulator in arrival order, and
+    // that order fixes the bits, so each batch of buckets is one engine
+    // item: the engine's batches hold one item each.
     let (master, stats) = stream_study(
-        buckets,
+        buckets.div_ceil(batch_buckets),
         &fingerprint("azure_scale", study, cfg.batch_trials),
-        cfg,
+        EngineConfig {
+            batch_trials: 1,
+            ..cfg
+        },
         opts,
         ScaleAccumulator::new(hours, regions.len(), study.tenants),
         || NoScratch,
-        |range, _scratch, attempt| {
+        |batch, _scratch, attempt| {
+            let range = batch * batch_buckets..((batch + 1) * batch_buckets).min(buckets);
             let mut acc = ScaleAccumulator::new(hours, regions.len(), study.tenants);
             if range.start == 0 {
                 // The horizon-spanning reserved VMs ride with batch 0 so
@@ -568,10 +576,17 @@ pub fn run_azure_scale(
             vm_cfg.for_each_vm_in(lo as u64, range.end as u64, |b, k, vm| {
                 ctx.fold_vm(&mut acc, vm_cfg.vm_tag(b, k), &vm, false);
             });
-            Ok((acc, ()))
+            Ok(acc)
         },
+        |_, mut accs| (accs.pop().expect("a batch holds one item"), ()),
         |master, acc, _| master.merge(&acc),
     )?;
+    // The engine counted batches as its items; the study's trials are
+    // its buckets.
+    let stats = EngineStats {
+        trials: buckets as u64,
+        ..stats
+    };
     Ok(finalize(study, &regions, &master, stats))
 }
 

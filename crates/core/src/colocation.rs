@@ -7,9 +7,10 @@
 //!
 //! * [`GroundTruthMatching`] — the paper's ground truth: the Shapley value
 //!   of the matching game (every counterfactual colocation considered),
-//!   computed exactly in `O(n²)` by
+//!   computed exactly in `O(n²)` from each workload's mean pair cost by
+//!   [`shapley_from_moments`] (the formula
 //!   [`MatchingGame::shapley`](fairco2_shapley::MatchingGame::shapley)
-//!   and normalized to the scenario's actual total.
+//!   evaluates) and normalized to the scenario's actual total.
 //! * [`RupColocation`] — the RUP-Baseline: embodied and static carbon
 //!   proportional to allocation × *observed* (interference-stretched)
 //!   occupancy; dynamic energy proportional to CPU-utilization × time.
@@ -21,10 +22,10 @@
 
 use std::fmt;
 
-use fairco2_shapley::{shapley_from_moments, MatchingGame};
+use fairco2_shapley::shapley_from_moments;
 use fairco2_workloads::history::{full_profile, InterferenceProfile};
 use fairco2_workloads::node::OccupancyModel;
-use fairco2_workloads::{NodeAccounting, WorkloadKind};
+use fairco2_workloads::{NodeAccounting, WorkloadKind, ALL_WORKLOADS};
 
 /// Error from a colocation attribution method.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -254,19 +255,34 @@ impl ColocationAttributor for GroundTruthMatching {
         ctx: &NodeAccounting,
         out: &mut Vec<f64>,
     ) -> Result<(), ColocationError> {
-        let workloads = scenario.workloads();
-        let kinds: Vec<WorkloadKind> = workloads.iter().map(|w| w.kind).collect();
+        let kinds: Vec<WorkloadKind> = scenario.workloads().iter().map(|w| w.kind).collect();
         let isolated: Vec<f64> = kinds.iter().map(|&k| ctx.isolated(k).total()).collect();
+        let index: Vec<usize> = kinds.iter().map(|k| k.index()).collect();
         let n = kinds.len();
-        let mut pair = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let cost = ctx.pair(kinds[i], kinds[j]).total();
-                pair[i][j] = cost;
-                pair[j][i] = cost;
-            }
-        }
-        let phi = MatchingGame::new(isolated, pair).shapley();
+        // A pair's cost depends only on its two kinds, and `pair(a, b)`
+        // totals to the same bits as `pair(b, a)` (commuted additions and
+        // a max), so each kind pair is costed at most once. Each row sum
+        // adds the pair-matrix row in order, 0 on the diagonal, as
+        // `MatchingGame::shapley` does.
+        let mut costs = [[None; ALL_WORKLOADS.len()]; ALL_WORKLOADS.len()];
+        let mean_pair: Vec<f64> = (0..n)
+            .map(|i| {
+                if n == 1 {
+                    return 0.0;
+                }
+                let row: f64 = (0..n)
+                    .map(|j| {
+                        if j == i {
+                            return 0.0;
+                        }
+                        let (lo, hi) = (index[i].min(index[j]), index[i].max(index[j]));
+                        *costs[lo][hi].get_or_insert_with(|| ctx.pair(kinds[i], kinds[j]).total())
+                    })
+                    .sum();
+                row / (n as f64 - 1.0)
+            })
+            .collect();
+        let phi = shapley_from_moments(&isolated, &mean_pair);
         let phi_total: f64 = phi.iter().sum();
         let actual = scenario.carbon(ctx).total();
         out.clear();
@@ -601,6 +617,8 @@ fn split_pools_into(pools: &ScenarioCarbon, fixed_w: &[f64], dyn_w: &[f64], out:
 mod tests {
     use super::*;
     use fairco2_carbon::units::CarbonIntensity;
+    use fairco2_shapley::MatchingGame;
+    use proptest::prelude::*;
     use WorkloadKind::*;
 
     fn ctx() -> NodeAccounting {
@@ -770,6 +788,65 @@ mod tests {
                 workloads: 5
             })
         );
+    }
+
+    /// The ground truth over the full n×n pair matrix, solved by the
+    /// matching game itself: the reference for the kind-pair table.
+    fn pair_matrix_truth(scenario: &ColocationScenario, ctx: &NodeAccounting) -> Vec<f64> {
+        let kinds: Vec<WorkloadKind> = scenario.workloads().iter().map(|w| w.kind).collect();
+        let isolated = kinds.iter().map(|&k| ctx.isolated(k).total()).collect();
+        let n = kinds.len();
+        let mut pair = vec![vec![0.0; n]; n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let cost = ctx.pair(kinds[i], kinds[j]).total();
+                pair[i][j] = cost;
+                pair[j][i] = cost;
+            }
+        }
+        let phi = MatchingGame::new(isolated, pair).shapley();
+        let phi_total: f64 = phi.iter().sum();
+        let actual = scenario.carbon(ctx).total();
+        phi.iter().map(|p| actual * p / phi_total).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Costing each kind pair once gives the pair matrix's shares bit
+        /// for bit: on kind lists of 1–100 workloads with repeats, and on
+        /// explicit placements that pair a kind with itself.
+        #[test]
+        fn kind_pair_table_matches_the_pair_matrix_bitwise(
+            listed in prop::collection::vec(0usize..ALL_WORKLOADS.len(), 1..=100),
+            placed in prop::collection::vec(
+                (0usize..ALL_WORKLOADS.len(), 0usize..ALL_WORKLOADS.len(), 0usize..3),
+                1..=40,
+            ),
+            grid in 0.0f64..=1000.0,
+        ) {
+            let ctx = NodeAccounting::paper_default(CarbonIntensity::from_g_per_kwh(grid));
+            let kinds: Vec<WorkloadKind> = listed.iter().map(|&k| ALL_WORKLOADS[k]).collect();
+            let placements = placed
+                .iter()
+                .map(|&(a, b, shape)| match shape {
+                    0 => NodePlacement::Pair(ALL_WORKLOADS[a], ALL_WORKLOADS[b]),
+                    1 => NodePlacement::Pair(ALL_WORKLOADS[a], ALL_WORKLOADS[a]),
+                    _ => NodePlacement::Isolated(ALL_WORKLOADS[a]),
+                })
+                .collect();
+            for scenario in [
+                ColocationScenario::pair_in_order(&kinds).unwrap(),
+                ColocationScenario::new(placements).unwrap(),
+            ] {
+                let got = GroundTruthMatching.attribute(&scenario, &ctx).unwrap();
+                let want = pair_matrix_truth(&scenario, &ctx);
+                prop_assert_eq!(got.len(), want.len());
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    prop_assert_eq!(g.to_bits(), w.to_bits(), "workload {}: {} vs {}", i, g, w);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,27 +1,33 @@
 //! The streaming Monte Carlo study engine.
 //!
-//! Work is split into fixed-size trial batches (boundaries depend only on
-//! the batch size — never on the thread count). Worker threads pull batch
-//! indices from an atomic counter, run each batch's trials through their
-//! own [`TrialScratch`] arena, and send the batch's summary accumulator
-//! down a channel. The caller's thread reorders arrivals by batch index
-//! and merges them strictly in order, so the merged summary is
-//! bit-identical to the serial
-//! [`DemandStudySummary::from_trials`] fold at any thread count.
+//! Work is split into fixed-size batches of items (batch boundaries
+//! depend only on the batch size — never on the thread count). Workers
+//! share one board of open batches and claim single items from it: the
+//! next unclaimed item of the lowest open batch, or the first item of a
+//! new batch when no open batch has one left. An idle worker therefore
+//! helps finish a heavy batch instead of waiting beside it. Each item
+//! runs through its worker's own [`TrialScratch`] arena; the worker that
+//! finishes a batch's last item folds the batch's outputs, in item
+//! order, into the batch's summary accumulator and sends it down a
+//! channel. The caller's thread reorders arrivals by batch index and
+//! merges them strictly in order, so the merged summary is bit-identical
+//! to the serial [`DemandStudySummary::from_trials`] fold at any thread
+//! count.
 //!
-//! Memory stays `O(threads)`: one scratch arena per worker, plus a
-//! reorder buffer that holds only the batch accumulators that arrived
-//! ahead of order.
+//! Memory stays `O(threads)`: one scratch arena per worker, the item
+//! outputs of the open batches, and a reorder buffer that holds only the
+//! batch accumulators that arrived ahead of order.
 //!
 //! # Fault containment and resume
 //!
-//! A batch that panics or returns an error is caught on the worker,
-//! requeued on a **fresh scratch arena** (the old arena may be mid-update
-//! and is retired, its counters preserved), and retried up to the
-//! configured budget. Retries and requeues are counted in
-//! [`EngineStats`]; a batch that exhausts its budget surfaces as
-//! [`EngineError::BatchAbandoned`] — never a hang, never a silently
-//! short study.
+//! An item that panics or returns an error is caught on its worker,
+//! which retires its **scratch arena** (the arena may be mid-update; its
+//! counters are kept) and goes on with a fresh one. The failed batch
+//! attempt hands out no further items; once its running items end, the
+//! batch is requeued whole and retried up to the configured budget.
+//! Retries and requeues are counted in [`EngineStats`]; a batch that
+//! exhausts its budget surfaces as [`EngineError::BatchAbandoned`] —
+//! never a hang, never a silently short study.
 //!
 //! Because every trial is a pure function of `(study config, trial
 //! index)` and merges happen in strict batch order, the merged prefix is
@@ -29,17 +35,18 @@
 //! snapshots it every K merges; resuming re-runs nothing before the
 //! frontier and is bit-identical to an uninterrupted run.
 //!
-//! [`stream_study`] is the whole engine: one function schedules,
+//! [`stream_study`] is the whole engine: one function schedules items,
 //! retries, reorders and merges every batch, restores and snapshots,
 //! fires failpoints and totals stats. Its callers supply only their
-//! per-batch fold: the demand and colocation studies here, the surrogate
-//! harvest in [`crate::harvest`], and the Azure-scale co-simulation in
-//! `fairco2-bench`.
+//! per-item work and per-batch fold: the demand and colocation studies
+//! here, the surrogate harvest in [`crate::harvest`], and the Azure-scale
+//! co-simulation in `fairco2-bench`.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
+use std::sync::{Mutex, MutexGuard};
 
 use fairco2_shapley::parallel::panic_message;
 use serde::{Deserialize, Serialize, Value};
@@ -58,8 +65,11 @@ use crate::streaming::{ColocationStudySummary, DemandStudySummary, DEFAULT_BATCH
 pub struct EngineConfig {
     /// Worker threads (0 clamps to 1).
     pub threads: usize,
-    /// Trials per batch. Determinism contract: the same batch size always
-    /// produces the same summary bits, at any thread count.
+    /// Trials per batch: the unit the engine folds, merges, retries and
+    /// checkpoints. Workers share the items of open batches, so the size
+    /// does not decide how work spreads over threads. Determinism
+    /// contract: the same batch size always produces the same summary
+    /// bits, at any thread count.
     pub batch_trials: usize,
     /// Also return every per-trial record (the `--dump-trials` path).
     /// Costs `O(trials)` memory; summaries are unaffected.
@@ -97,8 +107,7 @@ pub struct EngineStats {
     /// Failed batch attempts that were re-executed after a panic or
     /// error (fault containment).
     pub retries: u64,
-    /// Distinct batches that failed at least once and were requeued on a
-    /// fresh scratch arena.
+    /// Distinct batches that failed at least once and were requeued.
     pub requeued_batches: u64,
 }
 
@@ -183,8 +192,8 @@ pub struct StudyOptions {
     /// Restore from [`Self::checkpoint`]'s path before running (a
     /// missing file starts fresh; an invalid one is an error).
     pub resume: bool,
-    /// Re-run a failing batch up to this many extra times on a fresh
-    /// scratch arena before abandoning the study.
+    /// Re-run a failing batch up to this many extra times before
+    /// abandoning the study.
     pub retry_budget: u32,
     /// Deterministic failpoints (tests only; default injects nothing).
     pub faults: FaultPlan,
@@ -200,23 +209,30 @@ impl StudyOptions {
     }
 }
 
-/// Runs a resumable study of `items` work items: the one batch engine
-/// behind the demand, colocation and Azure-scale studies and the
-/// surrogate harvest.
+/// Runs a resumable study of `items` work items: the one engine behind
+/// the demand, colocation and Azure-scale studies and the surrogate
+/// harvest.
 ///
 /// Items are cut into batches of [`EngineConfig::batch_trials`] (the
-/// last may be short), and worker threads pull batch indices from a
-/// shared counter. `make_scratch` is called once per worker plus once
-/// per requeue. `run_batch` folds one batch of item indices through the
-/// worker's scratch into a fresh accumulator `A`, plus per-batch output
-/// `X` that is never checkpointed (such as the trials a sink observes).
-/// It receives the 0-based attempt number so per-item failpoints can key
-/// off it, and may fail by panicking or returning a [`BatchFailure`]; a
-/// failed batch is retried on a fresh scratch up to
-/// [`StudyOptions::retry_budget`] times. `on_merge(master, acc, x)`
-/// folds each batch into `master` on the calling thread, strictly in
-/// batch order; batches restored from a snapshot's reorder buffer
-/// arrive with `x = None`.
+/// last may be short). Worker threads claim one item at a time: the next
+/// unclaimed item of the lowest open batch, or the first item of the next
+/// batch once no open batch has one left. `run_item(item, scratch,
+/// attempt)` runs one item through the claiming worker's scratch into an
+/// output `T`. It receives its batch's 0-based attempt number so per-item
+/// failpoints can key off it, and may fail by panicking or returning a
+/// [`BatchFailure`]. `fold(range, outputs)` turns one batch's outputs, in
+/// item order, into a fresh accumulator `A`, plus per-batch output `X`
+/// that is never checkpointed (such as the trials a sink observes). It
+/// runs on the worker that finishes the batch's last item, under the
+/// same panic containment as the items. A failed item or fold fails its
+/// batch attempt, which then hands out no further items; once its
+/// running items end, the batch is rerun whole, up to
+/// [`StudyOptions::retry_budget`] times. `make_scratch` is called once
+/// per worker, plus once per failed item (its worker's arena may be
+/// mid-update) and once per fired batch failpoint (for the worker that
+/// opened the batch). `on_merge(master, acc, x)` folds each batch into
+/// `master` on the calling thread, strictly in batch order; batches
+/// restored from a snapshot's reorder buffer arrive with `x = None`.
 ///
 /// Everything around that fold happens here: restoring from
 /// [`StudyOptions::checkpoint`] when [`StudyOptions::resume`] is set and
@@ -226,7 +242,8 @@ impl StudyOptions {
 /// failpoints), and folding the restored and live stats into
 /// whole-study totals. The merged accumulator is bit-identical at any
 /// thread count and across any checkpoint/resume boundary, because
-/// batch boundaries depend only on [`EngineConfig::batch_trials`].
+/// batch boundaries depend only on [`EngineConfig::batch_trials`] and
+/// every item is a pure function of its index.
 ///
 /// # Errors
 ///
@@ -241,19 +258,21 @@ impl StudyOptions {
 /// outside the study's batches (a snapshot of another study passed
 /// fingerprint validation — a caller bug).
 #[allow(clippy::too_many_arguments)]
-pub fn stream_study<A, X, C>(
+pub fn stream_study<A, X, T, C>(
     items: usize,
     fingerprint: &str,
     cfg: EngineConfig,
     opts: &StudyOptions,
     empty: A,
     make_scratch: impl Fn() -> C + Sync,
-    run_batch: impl Fn(Range<usize>, &mut C, u32) -> Result<(A, X), BatchFailure> + Sync,
+    run_item: impl Fn(usize, &mut C, u32) -> Result<T, BatchFailure> + Sync,
+    fold: impl Fn(Range<usize>, Vec<T>) -> (A, X) + Sync,
     mut on_merge: impl FnMut(&mut A, A, Option<X>),
 ) -> Result<(A, EngineStats), EngineError>
 where
     A: Send + Serialize + Deserialize,
     X: Send,
+    T: Send,
     C: EngineScratch,
 {
     let threads = cfg.threads.max(1);
@@ -291,81 +310,52 @@ where
         );
     }
 
-    let next = AtomicUsize::new(frontier);
-    let abort = AtomicBool::new(false);
-    let retries = AtomicU64::new(0);
-    let requeued = AtomicU64::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, Result<(A, X), EngineError>)>();
+    let board = Board {
+        state: Mutex::new(BoardState {
+            open: Vec::new(),
+            next_batch: frontier,
+        }),
+        items,
+        batch_trials,
+        n_batches,
+        done: &done,
+        opts,
+        abort: AtomicBool::new(false),
+        retries: AtomicU64::new(0),
+        requeued: AtomicU64::new(0),
+    };
+    let (tx, rx) = mpsc::channel::<Arrival<A, X>>();
 
     let (scratch, max_reorder_depth, error) = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
             .map(|_| {
                 let tx = tx.clone();
-                let (next, abort, retries, requeued, done) =
-                    (&next, &abort, &retries, &requeued, &done);
-                let (make_scratch, run_batch) = (&make_scratch, &run_batch);
+                let (board, make_scratch, run_item, fold) =
+                    (&board, &make_scratch, &run_item, &fold);
                 scope.spawn(move || {
-                    let mut scratch = make_scratch();
-                    let mut retired = ScratchStats::default();
-                    'batches: while !abort.load(Ordering::Relaxed) {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= n_batches {
-                            break;
+                    let mut worker = Worker {
+                        board,
+                        scratch: make_scratch(),
+                        retired: ScratchStats::default(),
+                        make_scratch,
+                        tx,
+                    };
+                    while let Some((batch, attempt, item)) = worker.claim() {
+                        let output = contain(|| run_item(item, &mut worker.scratch, attempt));
+                        if output.is_err() {
+                            worker.retire();
                         }
-                        if done.binary_search(&b).is_ok() {
-                            continue;
-                        }
-                        let start = b * batch_trials;
-                        let end = (start + batch_trials).min(items);
-                        let mut attempt = 0u32;
-                        let outcome = loop {
-                            let result =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    if let Some(kind) = faults.batch_fault(b, attempt) {
-                                        FaultPlan::fire(kind, &format!("batch {b}"))?;
-                                    }
-                                    run_batch(start..end, &mut scratch, attempt)
-                                }));
-                            let failure = match result {
-                                Ok(Ok(out)) => break Ok(out),
-                                Ok(Err(f)) => f,
-                                Err(payload) => BatchFailure::new(panic_message(payload.as_ref())),
-                            };
-                            // The arena may be mid-update from the failed
-                            // attempt; retire it (keeping its counters)
-                            // and requeue the batch on a fresh one.
-                            retired.merge(&scratch.stats());
-                            scratch = make_scratch();
-                            if attempt == 0 {
-                                requeued.fetch_add(1, Ordering::Relaxed);
-                            }
-                            if attempt >= opts.retry_budget {
-                                break Err(EngineError::BatchAbandoned {
-                                    batch: b,
-                                    attempts: attempt + 1,
-                                    last_error: failure.message,
-                                });
-                            }
-                            retries.fetch_add(1, Ordering::Relaxed);
-                            attempt += 1;
-                            if abort.load(Ordering::Relaxed) {
-                                break 'batches;
-                            }
-                        };
-                        let failed = outcome.is_err();
-                        if failed {
-                            abort.store(true, Ordering::Relaxed);
-                        }
-                        if tx.send((b, outcome)).is_err() || failed {
-                            break;
+                        if let Some(finished) = worker.finish(batch, item, output) {
+                            worker.fold(finished, fold);
                         }
                     }
-                    retired.merge(&scratch.stats());
-                    retired
+                    worker.retired.merge(&worker.scratch.stats());
+                    worker.retired
                 })
             })
             .collect();
         drop(tx);
+        let abort = &board.abort;
 
         // Merge strictly in batch order — this is what makes the
         // accumulator thread-count invariant. Each pass drains every
@@ -412,9 +402,9 @@ where
                         threads: threads as u64,
                         scratch: carried.scratch,
                         max_reorder_depth: carried.max_reorder_depth,
-                        retries: carried.retries + retries.load(Ordering::Relaxed),
+                        retries: carried.retries + board.retries.load(Ordering::Relaxed),
                         requeued_batches: carried.requeued_batches
-                            + requeued.load(Ordering::Relaxed),
+                            + board.requeued.load(Ordering::Relaxed),
                     },
                 };
                 // A failed write ends the run, so `writes` also counts
@@ -486,10 +476,263 @@ where
         threads: threads as u64,
         scratch,
         max_reorder_depth: carried.max_reorder_depth.max(max_reorder_depth as u64),
-        retries: carried.retries + retries.into_inner(),
-        requeued_batches: carried.requeued_batches + requeued.into_inner(),
+        retries: carried.retries + board.retries.into_inner(),
+        requeued_batches: carried.requeued_batches + board.requeued.into_inner(),
     };
     Ok((master, stats))
+}
+
+/// A finished batch on its way to the merge thread: its index and its
+/// accumulator with per-batch output, or the error that abandoned it.
+type Arrival<A, X> = (usize, Result<(A, X), EngineError>);
+
+/// One attempt of a batch that workers are still running.
+struct OpenBatch<T> {
+    batch: usize,
+    attempt: u32,
+    /// The batch's items.
+    items: Range<usize>,
+    /// The next item no worker has claimed.
+    next: usize,
+    /// Claimed items that have not finished.
+    running: usize,
+    /// The lowest failed item and its failure. Once set, the attempt
+    /// hands out no further items.
+    failure: Option<(usize, BatchFailure)>,
+    /// Finished items' outputs, by position in the batch.
+    outputs: Vec<Option<T>>,
+}
+
+/// The open batch attempts, lowest batch first, and the next batch to
+/// open.
+struct BoardState<T> {
+    open: Vec<OpenBatch<T>>,
+    next_batch: usize,
+}
+
+/// What every worker shares: the board of open batches, the abort flag
+/// and the failure counters.
+struct Board<'a, T> {
+    state: Mutex<BoardState<T>>,
+    items: usize,
+    batch_trials: usize,
+    n_batches: usize,
+    /// Batches restored from a snapshot's reorder buffer, ascending.
+    done: &'a [usize],
+    opts: &'a StudyOptions,
+    abort: AtomicBool,
+    retries: AtomicU64,
+    requeued: AtomicU64,
+}
+
+impl<T> Board<'_, T> {
+    fn lock(&self) -> MutexGuard<'_, BoardState<T>> {
+        // Failpoints fire inside `contain`, and items and folds run with
+        // the lock released.
+        self.state
+            .lock()
+            .expect("no worker panics while holding the board")
+    }
+}
+
+/// One worker: the board it shares, its scratch arena with the counters
+/// of the arenas it retired, and its end of the merge channel.
+struct Worker<'w, T, C, A, X> {
+    board: &'w Board<'w, T>,
+    scratch: C,
+    retired: ScratchStats,
+    make_scratch: &'w (dyn Fn() -> C + Sync),
+    tx: mpsc::Sender<Arrival<A, X>>,
+}
+
+impl<T, C: EngineScratch, A, X> Worker<'_, T, C, A, X> {
+    /// Claims `(batch, attempt, item)`: the next unclaimed item of the
+    /// lowest open batch whose attempt has not failed, opening the next
+    /// batch when no open batch has an item left. `None` once no batch is
+    /// left to open, or the run is aborting.
+    fn claim(&mut self) -> Option<(usize, u32, usize)> {
+        let board = self.board;
+        let mut state = board.lock();
+        loop {
+            if board.abort.load(Ordering::Relaxed) {
+                return None;
+            }
+            if let Some(open) = state
+                .open
+                .iter_mut()
+                .find(|o| o.failure.is_none() && o.next < o.items.end)
+            {
+                let item = open.next;
+                open.next += 1;
+                open.running += 1;
+                return Some((open.batch, open.attempt, item));
+            }
+            let batch = loop {
+                let b = state.next_batch;
+                if b == board.n_batches {
+                    return None;
+                }
+                state.next_batch += 1;
+                if board.done.binary_search(&b).is_err() {
+                    break b;
+                }
+            };
+            self.open(&mut state, batch, 0);
+        }
+    }
+
+    /// Records the outcome of `batch`'s `item`. Returns the batch's
+    /// attempt once this was its last running item and every item
+    /// succeeded: the caller folds it. A failed attempt whose last item
+    /// ended is booked and reopened here.
+    fn finish(
+        &mut self,
+        batch: usize,
+        item: usize,
+        output: Result<T, BatchFailure>,
+    ) -> Option<OpenBatch<T>> {
+        let board = self.board;
+        let mut state = board.lock();
+        let at = state
+            .open
+            .iter()
+            .position(|o| o.batch == batch)
+            .expect("a batch stays open while its items run");
+        let open = &mut state.open[at];
+        open.running -= 1;
+        match output {
+            Ok(out) => open.outputs[item - open.items.start] = Some(out),
+            // Items are claimed in order, so every item below the lowest
+            // failure ran in this attempt: the kept failure is the one a
+            // single worker would have met first.
+            Err(failure) => {
+                if open.failure.as_ref().is_none_or(|(first, _)| item < *first) {
+                    open.failure = Some((item, failure));
+                }
+            }
+        }
+        if open.running > 0 || (open.failure.is_none() && open.next < open.items.end) {
+            return None;
+        }
+        let mut finished = state.open.remove(at);
+        match finished.failure.take() {
+            None => Some(finished),
+            Some((_, failure)) => {
+                self.reopen(&mut state, batch, finished.attempt, failure);
+                None
+            }
+        }
+    }
+
+    /// Folds a finished attempt's outputs and sends the batch to the
+    /// merge thread. A fold that fails fails the attempt.
+    fn fold(&mut self, finished: OpenBatch<T>, fold: &impl Fn(Range<usize>, Vec<T>) -> (A, X)) {
+        let OpenBatch {
+            batch,
+            attempt,
+            items,
+            outputs,
+            ..
+        } = finished;
+        let outputs = outputs
+            .into_iter()
+            .map(|o| o.expect("every item of a finished attempt ran"))
+            .collect();
+        match contain(|| Ok(fold(items, outputs))) {
+            Ok(out) => self.send(batch, Ok(out)),
+            Err(failure) => {
+                let board = self.board;
+                self.reopen(&mut board.lock(), batch, attempt, failure);
+            }
+        }
+    }
+
+    /// Books a failed attempt and opens the batch's next one.
+    fn reopen(
+        &mut self,
+        state: &mut BoardState<T>,
+        batch: usize,
+        attempt: u32,
+        failure: BatchFailure,
+    ) {
+        if let Some(next) = self.book(batch, attempt, failure) {
+            self.open(state, batch, next);
+        }
+    }
+
+    /// Puts `batch` on the board at `attempt`. Its batch failpoints fire
+    /// first: each one fails that attempt, retires this worker's arena,
+    /// and is booked like a failed item.
+    fn open(&mut self, state: &mut BoardState<T>, batch: usize, mut attempt: u32) {
+        let board = self.board;
+        while let Some(kind) = board.opts.faults.batch_fault(batch, attempt) {
+            let failure = contain(|| FaultPlan::fire(kind, &format!("batch {batch}")))
+                .expect_err("a fired failpoint fails");
+            self.retire();
+            match self.book(batch, attempt, failure) {
+                Some(next) => attempt = next,
+                None => return,
+            }
+        }
+        let start = batch * board.batch_trials;
+        let items = start..(start + board.batch_trials).min(board.items);
+        let at = state.open.partition_point(|o| o.batch < batch);
+        state.open.insert(
+            at,
+            OpenBatch {
+                batch,
+                attempt,
+                next: start,
+                running: 0,
+                failure: None,
+                outputs: items.clone().map(|_| None).collect(),
+                items,
+            },
+        );
+    }
+
+    /// Books a failed attempt: the batch's first failure requeues it, a
+    /// failure past the retry budget abandons it (and the run), any other
+    /// is one retry. Returns the next attempt, unless abandoned.
+    fn book(&self, batch: usize, attempt: u32, failure: BatchFailure) -> Option<u32> {
+        let board = self.board;
+        if attempt == 0 {
+            board.requeued.fetch_add(1, Ordering::Relaxed);
+        }
+        if attempt >= board.opts.retry_budget {
+            board.abort.store(true, Ordering::Relaxed);
+            self.send(
+                batch,
+                Err(EngineError::BatchAbandoned {
+                    batch,
+                    attempts: attempt + 1,
+                    last_error: failure.message,
+                }),
+            );
+            return None;
+        }
+        board.retries.fetch_add(1, Ordering::Relaxed);
+        Some(attempt + 1)
+    }
+
+    /// Retires the arena after a failure (it may be mid-update), keeping
+    /// its counters, and goes on with a fresh one.
+    fn retire(&mut self) {
+        self.retired.merge(&self.scratch.stats());
+        self.scratch = (self.make_scratch)();
+    }
+
+    fn send(&self, batch: usize, outcome: Result<(A, X), EngineError>) {
+        self.tx
+            .send((batch, outcome))
+            .expect("the receiver outlives the scope that joins every worker");
+    }
+}
+
+/// Runs `f`, turning a panic into a [`BatchFailure`] carrying its message.
+fn contain<R>(f: impl FnOnce() -> Result<R, BatchFailure>) -> Result<R, BatchFailure> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .unwrap_or_else(|payload| Err(BatchFailure::new(panic_message(payload.as_ref()))))
 }
 
 fn prefer_error(cur: EngineError, new: EngineError) -> EngineError {
@@ -574,20 +817,18 @@ fn demand_study_impl(
         opts,
         DemandStudySummary::empty(study),
         || TrialScratch::for_demand(study),
-        |range, scratch, attempt| {
-            let mut acc = DemandStudySummary::empty(study);
-            let mut kept = Vec::with_capacity(if keep_trials { range.len() } else { 0 });
-            for t in range {
-                if let Some(kind) = opts.faults.trial_fault(t, attempt) {
-                    FaultPlan::fire(kind, &format!("trial {t}"))?;
-                }
-                let trial = study.run_trial_with_scratch(t, scratch);
-                acc.record(&trial);
-                if keep_trials {
-                    kept.push(trial);
-                }
+        |t, scratch, attempt| {
+            if let Some(kind) = opts.faults.trial_fault(t, attempt) {
+                FaultPlan::fire(kind, &format!("trial {t}"))?;
             }
-            Ok((acc, kept))
+            Ok(study.run_trial_with_scratch(t, scratch))
+        },
+        |_, trials| {
+            let mut acc = DemandStudySummary::empty(study);
+            for trial in &trials {
+                acc.record(trial);
+            }
+            (acc, if keep_trials { trials } else { Vec::new() })
         },
         |master, acc, kept| {
             master.merge(&acc);
@@ -670,20 +911,18 @@ fn colocation_study_impl(
         opts,
         ColocationStudySummary::empty(study),
         TrialScratch::new,
-        |range, scratch, attempt| {
-            let mut acc = ColocationStudySummary::empty(study);
-            let mut kept = Vec::with_capacity(if keep_trials { range.len() } else { 0 });
-            for t in range {
-                if let Some(kind) = opts.faults.trial_fault(t, attempt) {
-                    FaultPlan::fire(kind, &format!("trial {t}"))?;
-                }
-                let trial = study.run_trial_with_scratch(t, scratch);
-                acc.record(&trial);
-                if keep_trials {
-                    kept.push(trial);
-                }
+        |t, scratch, attempt| {
+            if let Some(kind) = opts.faults.trial_fault(t, attempt) {
+                FaultPlan::fire(kind, &format!("trial {t}"))?;
             }
-            Ok((acc, kept))
+            Ok(study.run_trial_with_scratch(t, scratch))
+        },
+        |_, trials| {
+            let mut acc = ColocationStudySummary::empty(study);
+            for trial in &trials {
+                acc.record(trial);
+            }
+            (acc, if keep_trials { trials } else { Vec::new() })
         },
         |master, acc, kept| {
             master.merge(&acc);
@@ -743,6 +982,7 @@ mod tests {
     use super::*;
     use crate::faults::{BatchFault, FaultKind};
     use crate::scratch::NoScratch;
+    use std::time::{Duration, Instant};
 
     fn small_demand() -> DemandStudy {
         DemandStudy {
@@ -887,21 +1127,99 @@ mod tests {
             &StudyOptions::default(),
             Vec::new(),
             || NoScratch,
-            |items, _, _| {
-                if items.start + 1 == batches {
+            |item, _, _| {
+                if item + 1 == batches {
                     last_started.store(true, Ordering::Release);
-                } else if items.start == 0 && threads > 1 {
+                } else if item == 0 && threads > 1 {
                     while !last_started.load(Ordering::Acquire) {
                         std::thread::yield_now();
                     }
                 }
-                Ok((vec![items.start], ()))
+                Ok(item)
             },
+            |_, items| (items, ()),
             |merged: &mut Vec<usize>, batch, _| merged.extend(batch),
         )
         .expect("fault-free run");
         assert_eq!(merged, (0..batches).collect::<Vec<_>>());
         stats.max_reorder_depth
+    }
+
+    #[test]
+    fn idle_workers_run_the_items_of_an_open_batch() {
+        // One batch of four items at two threads: item 0 holds its worker
+        // until item 1 has started, which only the other worker can do.
+        let second_started = AtomicBool::new(false);
+        let shared = AtomicBool::new(false);
+        let cfg = EngineConfig {
+            threads: 2,
+            batch_trials: 4,
+            collect_trials: false,
+        };
+        let (merged, stats) = stream_study(
+            4,
+            "work-sharing",
+            cfg,
+            &StudyOptions::default(),
+            Vec::new(),
+            || NoScratch,
+            |item, _, _| {
+                if item == 1 {
+                    second_started.store(true, Ordering::Release);
+                } else if item == 0 {
+                    // Bounded, so a run that never shares fails the
+                    // assertion below instead of hanging.
+                    let deadline = Instant::now() + Duration::from_secs(5);
+                    while !second_started.load(Ordering::Acquire) && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    shared.store(second_started.load(Ordering::Acquire), Ordering::Release);
+                }
+                Ok(item)
+            },
+            |range, items| {
+                assert_eq!(range, 0..4);
+                (items, ())
+            },
+            |merged: &mut Vec<usize>, batch, _| merged.extend(batch),
+        )
+        .expect("fault-free run");
+        assert!(
+            shared.load(Ordering::Acquire),
+            "item 1 did not start while item 0 ran"
+        );
+        assert_eq!(merged, vec![0, 1, 2, 3]);
+        assert_eq!(stats.batches, 1);
+    }
+
+    #[test]
+    fn a_failing_fold_reruns_its_batch() {
+        let failed = AtomicBool::new(false);
+        let cfg = EngineConfig {
+            threads: 2,
+            batch_trials: 2,
+            collect_trials: false,
+        };
+        let (merged, stats) = stream_study(
+            6,
+            "fold-fault",
+            cfg,
+            &StudyOptions::retrying(1),
+            Vec::new(),
+            || NoScratch,
+            |item, _, _| Ok(item),
+            |range, items| {
+                if range.start == 2 && !failed.swap(true, Ordering::Relaxed) {
+                    panic!("injected fold fault");
+                }
+                (items, ())
+            },
+            |merged: &mut Vec<usize>, batch, _| merged.extend(batch),
+        )
+        .expect("the retry absorbs the fold fault");
+        assert_eq!(merged, (0..6).collect::<Vec<_>>());
+        assert_eq!(stats.retries, 1);
+        assert_eq!(stats.requeued_batches, 1);
     }
 
     #[test]

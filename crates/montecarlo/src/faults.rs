@@ -4,7 +4,7 @@
 //! at trial `N`, at batch `K`, or at checkpoint write `M`, a fixed number
 //! of times. Two places consult a plan:
 //! [`stream_study`](crate::engine::stream_study) the batch,
-//! checkpoint-write and kill failpoints, and each study's per-batch fold
+//! checkpoint-write and kill failpoints, and each study's per-item work
 //! the per-trial ones — so production runs pay nothing and tests can
 //! drive every retry/requeue/abandon path on demand.
 
@@ -13,9 +13,9 @@ use crate::engine::BatchFailure;
 /// How an injected fault manifests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The batch closure panics (as a real bug in trial code would).
+    /// The failing site panics (as a real bug in trial code would).
     Panic,
-    /// The batch closure returns a [`BatchFailure`] error.
+    /// The failing site returns a [`BatchFailure`] error.
     Error,
 }
 
@@ -32,9 +32,10 @@ pub struct BatchFault {
 
 /// Fail the attempt that reaches trial `trial` the first `times` times.
 ///
-/// Unlike [`BatchFault`] this fires mid-batch, after earlier trials in
-/// the batch have already run — exercising the fresh-scratch-arena
-/// requeue path with a partially used arena.
+/// Unlike [`BatchFault`] this fires mid-batch, on whichever worker runs
+/// the trial, retiring that worker's partially used arena. At one worker
+/// the batch's earlier trials have already run when it fires; at more,
+/// other workers may still be running them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrialFault {
     /// Trial index the fault fires at.

@@ -9,13 +9,13 @@
 //! [`HarvestRecord`] per trial — the `(workload features, schedule
 //! features) → Shapley share` rows the surrogate ridge model trains on.
 //!
-//! Harvests stream through [`stream_study`], the batch engine every
-//! study runs through, with no checkpoint and no retry budget: workers
-//! fan out over batches with per-worker scratch arenas, and records are
-//! observed strictly in trial order on the merge thread. The emitted
-//! JSONL is therefore **byte-identical at any thread count** — the
-//! property the `--dump-trials` harness and its 1/2/8-thread invariance
-//! test pin.
+//! Harvests stream through [`stream_study`], the engine every study
+//! runs through, with no checkpoint and no retry budget: workers share
+//! the trials of open batches, each through its own scratch arena, and
+//! records are observed strictly in trial order on the merge thread. The
+//! emitted JSONL is therefore **byte-identical at any thread count** —
+//! the property the `--dump-trials` harness and its 1/2/8-thread
+//! invariance test pin.
 
 use std::io::{self, BufRead, Write};
 
@@ -138,8 +138,9 @@ pub fn harvest_demand_trial(
 /// thread-count invariant). Returns the engine stats.
 ///
 /// The harvest runs through [`stream_study`] with no checkpoint and no
-/// retry budget: a record count is its accumulator, and the records
-/// themselves ride beside it as per-batch output.
+/// retry budget: each trial is one engine item, a batch's record count
+/// is its accumulator, and the records themselves ride beside it as
+/// per-batch output.
 ///
 /// # Panics
 ///
@@ -163,12 +164,8 @@ pub fn harvest_demand_study_with(
         &StudyOptions::default(),
         0u64,
         || HarvestScratch::for_study(study),
-        |range, scratch: &mut HarvestScratch, _attempt| {
-            let records: Vec<_> = range
-                .map(|t| harvest_demand_trial(study, t, scratch))
-                .collect();
-            Ok((records.len() as u64, records))
-        },
+        |t, scratch: &mut HarvestScratch, _attempt| Ok(harvest_demand_trial(study, t, scratch)),
+        |_, records| (records.len() as u64, records),
         |count, n, records| {
             *count += n;
             records.iter().flatten().for_each(&mut on_record);

@@ -26,15 +26,16 @@
 //! * [`streaming`] — constant-memory summary accumulators (Welford
 //!   moments, worst-case maxima, deviation histograms for the CDF
 //!   figures) merged batch-by-batch in a fixed order;
-//! * [`engine`] — drives both: batches fan out across workers, are merged
-//!   in batch order, and the resulting summaries are bit-identical to the
-//!   collect-then-summarize path at any thread count. Studies can also
-//!   attach a streaming per-trial sink (the `--dump-trials` JSONL path)
-//!   that observes every trial in trial order without `O(trials)` memory.
-//!   [`stream_study`] is the one batch engine: it schedules, retries,
-//!   reorders, merges and checkpoints the batches of these studies, of
-//!   the harvest below and of the Azure-scale co-simulation in
-//!   `fairco2-bench`, with one [`Snapshot`] type for every checkpoint;
+//! * [`engine`] — drives both: workers share the trials of open batches,
+//!   batches are merged in batch order, and the resulting summaries are
+//!   bit-identical to the collect-then-summarize path at any thread
+//!   count. Studies can also attach a streaming per-trial sink (the
+//!   `--dump-trials` JSONL path) that observes every trial in trial order
+//!   without `O(trials)` memory. [`stream_study`] is the one engine: it
+//!   schedules the items and retries, reorders, merges and checkpoints
+//!   the batches of these studies, of the harvest below and of the
+//!   Azure-scale co-simulation in `fairco2-bench`, with one [`Snapshot`]
+//!   type for every checkpoint;
 //! * [`harvest`] — the surrogate training-set pipeline: replays each
 //!   trial's schedule into `(workload features, exact Shapley share)`
 //!   rows and streams them through [`stream_study`] to JSONL,

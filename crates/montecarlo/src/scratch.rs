@@ -76,12 +76,12 @@ impl TrialScratch {
     }
 }
 
-/// A per-worker scratch arena the streaming engine can run batches
+/// A per-worker scratch arena the streaming engine can run items
 /// through.
 ///
 /// The engine only needs two things from a scratch type: construction
 /// (the `make_scratch` closure) and retirement counters when a worker
-/// finishes or an arena is discarded after a failed batch. Implementing
+/// finishes or an arena is discarded after a failed item. Implementing
 /// this trait lets any study — the built-in demand/colocation studies
 /// with [`TrialScratch`], the harvest with its own arena, or external
 /// ones like the Azure-scale co-simulation in `fairco2-bench` with
@@ -101,7 +101,7 @@ impl EngineScratch for TrialScratch {
     }
 }
 
-/// A no-op scratch for studies whose batches need no reusable arena.
+/// A no-op scratch for studies whose items need no reusable arena.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoScratch;
 

@@ -170,6 +170,50 @@ proptest! {
     }
 }
 
+/// A trial fault in a batch that every worker shares: the fault lands on
+/// whichever worker claims the trial, that worker's arena is retired and
+/// a fresh one grown, and the retried batch keeps the fault-free bits.
+#[test]
+fn trial_faults_in_a_shared_batch_preserve_summary_bits() {
+    quiet_injected_panics();
+    let study = small_demand();
+    let shared = study.trials;
+    let (reference, _, _) =
+        stream_demand_study_resumable(&study, cfg(1, shared), &StudyOptions::default(), |_, _| {})
+            .expect("fault-free run");
+    for threads in [2, 8] {
+        for kind in KINDS {
+            for times in 1..=2 {
+                let opts = StudyOptions {
+                    retry_budget: 2,
+                    faults: FaultPlan {
+                        trials: vec![TrialFault {
+                            trial: shared - 1,
+                            kind,
+                            times,
+                        }],
+                        ..FaultPlan::default()
+                    },
+                    ..StudyOptions::default()
+                };
+                let (summary, _, stats) =
+                    stream_demand_study_resumable(&study, cfg(threads, shared), &opts, |_, _| {})
+                        .expect("faults stay under the retry budget");
+                let case = format!("threads {threads}, {kind:?} x{times}");
+                assert_eq!(bits(&summary), bits(&reference), "{case}");
+                assert_eq!(stats.retries, times as u64, "{case}");
+                assert_eq!(stats.requeued_batches, 1, "{case}");
+                // One arena per worker, plus one per failed trial.
+                assert_eq!(
+                    stats.scratch.table_grows,
+                    (threads + times as usize) as u64,
+                    "{case}"
+                );
+            }
+        }
+    }
+}
+
 /// The colocation engine shares the containment path; one end-to-end
 /// check that a panicking batch recovers bit-identically there too.
 #[test]

@@ -111,10 +111,12 @@ fn solve_batch(game: &NetworkCarbonGame, batch: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Runs the whole lattice through [`stream_study`], one engine batch per
-/// coalition batch and no checkpoint, firing `plan`'s faults *between
-/// LP solves inside* the designated batch — after the first solve, so a
-/// failed attempt has already done (and discards) real solver work.
+/// Runs the whole lattice through [`stream_study`], one engine item per
+/// coalition and one engine batch per coalition batch, with no
+/// checkpoint. `plan`'s batch faults fire *inside* the designated batch,
+/// at its second coalition: at one worker the first solve has already
+/// run, so a failed attempt discards real solver work; at more workers
+/// the batch's other solves may run beside the failing one.
 fn run_lattice(
     plan: &FaultPlan,
     threads: usize,
@@ -133,22 +135,18 @@ fn run_lattice(
         &StudyOptions::retrying(retry_budget),
         Vec::new(),
         || NoScratch,
-        |masks, _scratch, attempt| {
-            let batch = masks.start / MASKS_PER_BATCH;
-            let mut values = Vec::with_capacity(MASKS_PER_BATCH);
-            for (k, mask) in masks.enumerate() {
-                if k == 1 {
-                    if let Some(kind) = plan.batch_fault(batch, attempt) {
-                        FaultPlan::fire(kind, &format!("lp solve in coalition batch {batch}"))?;
-                    }
+        |mask, _scratch, attempt| {
+            let batch = mask / MASKS_PER_BATCH;
+            if mask % MASKS_PER_BATCH == 1 {
+                if let Some(kind) = plan.batch_fault(batch, attempt) {
+                    FaultPlan::fire(kind, &format!("lp solve in coalition batch {batch}"))?;
                 }
-                values.push(
-                    game.evaluate(&Coalition::from_mask(TENANTS, mask as u64))
-                        .carbon(),
-                );
             }
-            Ok((values, ()))
+            Ok(game
+                .evaluate(&Coalition::from_mask(TENANTS, mask as u64))
+                .carbon())
         },
+        |_, values| (values, ()),
         |lattice: &mut Vec<f64>, values, _| lattice.extend(values),
     )
 }

@@ -115,7 +115,8 @@ fn scratch_trials_are_bit_identical_to_allocating_trials() {
     }
 }
 
-/// Streaming summaries are bit-identical across thread counts.
+/// Streaming summaries are bit-identical across thread counts, with
+/// several batches and with one batch that every worker shares.
 #[test]
 fn demand_summary_is_thread_count_invariant() {
     let study = DemandStudy {
@@ -123,15 +124,17 @@ fn demand_summary_is_thread_count_invariant() {
         max_workloads: 10,
         ..DemandStudy::default()
     };
-    let cfg = |threads| EngineConfig {
-        threads,
-        batch_trials: 8,
-        collect_trials: false,
-    };
-    let (one, _, _) = stream_demand_study(&study, cfg(1));
-    for threads in [2, 8] {
-        let (many, _, _) = stream_demand_study(&study, cfg(threads));
-        assert_eq!(one, many, "threads = {threads}");
+    for batch_trials in [8, 40] {
+        let cfg = |threads| EngineConfig {
+            threads,
+            batch_trials,
+            collect_trials: false,
+        };
+        let (one, _, _) = stream_demand_study(&study, cfg(1));
+        for threads in [2, 8] {
+            let (many, _, _) = stream_demand_study(&study, cfg(threads));
+            assert_eq!(one, many, "batch = {batch_trials}, threads = {threads}");
+        }
     }
 }
 
@@ -142,15 +145,17 @@ fn colocation_summary_is_thread_count_invariant() {
         max_workloads: 20,
         ..ColocationStudy::default()
     };
-    let cfg = |threads| EngineConfig {
-        threads,
-        batch_trials: 5,
-        collect_trials: false,
-    };
-    let (one, _, _) = stream_colocation_study(&study, cfg(1));
-    for threads in [2, 8] {
-        let (many, _, _) = stream_colocation_study(&study, cfg(threads));
-        assert_eq!(one, many, "threads = {threads}");
+    for batch_trials in [5, 24] {
+        let cfg = |threads| EngineConfig {
+            threads,
+            batch_trials,
+            collect_trials: false,
+        };
+        let (one, _, _) = stream_colocation_study(&study, cfg(1));
+        for threads in [2, 8] {
+            let (many, _, _) = stream_colocation_study(&study, cfg(threads));
+            assert_eq!(one, many, "batch = {batch_trials}, threads = {threads}");
+        }
     }
 }
 
