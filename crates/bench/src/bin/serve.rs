@@ -1,9 +1,10 @@
 //! **serve** — the always-on attribution service, run from the command
 //! line: a deterministic demand stream is ingested continuously while
 //! tenant threads fire billing-query batches at the latest epoch
-//! snapshot, then a load summary is printed and the process exits
-//! cleanly (the CI smoke test asserts nonzero throughput and a zero
-//! exit code).
+//! snapshot, then the run's counts are printed and the process exits
+//! cleanly (the CI smoke test asserts a zero exit code, which needs
+//! closed windows and answered queries). Timings come from the
+//! benchmark's `billing` workload, not from this binary.
 //!
 //! ```text
 //! serve --duration-ms 2000 --tenants 2 --batch 256 \
@@ -84,12 +85,8 @@ fn main() {
         report.ingested_samples, report.windows_closed, report.final_epoch
     );
     println!(
-        "serve: {} queries in {} batches over {:.2}s = {:.0} queries/s, p99 batch {:.1} µs",
-        report.queries_answered,
-        report.batches_answered,
-        report.elapsed_secs,
-        report.queries_per_sec,
-        report.p99_batch_latency_us
+        "serve: answered {} queries in {} batches",
+        report.queries_answered, report.batches_answered
     );
     println!(
         "serve: {:.2} engine ops/sample (amortized O(levels) gauge)",

@@ -224,6 +224,7 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fairco2_trace::scale::ScaleVmConfig;
 
     fn demo() -> Schedule {
         Schedule::new(
@@ -275,7 +276,12 @@ mod tests {
 
     #[test]
     fn vm_population_converts_to_a_schedule() {
-        let pop = VmPopulation::builder().horizon_days(1).seed(5).build();
+        let pop = ScaleVmConfig {
+            long_vm_count: 40,
+            seed: 5,
+            ..ScaleVmConfig::for_total_vms(2_880, 1)
+        }
+        .collect_events(1);
         let schedule = Schedule::from_vm_population(&pop, 3600).unwrap();
         assert_eq!(schedule.steps(), 24);
         assert_eq!(schedule.workloads().len(), pop.vms().len());

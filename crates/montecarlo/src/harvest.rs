@@ -13,11 +13,8 @@
 //! runs through, with no checkpoint and no retry budget: workers share
 //! the trials of open batches, each through its own scratch arena, and
 //! records are observed strictly in trial order on the merge thread. The
-//! emitted JSONL is therefore **byte-identical at any thread count** —
-//! the property the `--dump-trials` harness and its 1/2/8-thread
-//! invariance test pin.
-
-use std::io::{self, BufRead, Write};
+//! observed records are therefore **bit-identical at any thread count**
+//! (pinned at 1, 2 and 8 threads by `tests/harvest_invariance.rs`).
 
 use serde::{Deserialize, Serialize};
 
@@ -75,7 +72,7 @@ impl HarvestRecord {
 }
 
 /// Per-worker arena for harvesting: the trial scratch (schedule
-/// generation buffers + exact-solver table) plus the surrogate
+/// generation buffers + the exact solver's φ buffer) plus the surrogate
 /// featurization scratch.
 #[derive(Debug, Default)]
 pub struct HarvestScratch {
@@ -84,8 +81,8 @@ pub struct HarvestScratch {
 }
 
 impl HarvestScratch {
-    /// Scratch pre-grown for `study` (the exact table is sized for the
-    /// study's maximum workload count up front).
+    /// Scratch pre-grown for `study` (the exact solver's φ buffer is
+    /// sized for the study's maximum workload count up front).
     pub fn for_study(study: &DemandStudy) -> Self {
         Self {
             trial: TrialScratch::for_demand(study),
@@ -175,79 +172,6 @@ pub fn harvest_demand_study_with(
     stats
 }
 
-/// What a JSONL harvest did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HarvestStats {
-    /// Records (trials) written.
-    pub records: u64,
-    /// Training rows (Σ workloads over all records) written.
-    pub rows: u64,
-    /// Engine stats of the underlying batched run.
-    pub engine: EngineStats,
-}
-
-/// Harvests `study` to JSONL — one [`HarvestRecord`] per line, in trial
-/// order. Because records are serialized and written on the merge thread
-/// in merge order, the output bytes are identical at any thread count.
-///
-/// # Errors
-///
-/// Propagates the first write error; the harvest stops at that point.
-pub fn harvest_demand_study_jsonl(
-    study: &DemandStudy,
-    threads: usize,
-    batch_trials: usize,
-    out: &mut dyn Write,
-) -> io::Result<HarvestStats> {
-    let mut records = 0u64;
-    let mut rows = 0u64;
-    let mut write_error: Option<io::Error> = None;
-    let engine = harvest_demand_study_with(study, threads, batch_trials, |record| {
-        if write_error.is_some() {
-            return;
-        }
-        let line = serde_json::to_string(record).expect("harvest records serialize");
-        if let Err(e) = out
-            .write_all(line.as_bytes())
-            .and_then(|()| out.write_all(b"\n"))
-        {
-            write_error = Some(e);
-            return;
-        }
-        records += 1;
-        rows += record.workloads as u64;
-    });
-    match write_error {
-        Some(e) => Err(e),
-        None => Ok(HarvestStats {
-            records,
-            rows,
-            engine,
-        }),
-    }
-}
-
-/// Reads a JSONL harvest back (the replay path: harvest once on many
-/// cores, fit models offline).
-///
-/// # Errors
-///
-/// Propagates read errors; malformed lines surface as
-/// [`io::ErrorKind::InvalidData`].
-pub fn read_harvest_jsonl(input: &mut dyn BufRead) -> io::Result<Vec<HarvestRecord>> {
-    let mut records = Vec::new();
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record: HarvestRecord = serde_json::from_str(&line)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        records.push(record);
-    }
-    Ok(records)
-}
-
 /// Fits a surrogate model from harvested records (feeds every record's
 /// rows into one shared-Gram trainer, then solves).
 ///
@@ -330,16 +254,18 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips() {
+        // Each record written as one JSON line parses back to itself,
+        // every float bit included.
         let study = small_study();
-        let mut buf = Vec::new();
-        let stats = harvest_demand_study_jsonl(&study, 2, 8, &mut buf).expect("in-memory write");
-        assert_eq!(stats.records, study.trials as u64);
-        assert!(stats.rows >= stats.records);
-        let records = read_harvest_jsonl(&mut buf.as_slice()).expect("parse back");
+        let mut records = Vec::new();
+        harvest_demand_study_with(&study, 2, 8, |r| records.push(r.clone()));
         assert_eq!(records.len(), study.trials);
-        let mut direct = Vec::new();
-        harvest_demand_study_with(&study, 1, 8, |r| direct.push(r.clone()));
-        assert_eq!(records, direct);
+        for record in &records {
+            let line = serde_json::to_string(record).expect("harvest records serialize");
+            assert!(!line.contains('\n'));
+            let back: HarvestRecord = serde_json::from_str(&line).expect("parse back");
+            assert_eq!(&back, record);
+        }
     }
 
     #[test]

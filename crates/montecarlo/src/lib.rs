@@ -38,8 +38,8 @@
 //!   type for every checkpoint;
 //! * [`harvest`] — the surrogate training-set pipeline: replays each
 //!   trial's schedule into `(workload features, exact Shapley share)`
-//!   rows and streams them through [`stream_study`] to JSONL,
-//!   byte-identical at any thread count.
+//!   rows and streams them through [`stream_study`] in trial order,
+//!   bit-identical at any thread count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,8 +64,7 @@ pub use engine::{
 };
 pub use faults::{BatchFault, FaultKind, FaultPlan, TrialFault};
 pub use harvest::{
-    fit_surrogate, harvest_demand_study_jsonl, harvest_demand_study_with, harvest_demand_trial,
-    read_harvest_jsonl, HarvestRecord, HarvestScratch, HarvestStats,
+    fit_surrogate, harvest_demand_study_with, harvest_demand_trial, HarvestRecord, HarvestScratch,
 };
 pub use schedules::{DemandStudy, DemandTrial};
 pub use scratch::{EngineScratch, NoScratch, ScratchStats, TrialScratch};

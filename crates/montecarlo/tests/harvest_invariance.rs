@@ -1,9 +1,9 @@
 //! Thread-invariance pins for the streaming harvest and trial-sink paths:
-//! the JSONL byte stream and the observed trial order must be identical
-//! at 1, 2, and 8 worker threads.
+//! the harvested records' JSON and the observed trial order must be
+//! identical at 1, 2, and 8 worker threads.
 
 use fairco2_montecarlo::engine::{EngineConfig, StudyOptions};
-use fairco2_montecarlo::harvest::harvest_demand_study_jsonl;
+use fairco2_montecarlo::harvest::harvest_demand_study_with;
 use fairco2_montecarlo::schedules::DemandStudy;
 use fairco2_montecarlo::ColocationStudy;
 use fairco2_montecarlo::{stream_colocation_study_with_sink, stream_demand_study_with_sink};
@@ -19,17 +19,21 @@ fn small_demand() -> DemandStudy {
 #[test]
 fn harvest_jsonl_bytes_are_thread_invariant() {
     let study = small_demand();
-    let mut baseline = Vec::new();
-    harvest_demand_study_jsonl(&study, 1, 8, &mut baseline).expect("in-memory write");
-    assert_eq!(
-        baseline.iter().filter(|&&b| b == b'\n').count(),
-        study.trials,
-        "one JSONL line per trial"
-    );
+    let harvest = |threads: usize| {
+        let mut lines = Vec::new();
+        harvest_demand_study_with(&study, threads, 8, |record| {
+            lines.push(serde_json::to_string(record).expect("harvest records serialize"));
+        });
+        lines
+    };
+    let baseline = harvest(1);
+    assert_eq!(baseline.len(), study.trials, "one record per trial");
     for threads in [2usize, 8] {
-        let mut buf = Vec::new();
-        harvest_demand_study_jsonl(&study, threads, 8, &mut buf).expect("in-memory write");
-        assert_eq!(buf, baseline, "harvest bytes differ at {threads} threads");
+        assert_eq!(
+            harvest(threads),
+            baseline,
+            "harvest records differ at {threads} threads"
+        );
     }
 }
 

@@ -84,23 +84,27 @@ impl Windows {
             .expect("an epoch's slots are set before it is published")
     }
 
-    /// These windows plus `segment`. Writes the log's next slot when it
-    /// exists and is free, so both share one log; otherwise (the log is
-    /// full, or a later epoch already took the slot) copies the windows
-    /// into a log twice as long.
+    /// These windows plus `segment`. Writes the log's next slot when the
+    /// log has one, so both share one log; copies the windows into a log
+    /// twice as long when it is full.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a later epoch already wrote the next slot: the service
+    /// only ever extends its latest epoch.
     fn appended(&self, segment: WindowSegment) -> Self {
-        let segment = match self.log.get(self.len) {
-            Some(slot) => match slot.set(segment) {
-                Ok(()) => {
-                    return Self {
-                        log: Arc::clone(&self.log),
-                        len: self.len + 1,
-                    }
-                }
-                Err(segment) => segment,
-            },
-            None => segment,
-        };
+        if let Some(slot) = self.log.get(self.len) {
+            let written = slot.set(segment).is_ok();
+            assert!(
+                written,
+                "slot {} was written by a later epoch; only the latest epoch is extended",
+                self.len
+            );
+            return Self {
+                log: Arc::clone(&self.log),
+                len: self.len + 1,
+            };
+        }
         let capacity = (2 * self.len).max(1);
         let log = self
             .iter()
@@ -199,7 +203,8 @@ impl EpochSnapshot {
 /// Builds the next epoch from the previous one plus a freshly closed
 /// window: shares the window log (and so every existing segment's
 /// attribution) and extends the segmented prefix by one left-to-right
-/// fold step.
+/// fold step. `prev` must be the latest epoch; extending an older one
+/// panics.
 pub(crate) fn extend_epoch(prev: &EpochSnapshot, window: WindowAttribution) -> EpochSnapshot {
     let cum_before = match prev.windows.last() {
         Some(seg) => seg.cum_before + seg.attribution.carbon_prefix[prev.window_samples],
@@ -265,28 +270,11 @@ mod tests {
     }
 
     #[test]
-    fn extending_an_older_epoch_copies_the_log_and_leaves_both_intact() {
+    #[should_panic(expected = "slot 3 was written by a later epoch")]
+    fn extending_an_older_epoch_panics() {
         // Epoch 3's log has four slots; publishing epoch 4 took slot 3.
         let epochs = chain(4);
-        let (older, latest) = (&epochs[3], &epochs[4]);
-        assert!(Arc::ptr_eq(&older.windows.log, &latest.windows.log));
-
-        let fork = extend_epoch(older, window(99));
-        assert!(!Arc::ptr_eq(&fork.windows.log, &latest.windows.log));
-        for k in 0..3 {
-            assert!(Arc::ptr_eq(
-                &fork.windows[k].attribution,
-                &latest.windows[k].attribution
-            ));
-        }
-        assert_holds(older, &[0, 1, 2]);
-        assert_holds(latest, &[0, 1, 2, 3]);
-        assert_holds(&fork, &[0, 1, 2, 99]);
-        // Both branches keep extending independently.
-        assert_holds(&extend_epoch(latest, window(4)), &[0, 1, 2, 3, 4]);
-        assert_holds(&extend_epoch(&fork, window(100)), &[0, 1, 2, 99, 100]);
-        assert_holds(latest, &[0, 1, 2, 3]);
-        assert_holds(&fork, &[0, 1, 2, 99]);
+        extend_epoch(&epochs[3], window(99));
     }
 
     #[test]

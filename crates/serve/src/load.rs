@@ -72,12 +72,6 @@ pub struct LoadReport {
     pub queries_answered: u64,
     /// Query batches answered.
     pub batches_answered: u64,
-    /// Wall-clock seconds the run took.
-    pub elapsed_secs: f64,
-    /// Sustained queries per second across all tenants.
-    pub queries_per_sec: f64,
-    /// 99th-percentile per-batch latency, microseconds.
-    pub p99_batch_latency_us: f64,
     /// Engine primitive operations per ingested sample (amortized
     /// `O(levels)`, independent of machine speed).
     pub ops_per_sample: f64,
@@ -86,13 +80,14 @@ pub struct LoadReport {
 }
 
 /// Runs `service` under concurrent ingest + query load and reports
-/// sustained throughput.
+/// what it did: samples ingested, windows closed, queries answered.
+/// It records no timings; the benchmark's `billing` workload times the
+/// service.
 ///
 /// One writer thread ingests [`demand_sample`] values flat out (until
 /// `max_windows`, then idles to the deadline); `tenants` reader threads
 /// each loop: grab the latest epoch, generate a batch of random billing
-/// queries over its covered range, answer them, record the batch
-/// latency.
+/// queries over its covered range, answer them.
 ///
 /// # Errors
 ///
@@ -112,7 +107,6 @@ pub fn run_load(config: ServiceConfig, opts: &LoadOptions) -> Result<LoadReport,
     let deadline_ms = opts.duration_ms;
 
     let mut ingest_error: Option<ServeError> = None;
-    let mut latencies: Vec<Vec<f64>> = Vec::new();
     std::thread::scope(|scope| {
         let mut workers = Vec::new();
         for tenant in 0..opts.tenants {
@@ -122,7 +116,6 @@ pub fn run_load(config: ServiceConfig, opts: &LoadOptions) -> Result<LoadReport,
             let batches = &batches;
             workers.push(scope.spawn(move || {
                 let mut rng = opts.seed ^ (0xA11CE ^ tenant as u64).wrapping_mul(0x1_0000_001B);
-                let mut lat = Vec::new();
                 let mut out = Vec::with_capacity(opts.batch);
                 let mut batch = Vec::with_capacity(opts.batch);
                 while !stop.load(Ordering::Relaxed) {
@@ -137,13 +130,10 @@ pub fn run_load(config: ServiceConfig, opts: &LoadOptions) -> Result<LoadReport,
                         batch.push(query);
                     }
                     out.clear();
-                    let t0 = Instant::now();
                     epoch.carbon_batch_into(&batch, &mut out);
-                    lat.push(t0.elapsed().as_secs_f64() * 1e6);
                     queries.fetch_add(opts.batch as u64, Ordering::Relaxed);
                     batches.fetch_add(1, Ordering::Relaxed);
                 }
-                lat
             }));
         }
 
@@ -170,31 +160,19 @@ pub fn run_load(config: ServiceConfig, opts: &LoadOptions) -> Result<LoadReport,
         }
         stop.store(true, Ordering::Relaxed);
         for w in workers {
-            latencies.push(w.join().expect("tenant thread panicked"));
+            w.join().expect("tenant thread panicked");
         }
     });
     if let Some(e) = ingest_error {
         return Err(e);
     }
 
-    let elapsed = started.elapsed().as_secs_f64();
-    let mut all: Vec<f64> = latencies.into_iter().flatten().collect();
-    all.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let p99 = if all.is_empty() {
-        0.0
-    } else {
-        all[((all.len() as f64 * 0.99).ceil() as usize).clamp(1, all.len()) - 1]
-    };
     let ingested = handle.ingested();
-    let answered = queries.load(Ordering::Relaxed);
     Ok(LoadReport {
         ingested_samples: ingested,
         windows_closed: service.windows_closed(),
-        queries_answered: answered,
+        queries_answered: queries.load(Ordering::Relaxed),
         batches_answered: batches.load(Ordering::Relaxed),
-        elapsed_secs: elapsed,
-        queries_per_sec: answered as f64 / elapsed.max(1e-9),
-        p99_batch_latency_us: p99,
         ops_per_sample: service.engine_ops() as f64 / (ingested as f64).max(1.0),
         final_epoch: service.windows_closed(),
     })

@@ -10,6 +10,11 @@
 //!   time; the paper uses Electricity Maps data for California and Sweden,
 //!   substituted by the generators in [`grid`].
 //!
+//! Where attribution needs the individual VMs behind a demand curve, one
+//! generator, [`scale::ScaleVmConfig`], draws a Hadary-style VM trace —
+//! from a few thousand VMs to the ~2M-VM Azure-scale study — and streams
+//! it or collects it into a [`vms::VmPopulation`].
+//!
 //! The core type is [`TimeSeries`], a uniformly sampled series with the
 //! peak / integral / resampling operations that Temporal Shapley attribution
 //! is built on.

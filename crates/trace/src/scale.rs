@@ -1,12 +1,14 @@
-//! **Azure-scale streaming VM generation** — the ~2M-VM population path.
+//! **The VM trace generator** — the synthetic stand-in for the Azure 2017
+//! VM trace, from a few thousand VMs (the VM-replay example) to the
+//! ~2M-VM Azure-scale study.
 //!
-//! [`crate::vms::VmPopulationBuilder`] drives one sequential RNG through
-//! the whole horizon, so generation is inherently serial and the
-//! population must be materialized before anything can consume it. This
-//! module re-keys the same arrival model (diurnal inhomogeneous Poisson
-//! arrivals, log-normal lifetimes, power-of-two core reservations) so
-//! every minute bucket owns an independent RNG seeded by a splitmix64
-//! hash of `(seed, bucket)`:
+//! The arrival model follows Hadary et al.'s observation that most VMs
+//! live minutes while a long tail runs almost indefinitely: short-lived
+//! VMs arrive as an inhomogeneous Poisson process whose rate peaks in
+//! the evening, draw log-normal lifetimes clamped to between one minute
+//! and six hours, and reserve power-of-two core counts; a fixed set of
+//! long-running VMs spans the whole horizon. Every minute bucket owns an
+//! independent RNG seeded by a splitmix64 hash of `(seed, bucket)`:
 //!
 //! * **chunk- and thread-invariant** — a bucket's VMs depend only on
 //!   `(seed, bucket)`, so any partition of the bucket range into chunks,
@@ -14,10 +16,9 @@
 //! * **streaming** — consumers visit VMs with [`ScaleVmConfig::for_each_vm_in`]
 //!   without ever materializing the population, so peak RSS is bounded by
 //!   the consumer's own state (the study bins lean on this);
-//! * **exact aggregation** — core counts are small powers of two, so the
-//!   difference-array demand sweep sums dyadic rationals exactly and
-//!   [`ScaleVmConfig::demand_series`] is bitwise identical at any thread
-//!   count (pinned in tests).
+//! * **materialized on request** — [`ScaleVmConfig::collect_events`]
+//!   gathers the whole population, the same at any thread count, and
+//!   [`VmPopulation::demand_series`] sweeps its aggregate core demand.
 //!
 //! Large arrival rates are thinned into one-second sub-buckets
 //! (`Poisson(λ) = Σ₆₀ Poisson(λ/60)`), which keeps Knuth's product-method
@@ -28,8 +29,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, LogNormal};
 
-use crate::series::TimeSeries;
-use crate::vms::{diurnal_rate_table, poisson_knuth, VmEvent, VmPopulation};
+use crate::vms::{VmEvent, VmPopulation};
 
 /// Salt folded into the seed for the per-VM tag stream, keeping tags
 /// decorrelated from the generation draws.
@@ -45,10 +45,44 @@ fn lane_seed(seed: u64, lane: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Configuration for the chunked, deterministic Azure-scale generator.
+/// Per-minute arrival rates over one day: the evening-peaking cosine
+/// that modulates arrivals, evaluated once per distinct minute-of-day
+/// (each costs a cosine, and a day has only 1,440 of them).
+fn diurnal_rate_table(vms_per_hour: f64, amplitude: f64) -> Vec<f64> {
+    (0..1440)
+        .map(|minute| {
+            let hour = (minute * 60) as f64 / 3600.0;
+            let phase = (hour - 18.0) / 24.0 * std::f64::consts::TAU;
+            (vms_per_hour / 60.0 * (1.0 + amplitude * phase.cos())).max(0.0)
+        })
+        .collect()
+}
+
+/// Small-mean Poisson sampler (Knuth's product method), exact and fast
+/// for means ≪ 30 — the regime every draw stays in, because
+/// [`ScaleVmConfig::for_each_vm_in`] thins each minute's rate into
+/// one-second sub-buckets.
+fn poisson_knuth(rng: &mut impl Rng, mean: f64) -> u32 {
+    let l = (-mean).exp();
+    let mut k = 0u32;
+    let mut p = 1.0;
+    loop {
+        p *= rng.gen::<f64>();
+        if p <= l {
+            return k;
+        }
+        k += 1;
+        if k > 10_000 {
+            return k; // unreachable for sane rates; guards infinite loops
+        }
+    }
+}
+
+/// Configuration of the chunked, deterministic VM trace generator.
 ///
-/// Field semantics mirror [`crate::vms::VmPopulationBuilder`]; the
-/// defaults describe a fortnight at roughly 2M VMs.
+/// The defaults describe a fortnight at roughly 2M VMs;
+/// [`ScaleVmConfig::for_total_vms`] sizes the arrival rate for any
+/// expected population, and struct-update syntax overrides the rest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleVmConfig {
     /// Horizon in days.
@@ -173,17 +207,6 @@ impl ScaleVmConfig {
         lane_seed(self.seed ^ TAG_STREAM, (bucket << 24) ^ u64::from(k))
     }
 
-    /// Number of short VMs in the horizon (streamed, thread-parallel).
-    pub fn count_vms(&self, threads: usize) -> u64 {
-        self.map_bucket_chunks(threads, |lo, hi| {
-            let mut n = 0u64;
-            self.for_each_vm_in(lo, hi, |_, _, _| n += 1);
-            n
-        })
-        .into_iter()
-        .sum()
-    }
-
     /// Materializes the full population (long VMs first, then short VMs
     /// in bucket order), generating bucket chunks on `threads` workers.
     ///
@@ -202,48 +225,6 @@ impl ScaleVmConfig {
             vms.extend_from_slice(&chunk);
         }
         VmPopulation::from_events(vms, self.horizon_s())
-    }
-
-    /// Aggregate core demand at `step` seconds, built as a streamed
-    /// `O(V + T)` difference-array sweep on `threads` workers — no per-VM
-    /// storage, peak transient state `O(threads · T)`.
-    ///
-    /// Each worker accumulates `±cores` deltas for its bucket chunk into
-    /// a private array; the arrays are merged elementwise and prefix-
-    /// summed. Core counts are small powers of two, so every sum is exact
-    /// dyadic arithmetic and the series is bit-identical at any thread
-    /// count and to [`VmPopulation::demand_series`] on the collected
-    /// population (both pinned in tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step == 0`.
-    pub fn demand_series(&self, step: u32, threads: usize) -> TimeSeries {
-        assert!(step > 0, "sampling step must be positive");
-        let len = (self.horizon_s() / i64::from(step)) as usize;
-        let mut delta = vec![0.0f64; len + 1];
-        for vm in self.long_vms() {
-            scatter_vm(&mut delta, &vm, step, len);
-        }
-        let partials = self.map_bucket_chunks(threads, |lo, hi| {
-            let mut local = vec![0.0f64; len + 1];
-            self.for_each_vm_in(lo, hi, |_, _, vm| scatter_vm(&mut local, &vm, step, len));
-            local
-        });
-        for local in partials {
-            for (d, l) in delta.iter_mut().zip(&local) {
-                *d += l;
-            }
-        }
-        let mut level = 0.0;
-        let values: Vec<f64> = delta[..len]
-            .iter()
-            .map(|d| {
-                level += d;
-                level
-            })
-            .collect();
-        TimeSeries::from_values(0, step, values).expect("horizon ≥ one bucket")
     }
 
     /// Splits the bucket range into `threads` contiguous chunks and maps
@@ -283,14 +264,6 @@ impl ScaleVmConfig {
     }
 }
 
-/// Adds one VM's `±cores` contribution to a difference array.
-fn scatter_vm(delta: &mut [f64], vm: &VmEvent, step: u32, len: usize) {
-    let s = (vm.start / i64::from(step)) as usize;
-    let e = ((vm.end + i64::from(step) - 1) / i64::from(step)) as usize;
-    delta[s.min(len)] += vm.cores;
-    delta[e.min(len)] -= vm.cores;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,29 +301,15 @@ mod tests {
             assert_eq!(one, cfg.collect_events(threads), "threads {threads}");
         }
         assert!(one.vms().windows(2).all(|w| w[0].start <= w[1].start));
-        assert_eq!(
-            one.vms().len() as u64,
-            cfg.long_vm_count as u64 + cfg.count_vms(3)
-        );
-    }
-
-    #[test]
-    fn streamed_demand_matches_collected_population_bitwise() {
-        let cfg = small();
-        let collected = cfg.collect_events(1).demand_series(300);
-        for threads in [1usize, 2, 5, 8] {
-            let streamed = cfg.demand_series(300, threads);
-            assert_eq!(streamed.len(), collected.len());
-            for (k, (a, b)) in streamed.values().iter().zip(collected.values()).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads {threads} bucket {k}");
-            }
-        }
+        let mut streamed = 0usize;
+        cfg.for_each_vm_in(0, cfg.buckets(), |_, _, _| streamed += 1);
+        assert_eq!(one.vms().len(), cfg.long_vm_count + streamed);
     }
 
     #[test]
     fn expected_total_is_roughly_met() {
         let cfg = small();
-        let n = cfg.count_vms(2);
+        let n = cfg.collect_events(2).vms().len() - cfg.long_vm_count;
         assert!(
             (n as f64) > 5_000.0 && (n as f64) < 7_000.0,
             "generated {n} VMs"

@@ -1,18 +1,16 @@
-//! A VM-population substrate: individual VM lifetimes that aggregate to
-//! a fleet demand curve.
+//! VM populations: individual VM lifetimes that aggregate to a fleet
+//! demand curve.
 //!
 //! Hadary et al. (Protean, OSDI '20) — cited by the paper when analyzing
 //! Temporal Shapley's limits — observe that *most VMs live only minutes*
-//! while a long tail runs almost indefinitely. This module generates such
-//! populations: short-lived VMs arrive with a diurnal rate, long-running
-//! VMs persist for the whole horizon, and the aggregate core demand is
-//! exactly the sum of the live VMs. The unit-resource-time study
-//! (`fairco2-shapley`'s `temporal::unit_time`) and the VM-replay example
-//! are built on it.
+//! while a long tail runs almost indefinitely. The generator in
+//! [`crate::scale`] draws such populations; this module holds what it
+//! draws — [`VmEvent`]s gathered into a [`VmPopulation`] — and sweeps a
+//! population's aggregate core demand, exactly the sum of the live VMs.
+//! `fairco2-core`'s `Schedule::from_vm_population` turns a population
+//! into a demand schedule, and the VM-replay example prices one with
+//! Temporal Shapley.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rand_distr::{Distribution, LogNormal};
 use serde::{Deserialize, Serialize};
 
 use crate::series::TimeSeries;
@@ -40,162 +38,6 @@ impl VmEvent {
     }
 }
 
-/// Builder for a synthetic VM population.
-#[derive(Debug, Clone)]
-pub struct VmPopulationBuilder {
-    horizon_days: u32,
-    short_vms_per_hour: f64,
-    short_lifetime_median_s: f64,
-    short_lifetime_sigma: f64,
-    long_vm_count: usize,
-    core_choices: Vec<f64>,
-    diurnal_amplitude: f64,
-    seed: u64,
-}
-
-impl Default for VmPopulationBuilder {
-    fn default() -> Self {
-        Self {
-            horizon_days: 3,
-            short_vms_per_hour: 120.0,
-            short_lifetime_median_s: 600.0, // most VMs live ~10 minutes
-            short_lifetime_sigma: 1.2,
-            long_vm_count: 40,
-            core_choices: vec![2.0, 4.0, 8.0, 16.0],
-            diurnal_amplitude: 0.5,
-            seed: 0x5EED,
-        }
-    }
-}
-
-impl VmPopulationBuilder {
-    /// Sets the horizon in days.
-    pub fn horizon_days(&mut self, days: u32) -> &mut Self {
-        self.horizon_days = days;
-        self
-    }
-
-    /// Sets the mean arrival rate of short-lived VMs (per hour, before
-    /// diurnal modulation).
-    pub fn short_vms_per_hour(&mut self, rate: f64) -> &mut Self {
-        self.short_vms_per_hour = rate;
-        self
-    }
-
-    /// Sets the median lifetime of short-lived VMs in seconds.
-    pub fn short_lifetime_median_s(&mut self, median: f64) -> &mut Self {
-        self.short_lifetime_median_s = median;
-        self
-    }
-
-    /// Sets the number of horizon-spanning, long-running VMs.
-    pub fn long_vm_count(&mut self, count: usize) -> &mut Self {
-        self.long_vm_count = count;
-        self
-    }
-
-    /// Sets the relative amplitude of the diurnal arrival modulation.
-    pub fn diurnal_amplitude(&mut self, amplitude: f64) -> &mut Self {
-        self.diurnal_amplitude = amplitude;
-        self
-    }
-
-    /// Sets the RNG seed.
-    pub fn seed(&mut self, seed: u64) -> &mut Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Generates the population.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the horizon is zero days.
-    pub fn build(&self) -> VmPopulation {
-        assert!(self.horizon_days > 0, "horizon must cover at least a day");
-        let horizon_s = i64::from(self.horizon_days) * 86_400;
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let lifetime = LogNormal::new(self.short_lifetime_median_s.ln(), self.short_lifetime_sigma)
-            .expect("finite lognormal parameters");
-
-        // The diurnal rate repeats every day and the arrival buckets are
-        // minutes, so there are only 1440 distinct per-bucket rates —
-        // hoisted out of the sweep (they cost a cosine each) instead of
-        // recomputed for every bucket of every day. Pure arithmetic, no
-        // RNG: the draw sequence is identical to the unhoisted loop.
-        let rate_table = diurnal_rate_table(self.short_vms_per_hour, self.diurnal_amplitude);
-        // One up-front reservation sized at the expected population (the
-        // diurnal cosine integrates to zero over a day) keeps 2M-event
-        // builds from paying repeated growth copies.
-        let expected_short =
-            (self.short_vms_per_hour * 24.0 * f64::from(self.horizon_days)).ceil() as usize;
-        let mut vms = Vec::with_capacity(self.long_vm_count + expected_short + expected_short / 8);
-        // Long-running VMs span the horizon (Hadary's "survive almost
-        // indefinitely" tail).
-        for _ in 0..self.long_vm_count {
-            let cores = self.core_choices[rng.gen_range(0..self.core_choices.len())];
-            vms.push(VmEvent {
-                start: 0,
-                end: horizon_s,
-                cores,
-            });
-        }
-        // Short-lived VMs arrive as an inhomogeneous Poisson process with
-        // a diurnal rate (peaking in the evening like the demand trace).
-        let step = 60i64; // one-minute arrival buckets
-        let mut t = 0i64;
-        while t < horizon_s {
-            let rate_per_min = rate_table[((t % 86_400) / step) as usize];
-            let arrivals = poisson_knuth(&mut rng, rate_per_min);
-            for _ in 0..arrivals {
-                let start = t + rng.gen_range(0..step);
-                let life = lifetime.sample(&mut rng).clamp(60.0, 6.0 * 3600.0);
-                let cores = self.core_choices[rng.gen_range(0..self.core_choices.len())];
-                vms.push(VmEvent {
-                    start,
-                    end: (start + life as i64).min(horizon_s),
-                    cores,
-                });
-            }
-            t += step;
-        }
-        VmPopulation { vms, horizon_s }
-    }
-}
-
-/// Per-minute arrival rates over one day: the evening-peaking cosine the
-/// builder (and the streaming generator in [`crate::scale`]) modulates
-/// arrivals with, evaluated once per distinct minute-of-day.
-pub(crate) fn diurnal_rate_table(vms_per_hour: f64, amplitude: f64) -> Vec<f64> {
-    (0..1440)
-        .map(|minute| {
-            let hour = (minute * 60) as f64 / 3600.0;
-            let phase = (hour - 18.0) / 24.0 * std::f64::consts::TAU;
-            (vms_per_hour / 60.0 * (1.0 + amplitude * phase.cos())).max(0.0)
-        })
-        .collect()
-}
-
-/// Small-mean Poisson sampler (Knuth's product method) — arrival rates
-/// per bucket are ≪ 30, where this is both exact and fast. (The streaming
-/// generator in [`crate::scale`] thins larger rates into sub-buckets so
-/// every draw stays in that regime.)
-pub(crate) fn poisson_knuth(rng: &mut impl Rng, mean: f64) -> u32 {
-    let l = (-mean).exp();
-    let mut k = 0u32;
-    let mut p = 1.0;
-    loop {
-        p *= rng.gen::<f64>();
-        if p <= l {
-            return k;
-        }
-        k += 1;
-        if k > 10_000 {
-            return k; // unreachable for sane rates; guards infinite loops
-        }
-    }
-}
-
 /// A generated VM population.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VmPopulation {
@@ -204,11 +46,6 @@ pub struct VmPopulation {
 }
 
 impl VmPopulation {
-    /// Starts building a population.
-    pub fn builder() -> VmPopulationBuilder {
-        VmPopulationBuilder::default()
-    }
-
     /// Wraps externally generated events (e.g. the chunked streaming
     /// generator in [`crate::scale`]) as a population.
     ///
@@ -293,14 +130,21 @@ impl VmPopulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::ScaleVmConfig;
 
-    fn population() -> VmPopulation {
-        VmPopulation::builder().seed(1).build()
+    /// `days` of 120 short VMs per hour plus 40 horizon-spanning VMs.
+    fn population(seed: u64, days: u32) -> VmPopulation {
+        ScaleVmConfig {
+            long_vm_count: 40,
+            seed,
+            ..ScaleVmConfig::for_total_vms(2_880 * u64::from(days), days)
+        }
+        .collect_events(1)
     }
 
     #[test]
     fn most_vms_are_short_lived() {
-        let pop = population();
+        let pop = population(1, 3);
         let short = pop.short_lived(3600.0).count();
         let total = pop.vms().len();
         assert!(
@@ -320,6 +164,26 @@ mod tests {
             "long share {}",
             long_cs / total_cs
         );
+    }
+
+    #[test]
+    fn generation_is_deterministic() {
+        // Every collection draws the population afresh from the seed.
+        assert_eq!(population(3, 3), population(3, 3));
+        assert_ne!(population(3, 3), population(4, 3));
+    }
+
+    #[test]
+    fn long_vms_span_the_horizon() {
+        // Short lifetimes are clamped to six hours, so exactly the
+        // long-running VMs span the horizon.
+        let pop = population(1, 3);
+        let spanning = pop
+            .vms()
+            .iter()
+            .filter(|v| v.start == 0 && v.end == pop.horizon_s())
+            .count();
+        assert_eq!(spanning, 40);
     }
 
     /// The pre-sweep reference: walk every VM and add its cores to every
@@ -342,8 +206,8 @@ mod tests {
     fn sweep_matches_naive_bucket_overlap_on_default_population() {
         // Core counts are powers of two, so both accumulation orders are
         // exact integer arithmetic: the pin is bit-for-bit over every
-        // bucket of the seeded default population.
-        let pop = population();
+        // bucket of the seeded population.
+        let pop = population(1, 3);
         for step in [300u32, 3_600] {
             let sweep = pop.demand_series(step);
             let naive = naive_demand_series(&pop, step);
@@ -360,7 +224,7 @@ mod tests {
 
     #[test]
     fn demand_series_matches_manual_count() {
-        let pop = population();
+        let pop = population(1, 3);
         let series = pop.demand_series(300);
         // Check one bucket against a direct count.
         let t = 36_000i64;
@@ -385,7 +249,7 @@ mod tests {
 
     #[test]
     fn arrival_rate_is_diurnal() {
-        let pop = VmPopulation::builder().seed(7).horizon_days(4).build();
+        let pop = population(7, 4);
         let mut evening = 0usize;
         let mut morning = 0usize;
         for vm in pop.short_lived(6.0 * 3600.0) {
@@ -403,69 +267,14 @@ mod tests {
         );
     }
 
-    /// The pre-hoist `build` body, retained verbatim: per-bucket cosine
-    /// rate evaluation and an unreserved output vector. Pins that the
-    /// rate-table hoist and capacity reservation leave the generated
-    /// population bit-identical (the RNG draw sequence is untouched).
-    fn reference_build(b: &VmPopulationBuilder) -> VmPopulation {
-        assert!(b.horizon_days > 0, "horizon must cover at least a day");
-        let horizon_s = i64::from(b.horizon_days) * 86_400;
-        let mut rng = StdRng::seed_from_u64(b.seed);
-        let lifetime = LogNormal::new(b.short_lifetime_median_s.ln(), b.short_lifetime_sigma)
-            .expect("finite lognormal parameters");
-
-        let mut vms = Vec::new();
-        for _ in 0..b.long_vm_count {
-            let cores = b.core_choices[rng.gen_range(0..b.core_choices.len())];
-            vms.push(VmEvent {
-                start: 0,
-                end: horizon_s,
-                cores,
-            });
-        }
-        let step = 60i64;
-        let mut t = 0i64;
-        while t < horizon_s {
-            let hour = (t % 86_400) as f64 / 3600.0;
-            let phase = (hour - 18.0) / 24.0 * std::f64::consts::TAU;
-            let rate_per_min =
-                b.short_vms_per_hour / 60.0 * (1.0 + b.diurnal_amplitude * phase.cos());
-            let arrivals = poisson_knuth(&mut rng, rate_per_min.max(0.0));
-            for _ in 0..arrivals {
-                let start = t + rng.gen_range(0..step);
-                let life = lifetime.sample(&mut rng).clamp(60.0, 6.0 * 3600.0);
-                let cores = b.core_choices[rng.gen_range(0..b.core_choices.len())];
-                vms.push(VmEvent {
-                    start,
-                    end: (start + life as i64).min(horizon_s),
-                    cores,
-                });
-            }
-            t += step;
-        }
-        VmPopulation { vms, horizon_s }
-    }
-
-    #[test]
-    fn hoisted_build_matches_the_reference_path() {
-        for seed in [0u64, 1, 0x5EED, 99] {
-            let mut builder = VmPopulation::builder();
-            builder.seed(seed).horizon_days(2);
-            assert_eq!(builder.build(), reference_build(&builder), "seed {seed}");
-        }
-        // Off-default rate/amplitude exercise the whole rate table.
-        let mut builder = VmPopulation::builder();
-        builder
-            .seed(11)
-            .short_vms_per_hour(37.5)
-            .diurnal_amplitude(0.9);
-        assert_eq!(builder.build(), reference_build(&builder));
-    }
-
     #[test]
     fn sorted_by_start_orders_events_and_keeps_the_multiset() {
-        let pop = population();
-        let sorted = pop.clone().sorted_by_start();
+        // Collected events are already in start order: reverse them so
+        // the sort has work to do.
+        let pop = population(1, 3);
+        let mut reversed = pop.vms().to_vec();
+        reversed.reverse();
+        let sorted = VmPopulation::from_events(reversed, pop.horizon_s()).sorted_by_start();
         assert!(sorted.vms().windows(2).all(|w| w[0].start <= w[1].start));
         let mut a = pop.vms().to_vec();
         let mut b = sorted.vms().to_vec();
@@ -473,23 +282,5 @@ mod tests {
         a.sort_unstable_by_key(key);
         b.sort_unstable_by_key(key);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn generation_is_deterministic() {
-        let a = VmPopulation::builder().seed(3).build();
-        let b = VmPopulation::builder().seed(3).build();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn long_vms_span_the_horizon() {
-        let pop = population();
-        let spanning = pop
-            .vms()
-            .iter()
-            .filter(|v| v.start == 0 && v.end == pop.horizon_s())
-            .count();
-        assert_eq!(spanning, 40);
     }
 }

@@ -9,16 +9,16 @@
 use fair_co2::carbon::ServerSpec;
 use fair_co2::shapley::temporal::TemporalShapley;
 use fair_co2::shapley::unit_time::{IntensityConvention, UnitTimeScenario};
-use fair_co2::trace::vms::VmPopulation;
+use fair_co2::trace::scale::ScaleVmConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Generate the population and its aggregate demand.
-    let pop = VmPopulation::builder()
-        .horizon_days(3)
-        .short_vms_per_hour(150.0)
-        .long_vm_count(60)
-        .seed(11)
-        .build();
+    let pop = ScaleVmConfig {
+        long_vm_count: 60,
+        seed: 11,
+        ..ScaleVmConfig::for_total_vms(10_800, 3)
+    }
+    .collect_events(1);
     let demand = pop.demand_series(300);
     println!(
         "population: {} VMs ({} short-lived < 1 h), demand peak {:.0} / mean {:.0} cores",

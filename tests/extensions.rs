@@ -19,18 +19,18 @@ use fair_co2::cluster::policy::{FirstFit, LeastInterference};
 use fair_co2::cluster::{JobStream, Simulator};
 use fair_co2::shapley::temporal::TemporalShapley;
 use fair_co2::shapley::unit_time::{IntensityConvention, UnitTimeScenario};
-use fair_co2::trace::vms::VmPopulation;
+use fair_co2::trace::scale::ScaleVmConfig;
 use fair_co2::workloads::{NodeAccounting, WorkloadKind};
 
 #[test]
 fn vm_population_flows_through_the_whole_demand_pipeline() {
     // VM events → schedule → RUP and temporal attribution → efficiency.
-    let pop = VmPopulation::builder()
-        .horizon_days(1)
-        .short_vms_per_hour(40.0)
-        .long_vm_count(8)
-        .seed(2)
-        .build();
+    let pop = ScaleVmConfig {
+        long_vm_count: 8,
+        seed: 2,
+        ..ScaleVmConfig::for_total_vms(960, 1)
+    }
+    .collect_events(1);
     let schedule = Schedule::from_vm_population(&pop, 3600).unwrap();
     let pool = 5000.0;
     for method in [
