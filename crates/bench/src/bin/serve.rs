@@ -81,8 +81,8 @@ fn main() {
     };
 
     println!(
-        "serve: ingested {} samples, closed {} windows (epoch {})",
-        report.ingested_samples, report.windows_closed, report.final_epoch
+        "serve: ingested {} samples, closed {} windows",
+        report.ingested_samples, report.windows_closed
     );
     println!(
         "serve: answered {} queries in {} batches",

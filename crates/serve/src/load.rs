@@ -62,7 +62,7 @@ impl Default for LoadOptions {
 }
 
 /// What a load run did — the numbers the `serve` binary reports.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct LoadReport {
     /// Samples ingested.
     pub ingested_samples: u64,
@@ -75,8 +75,6 @@ pub struct LoadReport {
     /// Engine primitive operations per ingested sample (amortized
     /// `O(levels)`, independent of machine speed).
     pub ops_per_sample: f64,
-    /// Final epoch number.
-    pub final_epoch: u64,
 }
 
 /// Runs `service` under concurrent ingest + query load and reports
@@ -174,6 +172,5 @@ pub fn run_load(config: ServiceConfig, opts: &LoadOptions) -> Result<LoadReport,
         queries_answered: queries.load(Ordering::Relaxed),
         batches_answered: batches.load(Ordering::Relaxed),
         ops_per_sample: service.engine_ops() as f64 / (ingested as f64).max(1.0),
-        final_epoch: service.windows_closed(),
     })
 }

@@ -39,16 +39,32 @@
 //!
 //! Between coalitions only the right-hand side `b` changes (the matrix
 //! and costs are fixed and shared), so a relative's optimal basis stays
-//! *dual* feasible and the dual simplex reuses it. [`NetworkCarbonGame`]'s
-//! [`IncrementalGame`] state threads the previous basis through
-//! permutation replay. Its [`Game::fill_values`] override — the hook the
-//! exact solvers read every coalition through, one fixed aligned block
-//! at a time — chains each coalition off its parent `mask & (mask − 1)`
-//! when the parent lies in the block and was routed, and solves the rest
-//! cold: one cold solve per block plus one per unroutable parent.
+//! *dual* feasible and the dual simplex reuses it. Every coalition
+//! program shares the skeleton's matrix family, so a basis also reuses
+//! the LU factors it carries (see `fairco2-solver`'s `simplex` module):
+//! a warm solve refactorizes its start basis only when the solve that
+//! produced it ended with eta updates.
+//!
+//! [`NetworkCarbonGame`]'s [`IncrementalGame`] state threads the previous
+//! basis through permutation replay, and every replay starts from the
+//! empty coalition's factored optimal basis, solved once per game, so no
+//! replay runs the two-phase method. Its [`Game::fill_values`] override —
+//! the hook the exact solvers read every coalition through, one fixed
+//! aligned block at a time — chains each coalition off its parent
+//! `mask & (mask − 1)` when the parent lies in the block and was routed,
+//! and solves the rest cold: one cold solve per block plus one per
+//! unroutable parent. A parent basis without factors is factorized once,
+//! in place, and all of its children start from those factors.
 //! [`NetworkCarbonGame::fill_lattice_warm`] runs the same routine over the
 //! whole lattice as a single range while counting saved iterations — the
 //! statistic behind the `lp` benchmark workload's `solver.warm_iterations`.
+//!
+//! Factor reuse changes no bit anywhere. Starting replays from the empty
+//! basis instead of a cold solve keeps every bit on exact-dyadic
+//! instances; elsewhere a replay's values can move in the last bits, but
+//! stay a pure function of the permutation.
+
+use std::sync::OnceLock;
 
 use fairco2_solver::{
     certify, solve, solve_warm, Basis, Csc, LinearProgram, LpOutcome, Solution, SolveStats,
@@ -193,6 +209,9 @@ pub struct LatticeStats {
     pub iterations: u64,
     /// Coalitions whose demand was unroutable (penalty-valued).
     pub unroutable: u64,
+    /// Parent bases factorized for their children's warm starts; a parent
+    /// whose solve handed on its factors needs none.
+    pub factorizations: u64,
 }
 
 /// The network carbon attribution game. Holds the fixed LP skeleton
@@ -218,6 +237,9 @@ pub struct NetworkCarbonGame {
     /// Conservation row of each non-egress node (`usize::MAX` for the
     /// egress).
     node_row: Vec<usize>,
+    /// The empty coalition's optimal basis, factored, on which every
+    /// permutation replay starts; solved on first use.
+    empty_basis: OnceLock<Basis>,
 }
 
 impl NetworkCarbonGame {
@@ -296,6 +318,7 @@ impl NetworkCarbonGame {
             penalty_rate,
             skeleton,
             node_row,
+            empty_basis: OnceLock::new(),
         }
     }
 
@@ -439,7 +462,9 @@ impl NetworkCarbonGame {
     /// `mask + lowbit(mask)`), so no coalition one player smaller than
     /// `mask` is visited between its parent and `mask`: the parent's basis
     /// is the latest one stored at depth `popcount(mask) − 1`, and one
-    /// slot per coalition size stands in for a basis per mask.
+    /// slot per coalition size stands in for a basis per mask. The first
+    /// child to be offered a parent basis without factors factorizes it
+    /// in that slot, so its siblings start from the same factors.
     fn fill_range(&self, first_mask: u64, out: &mut [f64], warm: bool, stats: &mut LatticeStats) {
         let n = self.demands.len();
         let mut bases: Vec<Option<Basis>> = vec![None; n + 1];
@@ -449,13 +474,16 @@ impl NetworkCarbonGame {
             let depth = mask.count_ones() as usize;
             let parent_in_range = mask != 0 && mask & (mask - 1) >= first_mask;
             let parent_basis = if warm && parent_in_range {
-                bases[depth - 1].as_ref()
+                bases[depth - 1].as_mut()
             } else {
                 None
             };
             let value = match parent_basis {
                 Some(basis) => {
                     stats.warm_attempts += 1;
+                    if basis.factorize_for(&self.skeleton) {
+                        stats.factorizations += 1;
+                    }
                     self.evaluate_warm(&coalition, basis)
                 }
                 None => self.evaluate(&coalition),
@@ -473,6 +501,21 @@ impl NetworkCarbonGame {
             *slot = value.carbon();
             bases[depth] = value.into_basis();
         }
+    }
+
+    /// The empty coalition's optimal basis, factored against the shared
+    /// matrix.
+    fn empty_basis(&self) -> Basis {
+        self.empty_basis
+            .get_or_init(|| {
+                let mut basis = self
+                    .evaluate(&Coalition::empty(self.demands.len()))
+                    .into_basis()
+                    .expect("the empty coalition routes nothing, so it is feasible");
+                basis.factorize_for(&self.skeleton);
+                basis
+            })
+            .clone()
     }
 }
 
@@ -498,26 +541,32 @@ impl Game for NetworkCarbonGame {
 
 /// Replay state: the growing coalition plus the last optimal basis, so
 /// each [`IncrementalGame::add_player`] warm-starts off the previous
-/// prefix's solve.
+/// prefix's solve — the first one off the empty coalition's. The basis
+/// carries its factors whenever its solve ended without eta updates.
 #[derive(Debug, Clone)]
 pub struct NetGameState {
     members: Coalition,
     basis: Option<Basis>,
 }
 
+/// Permutation replay, warm from the first player on: each state starts
+/// at the empty coalition's optimal basis (solved and factored once per
+/// game), and each [`IncrementalGame::add_player`] warm-starts off the
+/// previous prefix's basis, cold only after an unroutable prefix. On
+/// exact-dyadic instances every value equals [`Game::value`] bitwise.
 impl IncrementalGame for NetworkCarbonGame {
     type State = NetGameState;
 
     fn initial_state(&self) -> Self::State {
         NetGameState {
             members: Coalition::empty(self.demands.len()),
-            basis: None,
+            basis: Some(self.empty_basis()),
         }
     }
 
     fn reset_state(&self, state: &mut Self::State) {
         state.members = Coalition::empty(self.demands.len());
-        state.basis = None;
+        state.basis = Some(self.empty_basis());
     }
 
     fn add_player(&self, state: &mut Self::State, player: usize) -> f64 {
@@ -645,6 +694,50 @@ mod tests {
         );
         let v01 = game.add_player(&mut state, 0);
         assert_eq!(v01.to_bits(), game.value(&Coalition::grand(2)).to_bits());
+    }
+
+    #[test]
+    fn replays_start_warm_from_the_empty_basis() {
+        let game = overloaded_diamond_game(8, &[3, 5, 2, 4, 6]);
+        let mut state = game.initial_state();
+        let (mut routed, mut unroutable) = (0, 0);
+        for shift in 0..8 {
+            let order: Vec<usize> = if shift % 2 == 0 {
+                (0..8).map(|i| (i + shift) % 8).collect()
+            } else {
+                (0..8).rev().map(|i| (i * 3 + shift) % 8).collect()
+            };
+            game.reset_state(&mut state);
+            assert!(state
+                .basis
+                .as_ref()
+                .is_some_and(|b| b.is_factored_for(&game.skeleton)));
+            for (step, &player) in order.iter().enumerate() {
+                let offered = state.basis.clone();
+                let value = game.add_player(&mut state, player);
+                let cold = game.evaluate(&state.members);
+                assert_eq!(value.to_bits(), cold.carbon().to_bits());
+                if cold.stats().is_none() {
+                    unroutable += 1;
+                    continue;
+                }
+                // Re-running the solve `add_player` just made reads its
+                // stats: warm, served by the dual simplex.
+                let basis = offered.expect("a routed coalition is offered a basis");
+                let stats = game.evaluate_warm(&state.members, &basis).stats();
+                let stats = stats.expect("routed");
+                assert!(
+                    stats.warm_started && !stats.cold_fallback,
+                    "{order:?} step {step}"
+                );
+                assert!(step > 0 || stats.reused_factors);
+                routed += 1;
+            }
+        }
+        assert!(
+            routed > 0 && unroutable > 0,
+            "{routed} routed, {unroutable} not"
+        );
     }
 
     #[test]

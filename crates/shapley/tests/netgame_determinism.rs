@@ -14,18 +14,30 @@
 //!   run without caches (the cache may only skip work, never change a
 //!   value — which holds because warm incremental replay reproduces cold
 //!   values exactly on dyadic instances), and bit-identical at 1, 2, and
-//!   8 threads.
+//!   8 threads;
+//! * permutation replays, which start warm from the empty coalition's
+//!   basis, bit-identical to replays that start each permutation cold on
+//!   the dyadic fixture, and within 1e-9 (scaled) of them — and thread
+//!   invariant — on the non-dyadic one;
+//! * FNV-1a 64 digests of the warm lattice fill, the exact φ and the
+//!   sampled φ on the ten-tenant (dyadic and non-dyadic) and nine-tenant
+//!   fixtures, recorded before the solver started reusing LU factors, so
+//!   any change to the solver or the warm chaining that moves one bit
+//!   fails here.
 //!
 //! All instances except the non-dyadic one use integer capacities/demands
 //! and integer link prices, the exact-arithmetic regime documented in
 //! `fairco2-solver`.
 
+use fairco2_shapley::coalition::Coalition;
 use fairco2_shapley::exact::{
     exact_shapley, parallel_exact_shapley, shapley_from_table, FILL_BLOCK_MASKS,
 };
+use fairco2_shapley::game::{Game, IncrementalGame};
 use fairco2_shapley::netgame::{LatticeStats, Link, Network, NetworkCarbonGame};
 use fairco2_shapley::parallel::{parallel_sampled_shapley, ParallelConfig};
 use fairco2_shapley::sampled::SampleConfig;
+use fairco2_solver::Basis;
 
 /// A 5-node network (egress = 4) with shared bottleneck links, built so
 /// larger coalitions actually contend for capacity.
@@ -133,11 +145,11 @@ fn assert_bitwise(want: &[f64], got: &[f64], what: &str) {
     }
 }
 
-/// The bottleneck network with non-dyadic prices (tenths and thirds) and
-/// capacities (integers plus tenths), so simplex arithmetic rounds and a
-/// warm solve may differ from the cold one in the last bits.
-fn non_dyadic_game(n: usize) -> NetworkCarbonGame {
-    let links = bottleneck_network()
+/// `network` with non-dyadic prices (tenths and thirds) and capacities
+/// (integers plus tenths), so simplex arithmetic rounds and a warm solve
+/// may differ from the cold one in the last bits.
+fn non_dyadic(network: &Network) -> Network {
+    let links = network
         .links()
         .iter()
         .enumerate()
@@ -151,7 +163,48 @@ fn non_dyadic_game(n: usize) -> NetworkCarbonGame {
             ..*l
         })
         .collect();
-    NetworkCarbonGame::new(Network::new(5, 4, links), tenants(n))
+    Network::new(network.nodes(), network.egress(), links)
+}
+
+/// The bottleneck network made non-dyadic.
+fn non_dyadic_game(n: usize) -> NetworkCarbonGame {
+    NetworkCarbonGame::new(non_dyadic(&bottleneck_network()), tenants(n))
+}
+
+/// A leaf/spine fabric shaped like the benchmark's: five injection
+/// leaves (nodes 0–4), two spines (5, 6) and the egress (7). Each leaf
+/// reaches both spines and keeps a costly direct backup to the egress,
+/// so every coalition routes; the spine downlinks are the bottlenecks.
+fn leaf_spine_network() -> Network {
+    let (spine_a, spine_b, egress) = (5, 6, 7);
+    let link = |from, to, capacity: usize, price: usize| Link {
+        from,
+        to,
+        capacity: capacity as f64,
+        carbon_per_unit: price as f64,
+    };
+    let mut links = Vec::new();
+    for leaf in 0..5 {
+        links.push(link(leaf, spine_a, 5 + (leaf * 3) % 4, 1 + leaf % 4));
+        links.push(link(leaf, spine_b, 4 + (leaf * 5) % 5, 1 + (leaf + 1) % 4));
+        links.push(link(leaf, egress, 64, 8 * (1 + (leaf + 2) % 4)));
+    }
+    links.push(link(spine_a, egress, 13, 1));
+    links.push(link(spine_b, egress, 11, 2));
+    links.push(link(spine_a, spine_b, 6, 1));
+    Network::new(8, egress, links)
+}
+
+/// `n` tenants injecting small integer demands at two leaves each.
+fn leaf_tenants(n: usize) -> Vec<Vec<f64>> {
+    (0..n)
+        .map(|t| {
+            let mut d = vec![0.0; 8];
+            d[(t * 3) % 5] += (1 + t % 3) as f64;
+            d[(t * 7 + 2) % 5] += (1 + (t / 2) % 2) as f64;
+            d
+        })
+        .collect()
 }
 
 #[test]
@@ -225,8 +278,10 @@ fn warm_lattice_stats_are_pinned_on_the_ten_tenant_fixture() {
             warm_hits: 909,
             iterations: 654,
             unroutable: 114,
+            factorizations: 222,
         }
     );
+    assert!(stats.factorizations < stats.warm_attempts);
 }
 
 #[test]
@@ -298,6 +353,150 @@ fn parallel_sampled_shapley_is_bit_identical_at_1_2_8_threads() {
                     );
                 }
             }
+        }
+    }
+}
+
+fn fnv1a(mut hash: u64, word: u64) -> u64 {
+    for byte in word.to_le_bytes() {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    hash
+}
+
+fn digest(words: &[f64]) -> u64 {
+    words
+        .iter()
+        .fold(fnv1a(0xCBF2_9CE4_8422_2325, words.len() as u64), |h, v| {
+            fnv1a(h, v.to_bits())
+        })
+}
+
+/// FNV-1a 64 over the warm lattice values and the two-thread exact φ.
+fn lattice_and_exact_digest(g: &NetworkCarbonGame) -> u64 {
+    let (values, _) = g.fill_lattice_warm();
+    let phi = parallel_exact_shapley(g, 2).unwrap();
+    fnv1a(digest(&values), digest(&phi))
+}
+
+/// `game(10)`: warm lattice values, then exact φ at two threads.
+const DYADIC_LP_DIGEST: u64 = 0x48FA_05C9_2018_88D9;
+/// `non_dyadic_game(10)`: the same, on the rounding fixture.
+const NON_DYADIC_LP_DIGEST: u64 = 0xA682_E69E_10F5_E3A0;
+/// The non-dyadic leaf/spine fabric at ten tenants: the same again. Its
+/// flows sum several rounded capacities, so a start from factors that
+/// carry eta updates moves its bits where the bottleneck fixture's stay.
+const LEAF_SPINE_LP_DIGEST: u64 = 0x367C_4FA1_D10C_A7B4;
+/// `game(9)`: sampled φ at two threads, cached then uncached.
+const SAMPLED_LP_DIGEST: u64 = 0x3CB5_1E34_8412_1F88;
+
+#[test]
+fn lp_values_match_the_established_digests() {
+    let leaf_spine = lattice_and_exact_digest(&NetworkCarbonGame::new(
+        non_dyadic(&leaf_spine_network()),
+        leaf_tenants(10),
+    ));
+    let bottleneck = lattice_and_exact_digest(&non_dyadic_game(10));
+    let dyadic = lattice_and_exact_digest(&game(10));
+    let g = game(9);
+    let [cached, uncached] = [true, false]
+        .map(|cache| parallel_sampled_shapley(&g, &replay_config(2, cache), 0xD16E_5700).estimate);
+    let sampled = fnv1a(digest(&cached.values), digest(&uncached.values));
+    assert_eq!(
+        (dyadic, bottleneck, leaf_spine, sampled),
+        (
+            DYADIC_LP_DIGEST,
+            NON_DYADIC_LP_DIGEST,
+            LEAF_SPINE_LP_DIGEST,
+            SAMPLED_LP_DIGEST
+        ),
+        "{dyadic:#018x} {bottleneck:#018x} {leaf_spine:#018x} {sampled:#018x}"
+    );
+}
+
+/// Replay that solves each permutation's first coalition cold and warm
+/// starts every later one off its predecessor, through the public
+/// `evaluate`/`evaluate_warm` — the game's own replay before it started
+/// from the empty coalition's basis.
+struct ColdStartReplay<'a>(&'a NetworkCarbonGame);
+
+impl Game for ColdStartReplay<'_> {
+    fn player_count(&self) -> usize {
+        self.0.player_count()
+    }
+
+    fn value(&self, coalition: &Coalition) -> f64 {
+        self.0.value(coalition)
+    }
+}
+
+impl IncrementalGame for ColdStartReplay<'_> {
+    type State = (Coalition, Option<Basis>);
+
+    fn initial_state(&self) -> Self::State {
+        (Coalition::empty(self.player_count()), None)
+    }
+
+    fn add_player(&self, (members, basis): &mut Self::State, player: usize) -> f64 {
+        members.insert(player);
+        let value = match basis.as_ref() {
+            Some(start) => self.0.evaluate_warm(members, start),
+            None => self.0.evaluate(members),
+        };
+        let carbon = value.carbon();
+        *basis = value.into_basis();
+        carbon
+    }
+}
+
+fn replay_config(threads: usize, coalition_cache: bool) -> ParallelConfig {
+    ParallelConfig {
+        sample: SampleConfig {
+            max_permutations: 192,
+            target_stderr: 0.0,
+            min_permutations: 192,
+            antithetic: true,
+        },
+        batch_permutations: 16,
+        round_batches: 8,
+        threads,
+        coalition_cache,
+    }
+}
+
+#[test]
+fn warm_started_replays_match_cold_started_ones_bit_for_bit_on_the_dyadic_fixture() {
+    let g = game(9);
+    for cache in [true, false] {
+        let config = replay_config(2, cache);
+        let warm = parallel_sampled_shapley(&g, &config, 0x5EED).estimate;
+        let cold = parallel_sampled_shapley(&ColdStartReplay(&g), &config, 0x5EED).estimate;
+        assert_bitwise(&cold.values, &warm.values, &format!("cache={cache}"));
+    }
+}
+
+#[test]
+fn non_dyadic_warm_started_replays_are_thread_invariant_and_close_to_cold_started_ones() {
+    let g = non_dyadic_game(9);
+    let cold = parallel_sampled_shapley(&ColdStartReplay(&g), &replay_config(2, true), 0x5EED)
+        .estimate
+        .values;
+    let scale = 1.0 + g.value(&Coalition::grand(9)).abs();
+    let mut reference: Option<Vec<f64>> = None;
+    for threads in [1usize, 2, 8] {
+        let warm = parallel_sampled_shapley(&g, &replay_config(threads, true), 0x5EED)
+            .estimate
+            .values;
+        for (p, (w, c)) in warm.iter().zip(&cold).enumerate() {
+            assert!(
+                (w - c).abs() <= 1e-9 * scale,
+                "player {p} at {threads} threads: warm-started {w} vs cold-started {c}"
+            );
+        }
+        match &reference {
+            None => reference = Some(warm),
+            Some(want) => assert_bitwise(want, &warm, &format!("threads={threads}")),
         }
     }
 }

@@ -19,7 +19,9 @@
 //!   lattice changes only `b`, so a parent's optimal basis stays dual
 //!   feasible), Dantzig pricing with **Bland's rule as the documented
 //!   deterministic anti-cycling fallback**, and typed
-//!   [`LpOutcome::Infeasible`] / [`LpOutcome::Unbounded`] results.
+//!   [`LpOutcome::Infeasible`] / [`LpOutcome::Unbounded`] results. An
+//!   optimal [`Basis`] carries its LU factors when its solve ended
+//!   without eta updates, so a warm solve from it does not refactorize.
 //!
 //! # Determinism contract
 //!

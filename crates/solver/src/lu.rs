@@ -22,6 +22,16 @@
 //! {−1, 0, +1}, so factorization, solves, and eta updates are all exact
 //! in `f64`; see the crate docs for why that makes warm and cold solves
 //! bit-identical.
+//!
+//! The L and U factors are immutable once built and sit behind an
+//! [`Arc`]; only the eta file belongs to one owner. Cloning factors
+//! therefore costs a reference count plus a copy of the etas — nothing
+//! at all for *fresh* factors ([`LuFactors::eta_count`] of 0), which are
+//! exactly what [`LuFactors::factorize`] of the same columns builds. The
+//! simplex hands fresh factors on with an optimal basis, so a warm solve
+//! from that basis starts without refactorizing it.
+
+use std::sync::Arc;
 
 /// Eta vectors accumulated before the owner should refactorize.
 pub const REFACTOR_ETAS: usize = 32;
@@ -70,11 +80,9 @@ struct Eta {
     entries: Vec<(usize, f64)>,
 }
 
-/// LU factors of a square sparse matrix plus the eta file of subsequent
-/// rank-one basis replacements.
-#[derive(Debug, Clone)]
-pub struct LuFactors {
-    m: usize,
+/// The L and U factors of one elimination, shared by every clone.
+#[derive(Debug)]
+struct Elimination {
     /// `pivot_row[k]`: original row eliminated at step `k`.
     pivot_row: Vec<usize>,
     /// `col_pos[j]`: elimination step at which original column `j` left.
@@ -87,6 +95,14 @@ pub struct LuFactors {
     upper: Vec<Vec<(usize, f64)>>,
     /// Diagonal pivots per step.
     pivots: Vec<f64>,
+}
+
+/// LU factors of a square sparse matrix plus the eta file of subsequent
+/// rank-one basis replacements.
+#[derive(Debug, Clone)]
+pub struct LuFactors {
+    m: usize,
+    base: Arc<Elimination>,
     etas: Vec<Eta>,
 }
 
@@ -241,12 +257,14 @@ impl LuFactors {
 
         Ok(Self {
             m,
-            pivot_row,
-            col_pos,
-            col_of_pos,
-            lower,
-            upper,
-            pivots,
+            base: Arc::new(Elimination {
+                pivot_row,
+                col_pos,
+                col_of_pos,
+                lower,
+                upper,
+                pivots,
+            }),
             etas: Vec::new(),
         })
     }
@@ -336,13 +354,14 @@ impl LuFactors {
 
     /// Solves `B₀ x = v` against the bare LU factors (no etas).
     fn solve_base(&self, v: &mut [f64]) {
+        let f = &*self.base;
         // Forward: y = L⁻¹ P v, stored per elimination step.
         let mut y = vec![0.0f64; self.m];
         for k in 0..self.m {
-            let t = v[self.pivot_row[k]];
+            let t = v[f.pivot_row[k]];
             y[k] = t;
             if t != 0.0 {
-                for &(r, l) in &self.lower[k] {
+                for &(r, l) in &f.lower[k] {
                     v[r] -= l * t;
                 }
             }
@@ -351,30 +370,31 @@ impl LuFactors {
         let mut sol = y;
         for k in (0..self.m).rev() {
             let mut acc = sol[k];
-            for &(p, u) in &self.upper[k] {
+            for &(p, u) in &f.upper[k] {
                 acc -= u * sol[p];
             }
-            sol[k] = acc / self.pivots[k];
+            sol[k] = acc / f.pivots[k];
         }
         // Un-permute columns: slot j gets the value of its position.
         for j in 0..self.m {
-            v[j] = sol[self.col_pos[j]];
+            v[j] = sol[f.col_pos[j]];
         }
     }
 
     /// Solves `B₀ᵀ y = c` against the bare LU factors (no etas).
     fn solve_base_transposed(&self, c: &mut [f64]) {
+        let f = &*self.base;
         // Permute into elimination positions: v1[k] = c[col at k].
         let mut w = vec![0.0f64; self.m];
         for k in 0..self.m {
-            w[k] = c[self.col_of_pos[k]];
+            w[k] = c[f.col_of_pos[k]];
         }
         // Uᵀ z = v1 (forward in position order, scattering off-diagonals).
         for k in 0..self.m {
-            let z = w[k] / self.pivots[k];
+            let z = w[k] / f.pivots[k];
             w[k] = z;
             if z != 0.0 {
-                for &(p, u) in &self.upper[k] {
+                for &(p, u) in &f.upper[k] {
                     w[p] -= u * z;
                 }
             }
@@ -385,10 +405,10 @@ impl LuFactors {
         }
         for k in (0..self.m).rev() {
             let mut t = w[k];
-            for &(r, l) in &self.lower[k] {
+            for &(r, l) in &f.lower[k] {
                 t -= l * c[r];
             }
-            c[self.pivot_row[k]] += t;
+            c[f.pivot_row[k]] += t;
         }
     }
 }
@@ -475,6 +495,25 @@ mod tests {
         for (e, f) in te.iter().zip(&tf) {
             assert!((e - f).abs() < 1e-12, "eta {e} vs fresh {f}");
         }
+    }
+
+    #[test]
+    fn clones_share_the_factors_but_not_the_etas() {
+        let a: [&[f64]; 3] = [&[1.0, 0.0, 2.0], &[0.0, 1.0, 1.0], &[1.0, 1.0, 0.0]];
+        let lu = LuFactors::factorize(3, &dense_cols(&a)).unwrap();
+        let mut clone = lu.clone();
+        assert!(Arc::ptr_eq(&lu.base, &clone.base));
+        let mut w = [1.0, 2.0, 0.0];
+        clone.ftran(&mut w);
+        assert!(clone.append_eta(1, &w));
+        assert_eq!((lu.eta_count(), clone.eta_count()), (0, 1));
+        let rhs = [3.0, -1.0, 2.0];
+        let (mut shared, mut fresh) = (rhs, rhs);
+        lu.ftran(&mut shared);
+        LuFactors::factorize(3, &dense_cols(&a))
+            .unwrap()
+            .ftran(&mut fresh);
+        assert_eq!(shared, fresh);
     }
 
     #[test]

@@ -10,6 +10,22 @@
 //! reference cold path whenever the basis is unusable (wrong shape,
 //! singular, dual infeasible, or the dual iteration hits a limit).
 //!
+//! # Factors travel with the basis
+//!
+//! A solve that ends with no eta updates — it made no pivot, or it
+//! refactorized on its last one — returns an optimal [`Basis`] that
+//! carries those fresh [`LuFactors`]. They are exactly what
+//! [`LuFactors::factorize`] of the basis columns in slot order builds,
+//! so a warm solve from the basis starts from them instead of
+//! refactorizing, and every later bit of it is unchanged
+//! ([`SolveStats::reused_factors`]). Factors that carry etas are never
+//! handed on: the solver's state stays a pure function of the basis.
+//! Factors are valid only for the matrix they were built from, so each
+//! program belongs to a matrix *family* — [`LinearProgram::new`] starts
+//! one, [`LinearProgram::with_rhs`] inherits it — and a warm solve uses
+//! carried factors only within their family. [`Basis::factorize_for`]
+//! factors a basis once so that every solve it seeds shares the factors.
+//!
 //! # Pivot rules and determinism
 //!
 //! * Entering (primal): Dantzig pricing — most negative reduced cost,
@@ -34,6 +50,7 @@
 //! rather than a hang.
 
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::csc::Csc;
 use crate::lu::{LuError, LuFactors};
@@ -50,6 +67,9 @@ const PIVOT_TOL: f64 = 1e-9;
 /// rule for the remainder of the solve.
 const DEGENERATE_STREAK_LIMIT: usize = 40;
 
+/// The next matrix family id [`LinearProgram::new`] hands out.
+static NEXT_FAMILY: AtomicU64 = AtomicU64::new(0);
+
 /// A linear program in standard form `min cᵀx  s.t.  A x = b, x ≥ 0`.
 ///
 /// The matrix and costs are either owned ([`new`](Self::new)) or borrowed
@@ -61,6 +81,10 @@ pub struct LinearProgram<'a> {
     a: Cow<'a, Csc>,
     b: Vec<f64>,
     c: Cow<'a, [f64]>,
+    /// Matrix family: fresh from [`new`](Self::new), inherited by
+    /// [`with_rhs`](Self::with_rhs) and clones. Factors carried by a
+    /// [`Basis`] are reused only within the family they were built in.
+    family: u64,
 }
 
 impl LinearProgram<'static> {
@@ -73,15 +97,16 @@ impl LinearProgram<'static> {
     pub fn new(a: Csc, b: Vec<f64>, c: Vec<f64>) -> Self {
         assert_eq!(a.cols(), c.len(), "cost length must match variable count");
         assert!(c.iter().all(|v| v.is_finite()), "LP data must be finite");
-        Self::checked(Cow::Owned(a), b, Cow::Owned(c))
+        let family = NEXT_FAMILY.fetch_add(1, Ordering::Relaxed);
+        Self::checked(Cow::Owned(a), b, Cow::Owned(c), family)
     }
 }
 
 impl<'a> LinearProgram<'a> {
-    fn checked(a: Cow<'a, Csc>, b: Vec<f64>, c: Cow<'a, [f64]>) -> Self {
+    fn checked(a: Cow<'a, Csc>, b: Vec<f64>, c: Cow<'a, [f64]>, family: u64) -> Self {
         assert_eq!(a.rows(), b.len(), "rhs length must match constraint rows");
         assert!(b.iter().all(|v| v.is_finite()), "LP data must be finite");
-        Self { a, b, c }
+        Self { a, b, c, family }
     }
 
     /// The same matrix and costs, borrowed rather than copied, with
@@ -91,7 +116,12 @@ impl<'a> LinearProgram<'a> {
     ///
     /// Panics if `b` has the wrong length or a non-finite entry.
     pub fn with_rhs(&self, b: Vec<f64>) -> LinearProgram<'_> {
-        LinearProgram::checked(Cow::Borrowed(&*self.a), b, Cow::Borrowed(&*self.c))
+        LinearProgram::checked(
+            Cow::Borrowed(&*self.a),
+            b,
+            Cow::Borrowed(&*self.c),
+            self.family,
+        )
     }
 
     /// Number of equality constraints (rows of `A`).
@@ -123,12 +153,36 @@ impl<'a> LinearProgram<'a> {
 /// An ordered basis: `columns()[slot]` is the structural column occupying
 /// basis slot `slot`. Returned by optimal solves and accepted by
 /// [`solve_warm`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A basis may carry the fresh LU factors of its columns (see the module
+/// docs); cloning it then costs a reference count. Equality compares the
+/// columns only.
+#[derive(Debug, Clone)]
 pub struct Basis {
     cols: Vec<usize>,
+    /// Fresh factors of `cols` in slot order, with the matrix family they
+    /// were built against.
+    factors: Option<(u64, LuFactors)>,
 }
 
+impl PartialEq for Basis {
+    fn eq(&self, other: &Self) -> bool {
+        self.cols == other.cols
+    }
+}
+
+impl Eq for Basis {}
+
 impl Basis {
+    /// A basis of the given columns, slot by slot, carrying no factors: a
+    /// warm solve from it factorizes them first.
+    pub fn from_columns(columns: Vec<usize>) -> Self {
+        Self {
+            cols: columns,
+            factors: None,
+        }
+    }
+
     /// The basic column ids, slot by slot.
     pub fn columns(&self) -> &[usize] {
         &self.cols
@@ -138,6 +192,56 @@ impl Basis {
     /// bases are reusable as warm starts.
     pub fn is_structural(&self, n: usize) -> bool {
         self.cols.iter().all(|&j| j < n)
+    }
+
+    /// Whether the basis carries factors a warm solve of `lp` can start
+    /// from: ones built against `lp`'s matrix family.
+    pub fn is_factored_for(&self, lp: &LinearProgram<'_>) -> bool {
+        self.factors_for(lp).is_some()
+    }
+
+    /// Factors the basis against `lp`'s matrix unless it already carries
+    /// factors for it, so every warm solve it seeds in `lp`'s family
+    /// starts from the same factors. Returns whether a factorization ran.
+    /// A basis that does not fit `lp` is left alone; a singular one stays
+    /// unfactored, and [`solve_warm`] falls back from it as before.
+    pub fn factorize_for(&mut self, lp: &LinearProgram<'_>) -> bool {
+        if self.is_factored_for(lp) || !self.fits(lp) {
+            return false;
+        }
+        self.factors = LuFactors::factorize(lp.constraints(), &self.sparse_columns(lp))
+            .ok()
+            .map(|lu| (lp.family, lu));
+        true
+    }
+
+    fn factors_for(&self, lp: &LinearProgram<'_>) -> Option<&LuFactors> {
+        match &self.factors {
+            Some((family, lu)) if *family == lp.family => Some(lu),
+            _ => None,
+        }
+    }
+
+    /// Whether the basis has one distinct structural column per row of
+    /// `lp` — the shape a warm start needs.
+    fn fits(&self, lp: &LinearProgram<'_>) -> bool {
+        let n = lp.variables();
+        self.cols.len() == lp.constraints() && self.is_structural(n) && {
+            let mut seen = vec![false; n];
+            self.cols
+                .iter()
+                .all(|&j| !std::mem::replace(&mut seen[j], true))
+        }
+    }
+
+    fn sparse_columns(&self, lp: &LinearProgram<'_>) -> Vec<Vec<(usize, f64)>> {
+        self.cols
+            .iter()
+            .map(|&j| {
+                let (rows, vals) = lp.matrix().col(j);
+                rows.iter().zip(vals).map(|(&r, &v)| (r, v)).collect()
+            })
+            .collect()
     }
 }
 
@@ -159,6 +263,9 @@ pub struct SolveStats {
     pub warm_started: bool,
     /// Whether a warm request fell back to the cold reference path.
     pub cold_fallback: bool,
+    /// Whether the warm start took its start factors from the basis
+    /// instead of factorizing it (never set on a cold fallback).
+    pub reused_factors: bool,
 }
 
 /// An optimal solution with its certificate ingredients.
@@ -368,20 +475,19 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn warm(lp: &'a LinearProgram<'a>, cols_ids: &[usize]) -> Result<Self, LuError> {
+    /// Starts from `basis`, which must [fit](Basis::fits) `lp`, with its
+    /// carried factors when they belong to `lp`'s family.
+    fn warm(lp: &'a LinearProgram<'a>, basis: &Basis) -> Result<Self, LuError> {
         let m = lp.constraints();
         let n = lp.variables();
         let art_sign = vec![1.0; m];
-        let cols: Vec<Vec<(usize, f64)>> = cols_ids
-            .iter()
-            .map(|&j| {
-                let (rows, vals) = lp.matrix().col(j);
-                rows.iter().zip(vals).map(|(&r, &v)| (r, v)).collect()
-            })
-            .collect();
-        let lu = LuFactors::factorize(m, &cols)?;
+        let carried = basis.factors_for(lp);
+        let lu = match carried {
+            Some(lu) => lu.clone(),
+            None => LuFactors::factorize(m, &basis.sparse_columns(lp))?,
+        };
         let mut in_basis = vec![false; n + m];
-        for &j in cols_ids {
+        for &j in &basis.cols {
             in_basis[j] = true;
         }
         let mut xb = lp.rhs().to_vec();
@@ -391,11 +497,15 @@ impl<'a> Engine<'a> {
             m,
             n,
             art_sign,
-            basis: cols_ids.to_vec(),
+            basis: basis.cols.clone(),
             in_basis,
             lu,
             xb,
-            stats: SolveStats::default(),
+            stats: SolveStats {
+                warm_started: true,
+                reused_factors: carried.is_some(),
+                ..SolveStats::default()
+            },
             bland: false,
             degen_streak: 0,
             iter_cap: iter_cap(m, n),
@@ -732,12 +842,16 @@ impl<'a> Engine<'a> {
                 objective += cj * xj;
             }
         }
+        // Fresh factors of a structural basis are what a warm start from
+        // it would build, so they travel with it.
+        let fresh = self.lu.eta_count() == 0 && self.basis.iter().all(|&j| j < self.n);
         Solution {
             x,
             objective,
             duals: y,
             basis: Basis {
                 cols: self.basis.clone(),
+                factors: fresh.then(|| (self.lp.family, self.lu.clone())),
             },
             stats: self.stats,
         }
@@ -762,27 +876,19 @@ pub fn solve(lp: &LinearProgram<'_>) -> Result<LpOutcome, SolverError> {
 
 /// Solves `lp` warm-starting from `basis` (typically a relative's optimal
 /// basis after only `b` changed, which leaves it dual feasible) via the
-/// dual simplex. Falls back to the cold reference path — recording
-/// [`SolveStats::cold_fallback`] — whenever the basis is unusable: wrong
-/// shape, contains artificials, singular, dual infeasible, or the dual
-/// iteration hits a limit.
+/// dual simplex. The start factors are the ones `basis` carries for
+/// `lp`'s matrix family, else a fresh factorization of its columns — the
+/// same factors either way. Falls back to the cold reference path —
+/// recording [`SolveStats::cold_fallback`] — whenever the basis is
+/// unusable: wrong shape, contains artificials, singular, dual
+/// infeasible, or the dual iteration hits a limit.
 ///
 /// # Errors
 ///
 /// [`SolverError`] only if the *fallback cold solve* itself fails.
 pub fn solve_warm(lp: &LinearProgram<'_>, basis: &Basis) -> Result<LpOutcome, SolverError> {
-    let m = lp.constraints();
-    let n = lp.variables();
-    let shape_ok = basis.cols.len() == m && basis.is_structural(n) && {
-        let mut seen = vec![false; n];
-        basis
-            .cols
-            .iter()
-            .all(|&j| !std::mem::replace(&mut seen[j], true))
-    };
-    if shape_ok {
-        if let Ok(mut eng) = Engine::warm(lp, &basis.cols) {
-            eng.stats.warm_started = true;
+    if basis.fits(lp) {
+        if let Ok(mut eng) = Engine::warm(lp, basis) {
             let costs = eng.phase2_costs();
             if eng.dual_feasible(&costs) {
                 match eng.dual_simplex(&costs) {
@@ -938,10 +1044,80 @@ mod tests {
     #[test]
     fn garbage_basis_falls_back_to_cold() {
         let p = lp(1, 2, &[(0, 0, 1.0), (0, 1, 1.0)], &[1.0], &[1.0, 2.0]);
-        let bad = Basis { cols: vec![0, 0] };
+        let bad = Basis::from_columns(vec![0, 0]);
         let sol = solve_warm(&p, &bad).unwrap().optimal().expect("optimal");
         assert!(sol.stats.cold_fallback);
         assert_eq!(sol.objective, 1.0);
+    }
+
+    #[test]
+    fn a_pivot_free_warm_solve_hands_its_factors_on() {
+        let triplets = [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)];
+        let parent = lp(2, 3, &triplets, &[2.0, 3.0], &[1.0, 2.0, 0.0]);
+        let mut basis = solve(&parent).unwrap().optimal().expect("optimal").basis;
+        assert!(basis.factorize_for(&parent));
+        assert!(!basis.factorize_for(&parent), "already factored");
+        // Re-solving the parent from its own optimum makes no pivot, so
+        // the start factors come back with the basis.
+        let again = solve_warm(&parent, &basis)
+            .unwrap()
+            .optimal()
+            .expect("optimal");
+        assert_eq!(again.stats.iterations, 0);
+        assert!(again.stats.reused_factors);
+        assert!(again.basis.is_factored_for(&parent));
+        // A child sharing the matrix starts from them.
+        let child = parent.with_rhs(vec![1.0, 3.0]);
+        let reused = solve_warm(&child, &again.basis)
+            .unwrap()
+            .optimal()
+            .expect("optimal");
+        assert!(reused.stats.reused_factors);
+        assert_eq!(reused.objective, 1.0);
+    }
+
+    #[test]
+    fn carried_factors_are_refused_for_another_matrix() {
+        // Same shape and pattern, doubled basis columns: the factors of
+        // `first` would put x = (2, 2) at cost 4 on `second`, whose
+        // optimum is x = (1, 1) at cost 2.
+        let first = lp(
+            2,
+            3,
+            &[(0, 0, 1.0), (1, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)],
+            &[2.0, 2.0],
+            &[1.0, 1.0, 3.0],
+        );
+        let second = lp(
+            2,
+            3,
+            &[(0, 0, 2.0), (1, 1, 2.0), (0, 2, 1.0), (1, 2, 1.0)],
+            &[2.0, 2.0],
+            &[1.0, 1.0, 3.0],
+        );
+        let mut basis = Basis::from_columns(vec![0, 1]);
+        assert!(basis.factorize_for(&first));
+        let cold = solve(&second).unwrap().optimal().expect("optimal");
+        let warm = solve_warm(&second, &basis)
+            .unwrap()
+            .optimal()
+            .expect("optimal");
+        assert_eq!(warm.objective, 2.0);
+        assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
+        assert!(certify(&second, &warm).passes(1e-12));
+        assert!(!warm.stats.reused_factors);
+        assert!(!basis.is_factored_for(&second));
+    }
+
+    #[test]
+    fn basis_equality_ignores_factors() {
+        let p = lp(1, 2, &[(0, 0, 1.0), (0, 1, 1.0)], &[1.0], &[1.0, 2.0]);
+        let mut factored = Basis::from_columns(vec![0]);
+        assert!(factored.factorize_for(&p));
+        let bare = Basis::from_columns(vec![0]);
+        assert!(factored.is_factored_for(&p) && !bare.is_factored_for(&p));
+        assert_eq!(factored, bare);
+        assert_ne!(factored, Basis::from_columns(vec![1]));
     }
 
     #[test]

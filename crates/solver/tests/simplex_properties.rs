@@ -9,8 +9,11 @@
 //!   duality gap and non-negative reduced costs — to 1e-9** (scaled).
 //! * Degenerate (all-tied-ratio), infeasible, and unbounded families
 //!   return **typed** outcomes: never a panic, never a NaN.
+//! * Warm solves along chains of non-integer rhs perturbations of the
+//!   sparse family return the same bits whether each start basis carries
+//!   the factors its predecessor handed on or has them stripped.
 
-use fairco2_solver::{certify, solve, Csc, LinearProgram, LpOutcome};
+use fairco2_solver::{certify, solve, solve_warm, Basis, Csc, LinearProgram, LpOutcome, Solution};
 use proptest::prelude::*;
 
 /// Dense Gaussian elimination with partial pivoting: solves `B x = b` for
@@ -111,6 +114,61 @@ fn build_instance(m: usize, n: usize, entries: &[i8], x0: &[u8], costs: &[i8]) -
     SmallInstance { m, n, dense, b, c }
 }
 
+/// The sparse family: each column touches ≤ 3 rows with entries in
+/// −2..=2 (not totally unimodular, so elimination rounds), `b = A·x₀`.
+fn sparse_instance(
+    m: usize,
+    extra: usize,
+    entries: &[i8],
+    x0: &[u8],
+    costs: &[i8],
+) -> SmallInstance {
+    let n = m + extra;
+    let dense: Vec<Vec<f64>> = (0..n)
+        .map(|j| {
+            let mut col = vec![0.0f64; m];
+            for k in 0..3 {
+                let i = (j * 3 + k * 7) % m;
+                col[i] = entries[(j + k) % entries.len()] as f64;
+            }
+            col
+        })
+        .collect();
+    let mut b = vec![0.0f64; m];
+    for (j, col) in dense.iter().enumerate() {
+        let xj = x0[j % x0.len()] as f64;
+        for (i, &v) in col.iter().enumerate() {
+            b[i] += v * xj;
+        }
+    }
+    let c: Vec<f64> = (0..n).map(|j| costs[j % costs.len()] as f64).collect();
+    SmallInstance { m, n, dense, b, c }
+}
+
+/// `A·(x₀ + εₖ)` for a non-integer `εₖ ≥ 0`: a feasible rhs off the
+/// integer lattice.
+fn perturbed_rhs(inst: &SmallInstance, x0: &[u8], k: usize) -> Vec<f64> {
+    let mut b = vec![0.0f64; inst.m];
+    for (j, col) in inst.dense.iter().enumerate() {
+        let xj = x0[j % x0.len()] as f64 + ((j * 5 + k * 3) % 11) as f64 * 0.1 / 3.0;
+        for (i, &v) in col.iter().enumerate() {
+            b[i] += v * xj;
+        }
+    }
+    b
+}
+
+fn warm_optimum(lp: &LinearProgram<'_>, basis: &Basis) -> Solution {
+    solve_warm(lp, basis)
+        .expect("finite data")
+        .optimal()
+        .expect("feasible and bounded by construction")
+}
+
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 fn to_lp(inst: &SmallInstance) -> LinearProgram<'static> {
     let mut triplets = Vec::new();
     for (j, col) in inst.dense.iter().enumerate() {
@@ -169,27 +227,7 @@ proptest! {
         x0 in prop::collection::vec(0u8..=3, 20),
         costs in prop::collection::vec(0i8..=7, 8..16),
     ) {
-        let n = m + extra;
-        // Sparse column pattern: each column touches ≤ 3 rows.
-        let dense: Vec<Vec<f64>> = (0..n)
-            .map(|j| {
-                let mut col = vec![0.0f64; m];
-                for k in 0..3 {
-                    let i = (j * 3 + k * 7) % m;
-                    col[i] = entries[(j + k) % entries.len()] as f64;
-                }
-                col
-            })
-            .collect();
-        let mut b = vec![0.0f64; m];
-        for (j, col) in dense.iter().enumerate() {
-            let xj = x0[j % x0.len()] as f64;
-            for (i, &v) in col.iter().enumerate() {
-                b[i] += v * xj;
-            }
-        }
-        let c: Vec<f64> = (0..n).map(|j| costs[j % costs.len()] as f64).collect();
-        let inst = SmallInstance { m, n, dense, b, c };
+        let inst = sparse_instance(m, extra, &entries, &x0, &costs);
         let lp = to_lp(&inst);
         match solve(&lp).expect("solver must not fail on finite data") {
             LpOutcome::Optimal(sol) => {
@@ -208,6 +246,41 @@ proptest! {
                 // below by zero: Unbounded would be a bug.
                 prop_assert!(false, "bounded instance typed unbounded");
             }
+        }
+    }
+
+    #[test]
+    fn carried_factors_reproduce_stripped_warm_chains_bit_for_bit(
+        m in 3usize..=10,
+        extra in 2usize..=10,
+        entries in prop::collection::vec(-2i8..=2, 16..64),
+        x0 in prop::collection::vec(0u8..=3, 20),
+        costs in prop::collection::vec(0i8..=7, 8..16),
+    ) {
+        let inst = sparse_instance(m, extra, &entries, &x0, &costs);
+        let base = to_lp(&inst);
+        let start = solve(&base).expect("finite data").optimal().expect("feasible, bounded");
+        // The carried chain factors its start basis once, as the lattice
+        // fill does; the stripped chain factorizes every start itself.
+        let mut carried = start.basis.clone();
+        carried.factorize_for(&base);
+        let mut stripped = start.basis;
+        for k in 1..=4 {
+            let lp = base.with_rhs(perturbed_rhs(&inst, &x0, k));
+            let offered = carried.is_factored_for(&lp);
+            let bare = Basis::from_columns(stripped.columns().to_vec());
+            let with = warm_optimum(&lp, &carried);
+            let without = warm_optimum(&lp, &bare);
+            prop_assert_eq!(with.objective.to_bits(), without.objective.to_bits(), "link {}", k);
+            prop_assert!(same_bits(&with.x, &without.x), "link {}: x", k);
+            prop_assert!(same_bits(&with.duals, &without.duals), "link {}: duals", k);
+            prop_assert_eq!(with.basis.columns(), without.basis.columns(), "link {}", k);
+            prop_assert_eq!(with.stats.iterations, without.stats.iterations, "link {}", k);
+            prop_assert_eq!(with.stats.cold_fallback, without.stats.cold_fallback, "link {}", k);
+            prop_assert_eq!(with.stats.reused_factors, offered && !with.stats.cold_fallback, "link {}", k);
+            prop_assert!(!without.stats.reused_factors, "link {}", k);
+            carried = with.basis;
+            stripped = without.basis;
         }
     }
 
