@@ -16,8 +16,6 @@
 //! observed records are therefore **bit-identical at any thread count**
 //! (pinned at 1, 2 and 8 threads by `tests/harvest_invariance.rs`).
 
-use serde::{Deserialize, Serialize};
-
 use fairco2_forecast::linalg::LinalgError;
 use fairco2_shapley::exact::exact_shapley_fast_with_scratch;
 use fairco2_shapley::game::{Game, PeakDemandGame};
@@ -33,7 +31,7 @@ use crate::scratch::{EngineScratch, ScratchStats, TrialScratch};
 /// One trial's surrogate training rows: the schedule shape, the
 /// grand-coalition value, and per-workload feature rows paired with the
 /// exact solver's normalized shares.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HarvestRecord {
     /// Trial index (== seed offset into the study).
     pub trial: usize,
@@ -249,22 +247,6 @@ mod tests {
             .expect("solvable");
         for (a, b) in record.shares.iter().zip(&truth) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn jsonl_round_trips() {
-        // Each record written as one JSON line parses back to itself,
-        // every float bit included.
-        let study = small_study();
-        let mut records = Vec::new();
-        harvest_demand_study_with(&study, 2, 8, |r| records.push(r.clone()));
-        assert_eq!(records.len(), study.trials);
-        for record in &records {
-            let line = serde_json::to_string(record).expect("harvest records serialize");
-            assert!(!line.contains('\n'));
-            let back: HarvestRecord = serde_json::from_str(&line).expect("parse back");
-            assert_eq!(&back, record);
         }
     }
 

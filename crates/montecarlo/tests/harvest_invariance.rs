@@ -1,9 +1,9 @@
 //! Thread-invariance pins for the streaming harvest and trial-sink paths:
-//! the harvested records' JSON and the observed trial order must be
-//! identical at 1, 2, and 8 worker threads.
+//! the harvested records, every float bit included, and the observed
+//! trial order must be identical at 1, 2, and 8 worker threads.
 
 use fairco2_montecarlo::engine::{EngineConfig, StudyOptions};
-use fairco2_montecarlo::harvest::harvest_demand_study_with;
+use fairco2_montecarlo::harvest::{harvest_demand_study_with, HarvestRecord};
 use fairco2_montecarlo::schedules::DemandStudy;
 use fairco2_montecarlo::ColocationStudy;
 use fairco2_montecarlo::{stream_colocation_study_with_sink, stream_demand_study_with_sink};
@@ -16,15 +16,30 @@ fn small_demand() -> DemandStudy {
     }
 }
 
+/// A record's fields, every float as its bits.
+type RecordBits = (usize, usize, usize, u64, Vec<u64>, Vec<u64>);
+
+fn record_bits(r: &HarvestRecord) -> RecordBits {
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect();
+    (
+        r.trial,
+        r.time_slices,
+        r.workloads,
+        r.grand_value.to_bits(),
+        bits(&r.features),
+        bits(&r.shares),
+    )
+}
+
 #[test]
-fn harvest_jsonl_bytes_are_thread_invariant() {
+fn harvest_record_bits_are_thread_invariant() {
     let study = small_demand();
     let harvest = |threads: usize| {
-        let mut lines = Vec::new();
+        let mut records = Vec::new();
         harvest_demand_study_with(&study, threads, 8, |record| {
-            lines.push(serde_json::to_string(record).expect("harvest records serialize"));
+            records.push(record_bits(record))
         });
-        lines
+        records
     };
     let baseline = harvest(1);
     assert_eq!(baseline.len(), study.trials, "one record per trial");

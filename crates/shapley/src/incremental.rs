@@ -14,14 +14,16 @@
 //! [`TemporalShapley::attribute`](crate::temporal::TemporalShapley::attribute)
 //! runs, over that buffer into a scratch that every close reuses. A
 //! closed window therefore equals `attribute` on the same slice by
-//! construction. A close costs `O(window · levels)`, so the amortized
+//! construction, and so equals the per-period reference pipeline bit for
+//! bit. A close costs `O(window · levels)`, so the amortized
 //! cost stays `O(levels) = O(log window)` per sample however long the
 //! stream runs.
 //!
 //! The [`IncrementalCascade::ops`] counter pins that cost without a
 //! clock: one op per push, plus each close's float ops counted from the
-//! window's shape (the sweep, the split passes, the intensity fills and
-//! the billing prefix), so every window costs the same.
+//! window's shape (the per-period integrals and peaks, the split passes,
+//! the intensity fills and the billing prefix), so every window costs
+//! the same.
 
 use fairco2_trace::series::SeriesError;
 use serde::{Deserialize, Serialize};

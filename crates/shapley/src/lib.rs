@@ -36,10 +36,11 @@
 //!   level decomposition of `max`), hierarchical splitting, and the
 //!   dynamic embodied-carbon-intensity signal (Eq. 5).
 //! * [`cascade`] — the flat, zero-copy engine behind the temporal
-//!   hierarchy: index-range periods over one shared demand buffer,
-//!   bottom-up folded peaks, a reusable [`cascade::CascadeScratch`] for
-//!   allocation-free repeats, and the [`cascade::IntensityIndex`]
-//!   answering batched billing queries.
+//!   hierarchy: index-range periods over one shared demand buffer, folded
+//!   in the per-period reference's order so every result equals it bit
+//!   for bit, a reusable [`cascade::CascadeScratch`] for allocation-free
+//!   repeats, and the [`cascade::IntensityIndex`] answering batched
+//!   billing queries.
 //! * [`incremental`] — the streaming engine behind the always-on
 //!   attribution service: fixed windows ingested one sample at a time,
 //!   each closed through the same cascade at amortized `O(levels)` per
@@ -74,8 +75,6 @@ pub mod coalition;
 pub mod exact;
 pub mod game;
 pub mod incremental;
-#[cfg(test)]
-mod kernels;
 pub mod matching;
 pub mod netgame;
 pub mod parallel;

@@ -368,11 +368,17 @@ impl NetworkCarbonGame {
         self.skeleton.with_rhs(self.rhs_for(coalition))
     }
 
+    /// The value of an unroutable coalition: `penalty_rate × total
+    /// demand`.
+    fn penalty(&self, coalition: &Coalition) -> f64 {
+        self.penalty_rate * self.total_demand(coalition)
+    }
+
     fn outcome_to_value(&self, coalition: &Coalition, outcome: LpOutcome) -> CoalitionValue {
         match outcome {
             LpOutcome::Optimal(sol) => CoalitionValue::Routed(sol),
             LpOutcome::Infeasible | LpOutcome::Unbounded => CoalitionValue::Unroutable {
-                penalty: self.penalty_rate * self.total_demand(coalition),
+                penalty: self.penalty(coalition),
             },
         }
     }
@@ -552,7 +558,8 @@ pub struct NetGameState {
 /// Permutation replay, warm from the first player on: each state starts
 /// at the empty coalition's optimal basis (solved and factored once per
 /// game), and each [`IncrementalGame::add_player`] warm-starts off the
-/// previous prefix's basis, cold only after an unroutable prefix. On
+/// previous prefix's basis. Once a prefix is unroutable every later
+/// prefix is too, and is valued at the penalty without a solve. On
 /// exact-dyadic instances every value equals [`Game::value`] bitwise.
 impl IncrementalGame for NetworkCarbonGame {
     type State = NetGameState;
@@ -571,14 +578,18 @@ impl IncrementalGame for NetworkCarbonGame {
 
     fn add_player(&self, state: &mut Self::State, player: usize) -> f64 {
         state.members.insert(player);
+        // No basis means the prefix was unroutable. Demand is
+        // non-negative and every flow drains to the one egress, so a
+        // superset of an unroutable coalition is unroutable too: its
+        // value is the penalty, with no solve.
+        let Some(basis) = state.basis.as_ref() else {
+            return self.penalty(&state.members);
+        };
         // The rhs is rebuilt canonically from the member set (not
         // accumulated in arrival order), so the value matches a cold
         // `value()` of the same coalition exactly on dyadic instances —
         // which keeps `CachedGame` consistent between replay orders.
-        let value = match state.basis.as_ref() {
-            Some(basis) => self.evaluate_warm(&state.members, basis),
-            None => self.evaluate(&state.members),
-        };
+        let value = self.evaluate_warm(&state.members, basis);
         let carbon = value.carbon();
         state.basis = value.into_basis();
         carbon

@@ -33,19 +33,17 @@
 //!
 //! [`TemporalShapley::attribute`] runs the hierarchy through the
 //! zero-copy engine in [`crate::cascade`]: periods are index ranges over
-//! the one shared demand buffer, peaks fold bottom-up from the leaf
-//! peaks, integrals come from a fused per-level sweep, and every buffer
-//! lives in a reusable [`CascadeScratch`]. The original per-period
-//! pipeline is kept only as a test oracle, in the test-only
-//! `per_period` module; the flat engine's lane-parallel kernels are
-//! closeness-pinned against it (bit-pinned on the weight-fallback
-//! cases) by the property tests there.
+//! the one shared demand buffer, each period's integral and peak are
+//! folded left to right over its slice, and every buffer lives in a
+//! reusable [`CascadeScratch`]. The original per-period pipeline is kept
+//! only as a test oracle, in the test-only `per_period` module; the
+//! property tests there pin the flat engine to it bit for bit.
 
 use serde::{Deserialize, Serialize};
 
 use fairco2_trace::series::{SeriesError, TimeSeries};
 
-use crate::cascade::{run_cascade, BillingQuery, CascadeScratch, IntensityIndex};
+use crate::cascade::{run_cascade, CascadeScratch, IntensityIndex};
 
 #[cfg(test)]
 mod per_period;
@@ -189,7 +187,8 @@ impl TemporalAttribution {
 
     /// Borrows the O(1) billing-query index over the leaf carbon prefix.
     /// Hoist this out of query loops: the borrow skips the per-call grid
-    /// setup and feeds the batched entry points.
+    /// setup, and [`IntensityIndex::carbon_batch_into`] answers whole
+    /// batches through it.
     pub fn intensity_index(&self) -> IntensityIndex<'_> {
         let leaf = self.leaf_intensity();
         IntensityIndex::new(leaf.start(), leaf.step(), &self.carbon_prefix)
@@ -206,25 +205,6 @@ impl TemporalAttribution {
     /// `t ∈ [t0, t1)`, exactly as the original linear scan selected them.
     pub fn workload_carbon(&self, t0: i64, t1: i64, allocation: f64) -> f64 {
         self.intensity_index().carbon(t0, t1, allocation)
-    }
-
-    /// Answers a batch of `(t0, t1, allocation)` billing queries, one
-    /// output per query, each bit-identical to the corresponding
-    /// [`TemporalAttribution::workload_carbon`] call. This is the
-    /// fleet-scale entry point: the grid parameters are resolved once
-    /// for the whole batch and each query costs a few integer ops, so a
-    /// single thread sustains millions of queries per second.
-    pub fn workload_carbon_batch(&self, queries: &[BillingQuery]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.workload_carbon_batch_into(queries, &mut out);
-        out
-    }
-
-    /// [`TemporalAttribution::workload_carbon_batch`] into a reusable
-    /// output buffer (cleared first) — allocation-free once the buffer
-    /// has grown to the batch size.
-    pub fn workload_carbon_batch_into(&self, queries: &[BillingQuery], out: &mut Vec<f64>) {
-        self.intensity_index().carbon_batch_into(queries, out);
     }
 }
 

@@ -2,11 +2,10 @@
 //! test oracle for the flat cascade, and the pins that hold the cascade
 //! to it.
 //!
-//! The lane-parallel cascade ([`TemporalShapley::attribute`])
-//! reassociates its sums, so it matches this path on random series and
-//! hierarchies to a documented ulp-accumulation bound, while zero/sign
-//! decisions (stranding, weight fallbacks) and the work counters stay
-//! exact. On the q → duration weight fallbacks it matches bit for bit.
+//! The flat cascade ([`TemporalShapley::attribute`]) folds every period
+//! in this pipeline's order, so it matches this path bit for bit on
+//! random series and hierarchies, on the q → duration weight fallbacks,
+//! and in the work counters.
 
 use fairco2_trace::series::{SeriesError, TimeSeries};
 
@@ -130,22 +129,10 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Asserts the lane path matches the per-period reference to a
-    /// relative tolerance per element — bit for bit at `tol == 0.0` —
-    /// with the *discrete* observables (grids, counters, and exact-zero
-    /// stranding decisions) always exact. Each lane sum differs from the
-    /// serial fold only by reassociation, so the per-element error is
-    /// bounded by `O(n · ε)` relative — `n ≤ 8641` samples and
-    /// `ε = 2⁻⁵²` put the true bound near `2e-12`; `1e-9` leaves three
-    /// orders of slack without masking real bugs.
-    fn assert_matches(label: &str, a: &TemporalAttribution, b: &TemporalAttribution, tol: f64) {
-        let close = |x: f64, y: f64| {
-            if tol == 0.0 {
-                x.to_bits() == y.to_bits()
-            } else {
-                (x - y).abs() <= tol * x.abs().max(y.abs()).max(f64::MIN_POSITIVE)
-            }
-        };
+    /// Asserts the flat cascade equals the per-period reference bit for
+    /// bit in every observable: grids, per-level intensity signals, the
+    /// billing prefix, stranded carbon, and the work counters.
+    fn assert_matches(label: &str, a: &TemporalAttribution, b: &TemporalAttribution) {
         assert_eq!(
             a.level_intensity().len(),
             b.level_intensity().len(),
@@ -161,21 +148,28 @@ mod tests {
             assert_eq!(la.step(), lb.step(), "{label}: level {level} step");
             assert_eq!(la.len(), lb.len(), "{label}: level {level} len");
             for (k, (va, vb)) in la.values().iter().zip(lb.values()).enumerate() {
-                assert!(
-                    close(*va, *vb),
+                assert_eq!(
+                    va.to_bits(),
+                    vb.to_bits(),
                     "{label}: level {level} sample {k}: {va} vs {vb}"
                 );
-                // Zero-demand decisions are exact in both kernels: a period
-                // sum is zero iff every sample is zero, regardless of
-                // association order over non-negative demand.
-                assert_eq!(*va == 0.0, *vb == 0.0, "{label}: level {level} zero {k}");
             }
         }
+        assert_eq!(
+            a.carbon_prefix().len(),
+            b.carbon_prefix().len(),
+            "{label}: prefix len"
+        );
         for (k, (va, vb)) in a.carbon_prefix().iter().zip(b.carbon_prefix()).enumerate() {
-            assert!(close(*va, *vb), "{label}: prefix entry {k}: {va} vs {vb}");
+            assert_eq!(
+                va.to_bits(),
+                vb.to_bits(),
+                "{label}: prefix entry {k}: {va} vs {vb}"
+            );
         }
-        assert!(
-            close(a.stranded_carbon(), b.stranded_carbon()),
+        assert_eq!(
+            a.stranded_carbon().to_bits(),
+            b.stranded_carbon().to_bits(),
             "{label}: stranded {} vs {}",
             a.stranded_carbon(),
             b.stranded_carbon()
@@ -224,8 +218,8 @@ mod tests {
             let series = masked_series(&raw[..len], &mask[..len], start, 300);
             let h = TemporalShapley::new(splits);
             let reference = h.attribute_per_period(&series, carbon).unwrap();
-            let lane = h.attribute(&series, carbon).unwrap();
-            assert_matches("lane vs reference", &reference, &lane, 1e-9);
+            let flat = h.attribute(&series, carbon).unwrap();
+            assert_matches("flat vs reference", &reference, &flat);
         }
     }
 
@@ -239,7 +233,7 @@ mod tests {
         let h = TemporalShapley::new(vec![2]);
         let reference = h.attribute_per_period(&series, 90.0).unwrap();
         let flat = h.attribute(&series, 90.0).unwrap();
-        assert_matches("q fallback", &reference, &flat, 0.0);
+        assert_matches("q fallback", &reference, &flat);
         // q weights are [4/3, −1/3]; the second child's q ≤ 0 strands its
         // (negative) share: 90 · (−1/3) = −30 exactly.
         assert_eq!(flat.stranded_carbon(), -30.0);
@@ -254,13 +248,14 @@ mod tests {
         let h = TemporalShapley::new(vec![3, 2]);
         let reference = h.attribute_per_period(&series, 64.0).unwrap();
         let flat = h.attribute(&series, 64.0).unwrap();
-        assert_matches("duration fallback", &reference, &flat, 0.0);
+        assert_matches("duration fallback", &reference, &flat);
         assert!((flat.stranded_carbon() - 64.0).abs() < 1e-12);
         assert!(flat.leaf_intensity().values().iter().all(|&v| v == 0.0));
     }
 
     /// Uneven splits (remainder-bearing periods) on the paper hierarchy:
-    /// the lane path matches the reference to the ulp bound.
+    /// the flat path matches the reference bit for bit. (The name is
+    /// kept from the lane-parallel cascade this pin used to bound.)
     #[test]
     fn paper_hierarchy_lane_matches_the_reference() {
         let series = TimeSeries::from_fn(0, 300, 8641, |t| {
@@ -270,8 +265,8 @@ mod tests {
         .unwrap();
         let h = TemporalShapley::paper_hierarchy();
         let reference = h.attribute_per_period(&series, 12_000.0).unwrap();
-        let lane = h.attribute(&series, 12_000.0).unwrap();
-        assert_matches("paper hierarchy lane", &reference, &lane, 1e-9);
+        let flat = h.attribute(&series, 12_000.0).unwrap();
+        assert_matches("paper hierarchy", &reference, &flat);
     }
 
     /// The flat path reports the same error as the reference when a level

@@ -168,13 +168,14 @@ fn operation_count_is_amortized_constant_per_sample() {
 
     // And that constant is O(levels), not O(window): generously bounded
     // by a small multiple of levels plus the per-window close. A push is
-    // one op; the close counts levels + 4 ops per sample (sweep,
-    // intensity fills, prefix) and levels + 6 per leaf (lane collapses,
-    // leaf-sum adds). With at most one leaf per sample a window costs at
-    // most n·(2·levels + 11) plus the split passes, inside the budget
-    // below. With levels = 4 and n = 120 this asserts ~O(log n) per
-    // sample, far below the O(n) a rescan-per-sample implementation
-    // would show.
+    // one op; the close counts 3·levels + 1 ops per sample (an add into
+    // its period's integral at every level, a max into its period's peak
+    // below the root, the intensity fills, the prefix) and one step
+    // scaling per period. With at most one period per sample at each
+    // level a window costs at most n·(4·levels + 2) plus the split
+    // passes, inside the budget below. With levels = 4 and n = 120 this
+    // asserts ~O(log n) per sample, far below the O(n) a
+    // rescan-per-sample implementation would show.
     let levels = (splits.len() + 1) as u64;
     let close_cost: u64 = {
         // split passes: per parent m·log2(m)+3m ops, plus 3 ops per

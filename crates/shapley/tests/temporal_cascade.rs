@@ -1,8 +1,9 @@
 //! Equality pins for the flat Temporal Shapley cascade:
 //!
 //! * a reused [`CascadeScratch`] reproduces fresh results exactly;
-//! * [`TemporalAttribution::workload_carbon_batch`] matches per-call
-//!   [`TemporalAttribution::workload_carbon`] bit-for-bit.
+//! * batched billing queries through
+//!   [`IntensityIndex::carbon_batch_into`](fairco2_shapley::cascade::IntensityIndex::carbon_batch_into)
+//!   match per-call [`TemporalAttribution::workload_carbon`] bit-for-bit.
 //!
 //! The pins against the per-period reference pipeline are unit tests of
 //! `fairco2_shapley::temporal`, where that test-only oracle lives.
@@ -115,7 +116,8 @@ proptest! {
             .attribute(&series, carbon)
             .unwrap();
         let batch: Vec<BillingQuery> = queries.clone();
-        let answers = att.workload_carbon_batch(&batch);
+        let mut answers = Vec::new();
+        att.intensity_index().carbon_batch_into(&batch, &mut answers);
         prop_assert_eq!(answers.len(), batch.len());
         for (answer, (t0, t1, alloc)) in answers.iter().zip(queries) {
             prop_assert_eq!(
