@@ -24,6 +24,8 @@ pub enum ScheduleError {
     DegenerateGrid,
     /// The schedule has no workloads.
     NoWorkloads,
+    /// A workload's core allocation is not finite or is below zero.
+    InvalidCores,
 }
 
 impl fmt::Display for ScheduleError {
@@ -38,6 +40,9 @@ impl fmt::Display for ScheduleError {
             }
             ScheduleError::DegenerateGrid => write!(f, "schedule needs ≥1 step of ≥1 second"),
             ScheduleError::NoWorkloads => write!(f, "schedule has no workloads"),
+            ScheduleError::InvalidCores => {
+                write!(f, "workload cores must be finite and non-negative")
+            }
         }
     }
 }
@@ -58,10 +63,15 @@ impl ScheduledWorkload {
     ///
     /// # Errors
     ///
-    /// Returns [`ScheduleError::EmptyWindow`] when `start >= end`.
+    /// Returns [`ScheduleError::EmptyWindow`] when `start >= end` and
+    /// [`ScheduleError::InvalidCores`] when `cores` is not finite or is
+    /// below zero.
     pub fn new(cores: f64, start: usize, end: usize) -> Result<Self, ScheduleError> {
         if start >= end {
             return Err(ScheduleError::EmptyWindow);
+        }
+        if !(cores.is_finite() && cores >= 0.0) {
+            return Err(ScheduleError::InvalidCores);
         }
         Ok(Self { cores, start, end })
     }
@@ -188,8 +198,10 @@ impl Schedule {
     ///
     /// # Errors
     ///
-    /// Returns [`ScheduleError::DegenerateGrid`] for a zero step and
-    /// [`ScheduleError::NoWorkloads`] for an empty population.
+    /// Returns [`ScheduleError::DegenerateGrid`] for a zero step,
+    /// [`ScheduleError::NoWorkloads`] for an empty population and
+    /// [`ScheduleError::InvalidCores`] for a VM whose cores are not
+    /// finite or are below zero.
     pub fn from_vm_population(
         population: &VmPopulation,
         step_seconds: u32,
@@ -198,7 +210,7 @@ impl Schedule {
             return Err(ScheduleError::DegenerateGrid);
         }
         let steps = (population.horizon_s() as u64).div_ceil(u64::from(step_seconds)) as usize;
-        let workloads: Vec<ScheduledWorkload> = population
+        let workloads = population
             .vms()
             .iter()
             .map(|vm| {
@@ -206,9 +218,8 @@ impl Schedule {
                 let end = ((vm.end as u64).div_ceil(u64::from(step_seconds)) as usize)
                     .clamp(start + 1, steps.max(start + 1));
                 ScheduledWorkload::new(vm.cores, start, end.min(steps).max(start + 1))
-                    .expect("end > start by construction")
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         Self::new(step_seconds, steps, workloads)
     }
 
@@ -314,6 +325,34 @@ mod tests {
         assert_eq!(
             Schedule::new(3600, 4, vec![]),
             Err(ScheduleError::NoWorkloads)
+        );
+    }
+
+    #[test]
+    fn cores_must_be_finite_and_non_negative() {
+        for cores in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.0,
+            -f64::MIN_POSITIVE,
+        ] {
+            assert_eq!(
+                ScheduledWorkload::new(cores, 0, 2),
+                Err(ScheduleError::InvalidCores),
+                "{cores}"
+            );
+        }
+        assert!(ScheduledWorkload::new(0.0, 0, 2).is_ok());
+        assert!(ScheduledWorkload::new(-0.0, 0, 2).is_ok());
+        // A NaN-core VM must not reach the attributors, which would
+        // price it NaN or zero, or panic.
+        let vm = |start, end, cores| fairco2_trace::vms::VmEvent { start, end, cores };
+        let pop =
+            VmPopulation::from_events(vec![vm(0, 7200, f64::NAN), vm(3600, 14_400, 16.0)], 14_400);
+        assert_eq!(
+            Schedule::from_vm_population(&pop, 3600),
+            Err(ScheduleError::InvalidCores)
         );
     }
 }

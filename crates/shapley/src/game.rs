@@ -187,20 +187,46 @@ impl<G: Game> IncrementalGame for Replay<G> {
 /// per-time-step resource demand, and a coalition's cost is the **peak**
 /// (over time) of its summed demand — the minimum capacity that must be
 /// provisioned to run the coalition (paper Figure 1).
+///
+/// Insertions (permutation replay, and the exact fill's fixed high
+/// players) add a player's *window* into per-step sums: its row from its
+/// first to its last nonzero step, zero-padded to a multiple of 4 steps,
+/// or the whole horizon for a row with a negative entry.
+/// Schedule-derived rows are zero outside the workload's slice range, so
+/// an insertion costs the row's span, not the horizon, and its branches
+/// depend on the player alone, never on the sums.
 #[derive(Debug, Clone)]
 pub struct PeakDemandGame {
     /// `demand[p][t]`: demand of player `p` at time step `t`.
     demand: Vec<Vec<f64>>,
-    /// `support[p]`: the nonzero entries of player `p`'s row as
-    /// `(t, demand)` pairs — schedule-derived rows are zero outside the
-    /// workload's slice range, so incremental updates only touch the
-    /// steps a player actually occupies.
-    support: Vec<Vec<(u32, f64)>>,
+    /// `windows[p]`: where player `p`'s window sits in the sums and in
+    /// `window_demand`.
+    windows: Vec<Window>,
+    /// Every player's window of demand, back to back.
+    window_demand: Vec<f64>,
     steps: usize,
     /// The low players' subset sums, built by the first
     /// [`Game::fill_values`] call, so games that are only sampled or
     /// served never pay for them.
     low_sums: OnceLock<LowSums>,
+}
+
+/// Window lengths are multiples of this many steps, so the short rows
+/// of generated schedules (1–3 nonzero steps) all run the same trip count
+/// and the insertion loop's branches predict. Sums an insertion adds into
+/// carry `PAD_STEPS - 1` slots past the horizon, which stay zero.
+const PAD_STEPS: usize = 4;
+
+/// One player's window: `window_demand[offset..][..len]` is added into
+/// `sums[start..][..len]`.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    start: usize,
+    len: usize,
+    offset: usize,
+    /// The row has a negative entry, so the window is the whole horizon
+    /// and its maximum after the add is the new peak on its own.
+    signed: bool,
 }
 
 /// Subset sums of a peak-demand game's *low* players — the
@@ -272,19 +298,34 @@ impl PeakDemandGame {
             demand.iter().all(|d| d.len() == steps),
             "all players must cover the same time steps"
         );
-        let support = demand
+        let mut window_demand = Vec::new();
+        let windows = demand
             .iter()
             .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .filter(|&(_, &d)| d != 0.0)
-                    .map(|(t, &d)| (t as u32, d))
-                    .collect()
+                let signed = row.iter().any(|&d| d < 0.0);
+                let (start, end) = if signed {
+                    (0, steps)
+                } else {
+                    let start = row.iter().position(|&d| d != 0.0).unwrap_or(0);
+                    let end = row.iter().rposition(|&d| d != 0.0).map_or(start, |t| t + 1);
+                    (start, end)
+                };
+                let offset = window_demand.len();
+                let len = (end - start).next_multiple_of(PAD_STEPS);
+                window_demand.extend_from_slice(&row[start..end]);
+                window_demand.resize(offset + len, 0.0);
+                Window {
+                    start,
+                    len,
+                    offset,
+                    signed,
+                }
             })
             .collect();
         Self {
             demand,
-            support,
+            windows,
+            window_demand,
             steps,
             low_sums: OnceLock::new(),
         }
@@ -300,35 +341,29 @@ impl PeakDemandGame {
         self.steps
     }
 
-    /// Adds `player`'s row to `sums` and returns the new `max(0, sums)`,
-    /// given the old one in `peak`. Only an insertion that lowers a slot
-    /// holding the peak (a negative demand) re-scans the array:
-    ///
-    /// * `before < peak` — the peak is at an untouched slot, so it still
-    ///   caps them and only `after` can beat it;
-    /// * `after >= peak` — a touched slot now holds (at least) the old
-    ///   peak, which already capped every other slot;
-    /// * otherwise a slot holding the peak was lowered below it, and only
-    ///   a full scan knows the new peak.
-    ///
-    /// `max` selects an operand and never rounds, so the result is the
-    /// same bits as a full scan of the same sums.
-    fn toggle(&self, sums: &mut [f64], peak: f64, player: usize) -> f64 {
-        let mut before = f64::NEG_INFINITY;
-        let mut after = f64::NEG_INFINITY;
-        for &(t, d) in &self.support[player] {
-            let s = &mut sums[t as usize];
-            before = before.max(*s);
+    /// Per-step sums for insertions: zero, with the `PAD_STEPS - 1`
+    /// slots past the horizon that padded windows reach.
+    fn zero_sums(&self) -> Vec<f64> {
+        vec![0.0; self.steps + PAD_STEPS - 1]
+    }
+
+    /// Adds `player`'s window into `sums` and returns the maximum of 0
+    /// and the window's sums after the add. The loop runs step by step
+    /// under one running max: over fixed 4-step chunks LLVM packs the
+    /// adds into two-lane stores, which the next insertion (at another
+    /// offset) cannot forward to its loads, and it ran slower. Always
+    /// inlined, so that replay loops in other crates inline the whole
+    /// insertion.
+    #[inline(always)]
+    fn add_window(&self, sums: &mut [f64], player: usize) -> f64 {
+        let window = self.windows[player];
+        let demand = &self.window_demand[window.offset..][..window.len];
+        let mut after = 0.0;
+        for (s, &d) in sums[window.start..][..window.len].iter_mut().zip(demand) {
             *s += d;
-            after = after.max(*s);
+            after = select_max(*s, after);
         }
-        if before < peak {
-            peak.max(after)
-        } else if after >= peak {
-            after
-        } else {
-            sums.iter().copied().fold(0.0, f64::max)
-        }
+        after
     }
 }
 
@@ -357,8 +392,9 @@ impl Game for PeakDemandGame {
 
     /// Subset-sum table fill. For each aligned
     /// [`FILL_BLOCK_MASKS`](crate::exact::FILL_BLOCK_MASKS) block the range
-    /// touches, the block's fixed high players are added into per-step
-    /// sums from zero; those sums fold into `floor`, the peak over 0 and
+    /// touches, the block's fixed high players' windows are added into
+    /// per-step sums from zero, as replay adds them; those sums (up to
+    /// the horizon) fold into `floor`, the peak over 0 and
     /// the steps no low player touches, and one peak per column of the
     /// low players' subset sums. Entry `m` of the block is then
     /// `max(floor, max_g(peak_g + column_g[m]))`: one branch-free pass
@@ -376,16 +412,14 @@ impl Game for PeakDemandGame {
             .get_or_init(|| LowSums::new(&self.demand, self.steps));
         let block = 1u64 << table.low;
         let end = first_mask + out.len() as u64;
-        let mut sums = vec![0.0f64; self.steps];
+        let mut sums = self.zero_sums();
         let mut peaks = vec![0.0f64; table.sums.len() >> table.low];
         let mut high = first_mask - first_mask % block;
         while high < end {
             sums.fill(0.0);
             let mut players = high;
             while players != 0 {
-                for &(t, d) in &self.support[players.trailing_zeros() as usize] {
-                    sums[t as usize] += d;
-                }
+                self.add_window(&mut sums, players.trailing_zeros() as usize);
                 players &= players - 1;
             }
             let mut floor = 0.0;
@@ -412,13 +446,20 @@ impl Game for PeakDemandGame {
 }
 
 impl IncrementalGame for PeakDemandGame {
-    /// Flat per-step sums and their running peak. An insertion is one
-    /// `toggle`, which touches only the player's nonzero steps; adding
-    /// non-negative demand never lowers a slot, so it never re-scans.
+    /// Flat per-step sums (with the padding slots) and their running
+    /// peak `max(0, sums)`. An insertion adds the player's window; every
+    /// slot receives the same nonzero demands in the same order as a
+    /// sparse add would, and the padded zeros add exactly `+0.0` (sums
+    /// start at `+0.0` and never hold `-0.0`). A non-negative row lowers
+    /// no slot, so the slots outside its window stay at or below the old
+    /// peak and the new one is `max(window max, old peak)`; a signed
+    /// row's window is the whole horizon, so its window max is the new
+    /// peak. `max` selects an operand, so the result is the bits of a
+    /// full scan of the same sums.
     type State = (Vec<f64>, f64);
 
     fn initial_state(&self) -> Self::State {
-        (vec![0.0; self.steps], 0.0)
+        (self.zero_sums(), 0.0)
     }
 
     fn reset_state(&self, (sums, peak): &mut Self::State) {
@@ -426,8 +467,14 @@ impl IncrementalGame for PeakDemandGame {
         *peak = 0.0;
     }
 
+    #[inline]
     fn add_player(&self, (sums, peak): &mut Self::State, player: usize) -> f64 {
-        *peak = self.toggle(sums, *peak, player);
+        let after = self.add_window(sums, player);
+        *peak = if self.windows[player].signed {
+            after
+        } else {
+            select_max(after, *peak)
+        };
         *peak
     }
 }
@@ -565,22 +612,15 @@ mod tests {
         assert_eq!(EvalCounters::default().cache_hit_rate(), 0.0);
     }
 
-    #[test]
-    fn flat_incremental_path_matches_the_scan_reference() {
-        // Equality pin: add_player's flat-sum toggle must reproduce
-        // `value()`'s full scan of every prefix bit-for-bit on dyadic
-        // demands, across several permutations and a reused state.
-        let g = PeakDemandGame::new(vec![
-            vec![4.0, 1.0, 0.0, 2.0],
-            vec![1.0, 4.0, 2.0, 0.0],
-            vec![0.0, 0.0, 5.0, 5.0],
-            vec![2.5, 0.5, 3.5, 0.25],
-        ]);
+    /// Asserts that `add_player` reproduces `value()`'s full scan of
+    /// every prefix of every order bit for bit, through one reused state.
+    fn assert_prefixes_match_the_scan(g: &PeakDemandGame, orders: &[Vec<usize>]) {
+        let n = g.player_count();
         let mut state = g.initial_state();
-        for order in [[0usize, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]] {
+        for order in orders {
             g.reset_state(&mut state);
             for (k, &p) in order.iter().enumerate() {
-                let prefix = Coalition::from_players(4, order[..=k].iter().copied());
+                let prefix = Coalition::from_players(n, order[..=k].iter().copied());
                 let a = g.add_player(&mut state, p);
                 assert_eq!(
                     a.to_bits(),
@@ -589,6 +629,54 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn flat_incremental_path_matches_the_scan_reference() {
+        // Equality pin on dyadic demands: the window add must reproduce
+        // `value()` of every prefix bit-for-bit, across several
+        // permutations and a reused state.
+        let g = PeakDemandGame::new(vec![
+            vec![4.0, 1.0, 0.0, 2.0],
+            vec![1.0, 4.0, 2.0, 0.0],
+            vec![0.0, 0.0, 5.0, 5.0],
+            vec![2.5, 0.5, 3.5, 0.25],
+        ]);
+        assert_prefixes_match_the_scan(&g, &[vec![0, 1, 2, 3], vec![3, 2, 1, 0], vec![1, 3, 0, 2]]);
+
+        // Window edge cases on a 6-step horizon (not a multiple of 4):
+        // an all-zero row (empty window), a row whose window ends on the
+        // last step, a zero gap inside a span, and a negative entry that
+        // lowers the peak set by player 0 at step 1.
+        let g = PeakDemandGame::new(vec![
+            vec![0.0, 6.0, 0.0, 0.0, 0.0, 0.0],
+            vec![0.0; 6],
+            vec![0.0, 0.0, 0.0, 1.5, 2.0, 3.0],
+            vec![2.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+            vec![0.5, -4.0, 1.0, 0.0, 0.0, 0.0],
+        ]);
+        let mut orders: Vec<Vec<usize>> = vec![
+            vec![0, 4, 1, 2, 3],
+            vec![4, 0, 3, 2, 1],
+            vec![1, 2, 3, 0, 4],
+            vec![3, 0, 4, 1, 2],
+        ];
+        orders.extend(orders.clone().into_iter().map(|mut o| {
+            o.reverse();
+            o
+        }));
+        assert_prefixes_match_the_scan(&g, &orders);
+        let mut state = g.initial_state();
+        g.add_player(&mut state, 0);
+        assert_eq!(
+            g.add_player(&mut state, 4),
+            2.0,
+            "the signed row lowers the peak"
+        );
+
+        // A 1-step horizon, with a zero and a signed player.
+        let g = PeakDemandGame::new(vec![vec![3.0], vec![0.0], vec![-1.0], vec![0.25]]);
+        assert_prefixes_match_the_scan(&g, &[vec![0, 1, 2, 3], vec![2, 3, 1, 0], vec![1, 0, 3, 2]]);
     }
 
     #[test]
